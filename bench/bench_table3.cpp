@@ -3,9 +3,6 @@
 // (None excluded) accuracies the paper quotes (94% vs 91%, 86% vs 72%).
 #include <cstdio>
 
-#include "baseline/features.hpp"
-#include "baseline/knn.hpp"
-#include "baseline/scaler.hpp"
 #include "baseline/wu_classifier.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -61,23 +58,6 @@ int main() {
   std::printf("overall accuracy: %.1f%%   defect-only (excl. None): %.1f%%\n\n",
               100.0 * svm_cm.accuracy(),
               100.0 * svm_cm.accuracy_excluding(none_idx));
-
-  // --- Extra baseline: k-NN on the same features (paper refs [6,7]). ---
-  {
-    const auto train_features = baseline::extract_features(data.train_raw);
-    baseline::StandardScaler scaler;
-    scaler.fit(train_features.rows);
-    baseline::KnnClassifier knn({.k = 5});
-    knn.fit(scaler.transform(train_features.rows), train_features.labels);
-    const auto test_features = baseline::extract_features(data.test);
-    const auto knn_preds = knn.predict(scaler.transform(test_features.rows));
-    const auto knn_cm =
-        eval::confusion_from_labels(labels, knn_preds, kNumDefectTypes);
-    std::printf("k-NN spatial-signature baseline [refs 6,7]: overall %.1f%%, "
-                "defect-only %.1f%%\n\n",
-                100.0 * knn_cm.accuracy(),
-                100.0 * knn_cm.accuracy_excluding(none_idx));
-  }
 
   std::printf("paper shape check: CNN >= SVM overall (paper: 94%% vs 91%%)\n"
               "with a larger gap on defect classes (paper: 86%% vs 72%%).\n");

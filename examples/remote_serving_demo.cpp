@@ -225,8 +225,10 @@ int main() {
     req.request_id = 77;
     req.map = traffic[0];
     std::vector<std::uint8_t> bytes = net::encode_request(req);
-    bytes[net::kHeaderBytes + 4] = 0xFF;  // body's map_size -> 0x3FF
-    bytes[net::kHeaderBytes + 5] = 0x03;  //   (> kMaxWireMapSize)
+    // The body's u16 map_size follows deadline (4 bytes) and the trace
+    // context (8 + 8 + 1): set it to 0x3FF (> kMaxWireMapSize).
+    bytes[net::kHeaderBytes + 21] = 0xFF;
+    bytes[net::kHeaderBytes + 22] = 0x03;
     (void)net::write_all(fd, bytes.data(), bytes.size());
     const bool got_malformed = read_response_raw(fd, resp, closed) &&
                                resp.request_id == 77 &&

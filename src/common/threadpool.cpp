@@ -106,10 +106,12 @@ void ThreadPool::parallel_chunks(
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
     }
-    if (remaining.fetch_sub(1) == 1) {
-      const std::lock_guard<std::mutex> lock(done_mutex);
-      done_cv.notify_one();
-    }
+    // Decrement and notify under done_mutex: the caller returns (and these
+    // stack locals die) as soon as it sees remaining == 0, so the last
+    // worker must be done touching done_mutex/done_cv before that can
+    // happen.
+    const std::lock_guard<std::mutex> lock(done_mutex);
+    if (remaining.fetch_sub(1) == 1) done_cv.notify_one();
   };
 
   {

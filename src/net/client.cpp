@@ -235,9 +235,11 @@ bool Client::connect_with_backoff() {
       if (attempt >= opts_.max_connect_attempts) {
         log_warn("wm_net client: giving up after ", attempt,
                  " connect attempts: ", e.what());
+        // Reset before failing the calls: a caller woken by its failed
+        // future must already see the next cycle's initial delay.
+        backoff_delay_ms_.store(opts_.backoff_initial_ms);
         std::lock_guard<std::mutex> lock(mutex_);
         fail_all_locked(Status::kConnectionError);
-        backoff_delay_ms_.store(opts_.backoff_initial_ms);
         return false;
       }
     }

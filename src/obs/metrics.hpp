@@ -93,7 +93,7 @@ class Histogram {
   const std::string& unit() const { return unit_; }
 
   /// 1-2-5 decades from 50us to 5s: the serving-latency scheme
-  /// (serve::LatencyHistogram before it was folded into this class).
+  /// (serve::EngineStats::latency uses it).
   static std::vector<std::int64_t> latency_bounds_us();
   /// Powers of two 1..512, for batch sizes and queue depths.
   static std::vector<std::int64_t> size_bounds();

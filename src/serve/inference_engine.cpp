@@ -31,10 +31,10 @@ std::string EngineStats::to_string() const {
   os.precision(2);
   os << std::fixed << mean_batch_size() << ", full " << full_flushes
      << ", timer " << timer_flushes << ")\n";
-  os << "latency:   mean " << static_cast<std::int64_t>(latency.mean_us())
-     << " us, p50 <= " << latency.quantile_us(0.50) << " us, p95 <= "
-     << latency.quantile_us(0.95) << " us, p99 <= "
-     << latency.quantile_us(0.99) << " us\n";
+  os << "latency:   mean " << static_cast<std::int64_t>(latency.mean())
+     << " us, p50 <= " << latency.quantile(0.50) << " us, p95 <= "
+     << latency.quantile(0.95) << " us, p99 <= " << latency.quantile(0.99)
+     << " us\n";
   os << latency.to_string();
   return os.str();
 }
@@ -170,7 +170,7 @@ EngineStats InferenceEngine::stats() const {
   s.full_flushes = full_flushes_total_.value();
   s.timer_flushes = timer_flushes_total_.value();
   s.shed = shed_total_.value();
-  static_cast<obs::HistogramSnapshot&>(s.latency) = latency_hist_.snapshot();
+  s.latency = latency_hist_.snapshot();
   return s;
 }
 

@@ -88,17 +88,6 @@ struct RequestTiming {
   std::int64_t done_ns = 0;     // predict_batch returned
 };
 
-/// Compatibility view of the request-latency distribution: an
-/// obs::HistogramSnapshot (the one shared histogram implementation) with
-/// the microsecond-suffixed accessors this header always had.
-struct LatencyHistogram : obs::HistogramSnapshot {
-  std::uint64_t count() const { return HistogramSnapshot::count; }
-  double mean_us() const { return mean(); }
-  /// Upper bucket bound containing the q-quantile, q in [0, 1]; the exact
-  /// observed maximum for the tail bucket. 0 when empty.
-  std::int64_t quantile_us(double q) const { return quantile(q); }
-};
-
 /// Counters since engine construction. A consistent snapshot is returned by
 /// InferenceEngine::stats().
 struct EngineStats {
@@ -108,7 +97,7 @@ struct EngineStats {
   std::uint64_t full_flushes = 0;      // batches flushed at max_batch
   std::uint64_t timer_flushes = 0;     // flushed by the delay timer / drain
   std::uint64_t shed = 0;              // try_submit() rejections (queue full)
-  LatencyHistogram latency;            // per-request enqueue -> result
+  obs::HistogramSnapshot latency;      // per-request enqueue -> result, us
 
   double mean_batch_size() const {
     return batches == 0 ? 0.0

@@ -1,9 +1,11 @@
 #include "common/csv.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -12,8 +14,11 @@ namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "wm_csv_test.csv").string();
+  // PID-unique path: ctest runs each test as its own process, possibly in
+  // parallel, so a fixed temp name would race between test processes.
+  std::string path_ = (std::filesystem::temp_directory_path() /
+                       ("wm_csv_test_" + std::to_string(::getpid()) + ".csv"))
+                          .string();
 
   void TearDown() override { std::remove(path_.c_str()); }
 };

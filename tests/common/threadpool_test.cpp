@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace wm {
@@ -61,6 +62,25 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
     pool.parallel_for(0, 50, [&](std::size_t) { count++; });
     EXPECT_EQ(count.load(), 50);
   }
+}
+
+// Regression test: the last worker used to lock the caller's stack-local
+// done_mutex after the caller had already seen remaining == 0 and returned
+// (a use-after-scope TSan reports and that aborted ctest now and then).
+// Two callers hammering tiny loops on one pool make that window common.
+TEST(ThreadPoolTest, ConcurrentCallersNeverOutliveTheirCompletionState) {
+  ThreadPool pool(3);
+  constexpr int kCalls = 50000;
+  std::atomic<long> total{0};
+  auto caller = [&] {
+    for (int call = 0; call < kCalls; ++call) {
+      pool.parallel_for(0, 4, [&](std::size_t) { total++; });
+    }
+  };
+  std::thread other(caller);
+  caller();
+  other.join();
+  EXPECT_EQ(total.load(), 2L * kCalls * 4);
 }
 
 // Regression test: a parallel_for issued from inside a worker used to

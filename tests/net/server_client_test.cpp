@@ -96,6 +96,18 @@ std::vector<WaferMap> test_maps(int n, int size = 12) {
   return maps;
 }
 
+/// Polls until `done()` holds or 5 s pass, for state that server threads
+/// update after the client's own call has returned: the server counts a
+/// response, records its latency and closes its "server.request" span only
+/// after writing it, so a client can hold the reply before any of those land.
+template <class Pred>
+void wait_until(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
 TEST(NetServerTest, RoundTripMatchesClassifier) {
   FakeClassifier clf;
   serve::InferenceEngine engine(clf, {.max_batch = 8, .max_delay_us = 500});
@@ -111,6 +123,7 @@ TEST(NetServerTest, RoundTripMatchesClassifier) {
     EXPECT_FLOAT_EQ(r.prediction.g, 0.75f);
   }
   EXPECT_EQ(server.requests_received(), 6u);
+  wait_until([&] { return server.responses_sent() >= 6; });
   EXPECT_EQ(server.responses_sent(), 6u);
   EXPECT_TRUE(client.connected());
 }
@@ -156,6 +169,7 @@ TEST(NetServerTest, ManyConnectionsConcurrently) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+  wait_until([&] { return server.responses_sent() >= 48; });
   EXPECT_EQ(server.responses_sent(), 48u);
 }
 
@@ -192,11 +206,7 @@ TEST(NetServerTest, QueueFullAnsweredOverloaded) {
   auto f1 = client.predict_async(maps[0]);
   auto f2 = client.predict_async(maps[0]);
   // Wait until both are queued server-side before overflowing.
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (engine.queue_depth() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
+  wait_until([&] { return engine.queue_depth() >= 2; });
   ASSERT_EQ(engine.queue_depth(), 2u);
 
   auto f3 = client.predict_async(maps[0]);
@@ -289,11 +299,7 @@ TEST(NetServerTest, StopDrainsEveryAcceptedRequest) {
   for (std::size_t i = 0; i < burst; ++i) {
     futures.push_back(client.predict_async(maps[0]));
   }
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (server.requests_received() < burst &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
+  wait_until([&] { return server.requests_received() >= burst; });
   ASSERT_EQ(server.requests_received(), burst);
 
   server.stop();  // drain-then-stop: every accepted request is answered
@@ -367,6 +373,7 @@ TEST(NetServerTest, MetricsLandInTheEngineRegistry) {
   Server server(engine, {.workers = 1});
   Client client({.port = server.port()});
   (void)client.predict(test_maps(1)[0]);
+  wait_until([&] { return server.responses_sent() >= 1; });
 
   const std::string text = engine.metrics_registry().prometheus_text();
   EXPECT_NE(text.find("wm_net_requests_total 1"), std::string::npos);
@@ -446,6 +453,18 @@ class NetTracingTest : public ::testing::Test {
     }
     return v;
   }
+
+  /// view_for once the server's hop has landed (see wait_until): its
+  /// "server.request" span is there and the trace has at least `min_t`
+  /// 't' steps.
+  static TraceView view_after_server_hop(std::uint64_t id, int min_t) {
+    TraceView v;
+    wait_until([&] {
+      v = view_for(id);
+      return v.spans.count("server.request") == 1 && v.t >= min_t;
+    });
+    return v;
+  }
 };
 
 TEST_F(NetTracingTest, SampledRoundTripLinksClientServerEngineSpans) {
@@ -462,7 +481,7 @@ TEST_F(NetTracingTest, SampledRoundTripLinksClientServerEngineSpans) {
   EXPECT_GE(r.server.total_us,
             r.server.queue_us + r.server.batch_us + r.server.compute_us);
 
-  const TraceView v = view_for(ctx.trace_id);
+  const TraceView v = view_after_server_hop(ctx.trace_id, /*min_t=*/2);
   EXPECT_EQ(v.spans.count("client.call"), 1u);
   EXPECT_EQ(v.spans.count("server.request"), 1u);
   EXPECT_EQ(v.spans.count("engine.compute"), 1u);
@@ -492,7 +511,7 @@ TEST_F(NetTracingTest, ConcurrentSampledCallsKeepDistinctTraceIds) {
   std::set<std::uint64_t> ids;
   for (const auto& ctx : ctxs) {
     EXPECT_TRUE(ids.insert(ctx.trace_id).second);
-    const TraceView v = view_for(ctx.trace_id);
+    const TraceView v = view_after_server_hop(ctx.trace_id, /*min_t=*/2);
     // Every request's spans stay attributed to its own id, even when the
     // calls interleave inside one batch.
     EXPECT_EQ(v.spans.count("client.call"), 1u);
@@ -537,7 +556,7 @@ TEST_F(NetTracingTest, MalformedRequestStillClosesItsSpan) {
   EXPECT_EQ(resp.status, Status::kMalformed);
   EXPECT_GT(resp.timing.total_us, 0u);
 
-  const TraceView v = view_for(ctx.trace_id);
+  const TraceView v = view_after_server_hop(ctx.trace_id, /*min_t=*/1);
   EXPECT_EQ(v.spans.count("server.request"), 1u);
   EXPECT_EQ(v.t, 1);
 }
@@ -555,8 +574,8 @@ TEST_F(NetTracingTest, TimedOutRequestStillClosesBothSpans) {
   clf.release();
 
   // The engine is still grinding, but both hop spans around the timeout
-  // are already closed — no sampled call leaves an open span.
-  const TraceView v = view_for(ctx.trace_id);
+  // are closed — no sampled call leaves an open span.
+  const TraceView v = view_after_server_hop(ctx.trace_id, /*min_t=*/0);
   EXPECT_EQ(v.spans.count("client.call"), 1u);
   EXPECT_EQ(v.spans.count("server.request"), 1u);
   EXPECT_EQ(v.s, 1);

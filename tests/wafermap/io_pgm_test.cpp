@@ -1,10 +1,12 @@
 #include "wafermap/io_pgm.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -16,8 +18,11 @@ namespace {
 
 class PgmTest : public ::testing::Test {
  protected:
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "wm_pgm_test.pgm").string();
+  // PID-unique path: ctest runs each test as its own process, possibly in
+  // parallel, so a fixed temp name would race between test processes.
+  std::string path_ = (std::filesystem::temp_directory_path() /
+                       ("wm_pgm_test_" + std::to_string(::getpid()) + ".pgm"))
+                          .string();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -59,8 +61,11 @@ TEST(ResizeTest, RejectsTinyTarget) {
 
 class LoaderTest : public ::testing::Test {
  protected:
-  std::string dir_ =
-      (fs::temp_directory_path() / "wm_loader_test").string();
+  // PID-unique path: ctest runs each test as its own process, possibly in
+  // parallel, so a fixed temp name would race between test processes.
+  std::string dir_ = (fs::temp_directory_path() /
+                      ("wm_loader_test_" + std::to_string(::getpid())))
+                         .string();
   void TearDown() override { fs::remove_all(dir_); }
 };
 
