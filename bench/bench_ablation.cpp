@@ -94,8 +94,8 @@ int main() {
       const auto predictor = load_classifier(*net, {.threshold = 0.5f});
       const auto preds = predict_dataset(*predictor, data.test);
       std::printf("  alpha = %.2f -> accuracy %.3f, coverage %.3f\n", alpha,
-                  selective::selective_accuracy(preds, labels),
-                  selective::coverage_of(preds));
+                  selective_accuracy(preds, labels),
+                  coverage_of(preds));
     }
   }
   // --- A4: learned selection head vs softmax-response rejection. ---
@@ -114,8 +114,8 @@ int main() {
     auto sel_net = eval::train_selective_model(config, data.train_aug, 0.5, rng);
     const auto sel_pred = load_classifier(*sel_net, {.threshold = 0.5f});
     const auto sel_preds = predict_dataset(*sel_pred, data.test);
-    const double sel_cov = selective::coverage_of(sel_preds);
-    const double sel_acc = selective::selective_accuracy(sel_preds, labels);
+    const double sel_cov = coverage_of(sel_preds);
+    const double sel_acc = selective_accuracy(sel_preds, labels);
 
     Rng rng2(config.seed + 17);
     auto ce_net = eval::train_selective_model(config, data.train_aug, 1.0, rng2);
@@ -133,8 +133,8 @@ int main() {
     std::printf("  g-head:           accuracy %.3f at coverage %.3f\n", sel_acc,
                 sel_cov);
     std::printf("  softmax-response: accuracy %.3f at coverage %.3f\n",
-                selective::selective_accuracy(ce_preds, labels),
-                selective::coverage_of(ce_preds));
+                selective_accuracy(ce_preds, labels),
+                coverage_of(ce_preds));
   }
 
   std::printf("\nexpected shape: augmentation lifts minority recall; w < 1\n"

@@ -26,8 +26,8 @@ void report(const char* tag, const Classifier& predictor,
   }
   const auto preds = predict_dataset(predictor, data);
   std::printf("  %-22s coverage %5.1f%%   selective accuracy %5.1f%%\n", tag,
-              100 * selective::coverage_of(preds),
-              100 * selective::selective_accuracy(preds, labels));
+              100 * coverage_of(preds),
+              100 * selective_accuracy(preds, labels));
 }
 
 }  // namespace

@@ -39,8 +39,8 @@ int main() {
         c0 >= 1.0 ? 0.0f : eval::calibrated_threshold(config, *net, c0);
     const auto predictor = load_classifier(*net, {.threshold = tau});
     const auto preds = predict_dataset(*predictor, data.test);
-    const double acc = selective::selective_accuracy(preds, labels);
-    const double cov = selective::coverage_of(preds);
+    const double acc = selective_accuracy(preds, labels);
+    const double cov = coverage_of(preds);
     csv.write_row_numeric({c0, acc, cov});
     char acc_s[32];
     char cov_s[32];

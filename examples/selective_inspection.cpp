@@ -50,8 +50,8 @@ int main() {
         selective::calibrate_threshold(net, calibration, target_cov);
     const auto predictor = load_classifier(net, {.threshold = tau});
     const auto preds = predict_dataset(*predictor, test);
-    const double cov = selective::coverage_of(preds);
-    const double acc = selective::selective_accuracy(preds, labels);
+    const double cov = coverage_of(preds);
+    const double acc = selective_accuracy(preds, labels);
     std::printf("%5.0f%%     %-11.3f %6.1f%%        %6.1f%%        %.1f%%\n",
                 100 * budget, tau, 100 * cov, 100 * (1 - cov), 100 * acc);
   }

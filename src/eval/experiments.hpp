@@ -9,9 +9,9 @@
 #include <memory>
 
 #include "augment/augmentor.hpp"
-#include "selective/predictor.hpp"
 #include "selective/selective_net.hpp"
 #include "selective/trainer.hpp"
+#include "serve/classifier.hpp"
 #include "wafermap/synth/generator.hpp"
 
 namespace wm::eval {

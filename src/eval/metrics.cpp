@@ -86,7 +86,7 @@ ConfusionMatrix confusion_from_labels(const std::vector<int>& truth,
 }
 
 ConfusionMatrix selective_confusion(
-    const std::vector<selective::SelectivePrediction>& preds,
+    const std::vector<SelectivePrediction>& preds,
     const std::vector<int>& labels, int num_classes) {
   WM_CHECK(preds.size() == labels.size(), "prediction/label size mismatch");
   ConfusionMatrix cm(num_classes);
@@ -97,7 +97,7 @@ ConfusionMatrix selective_confusion(
 }
 
 SelectiveClassReport selective_report(
-    const std::vector<selective::SelectivePrediction>& preds,
+    const std::vector<SelectivePrediction>& preds,
     const std::vector<int>& labels, int num_classes) {
   WM_CHECK(preds.size() == labels.size(), "prediction/label size mismatch");
   const ConfusionMatrix cm = selective_confusion(preds, labels, num_classes);

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "selective/predictor.hpp"
+#include "serve/classifier.hpp"
 
 namespace wm::eval {
 
@@ -60,12 +60,12 @@ struct SelectiveClassReport {
 };
 
 SelectiveClassReport selective_report(
-    const std::vector<selective::SelectivePrediction>& preds,
+    const std::vector<SelectivePrediction>& preds,
     const std::vector<int>& labels, int num_classes);
 
 /// Confusion matrix over the *selected* samples only.
 ConfusionMatrix selective_confusion(
-    const std::vector<selective::SelectivePrediction>& preds,
+    const std::vector<SelectivePrediction>& preds,
     const std::vector<int>& labels, int num_classes);
 
 }  // namespace wm::eval

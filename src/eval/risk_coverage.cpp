@@ -8,7 +8,7 @@
 namespace wm::eval {
 
 std::vector<RiskCoveragePoint> risk_coverage_curve(
-    const std::vector<selective::SelectivePrediction>& preds,
+    const std::vector<SelectivePrediction>& preds,
     const std::vector<int>& labels) {
   WM_CHECK(preds.size() == labels.size(), "prediction/label size mismatch");
   WM_CHECK(!preds.empty(), "empty prediction set");

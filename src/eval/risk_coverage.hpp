@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "selective/predictor.hpp"
+#include "serve/classifier.hpp"
 
 namespace wm::eval {
 
@@ -20,7 +20,7 @@ struct RiskCoveragePoint {
 /// prefix: selecting the k most-confident samples gives coverage k/N and
 /// risk = errors(k)/k. Points are ordered by increasing coverage.
 std::vector<RiskCoveragePoint> risk_coverage_curve(
-    const std::vector<selective::SelectivePrediction>& preds,
+    const std::vector<SelectivePrediction>& preds,
     const std::vector<int>& labels);
 
 /// Area under the risk-coverage curve (trapezoidal, over coverage in [0,1];

@@ -1,7 +1,8 @@
-// Shared predict_batch driver for the selective predictors (fp32 and
-// quantized). Chops the request into fixed-size eval batches, fans the
+// The predict_batch loop behind wm::load_classifier, for either
+// precision: chops the request into fixed-size eval batches, fans the
 // batches across the global pool and maps each (logits, g) pair to
-// SelectivePredictions.
+// SelectivePredictions. The benchmark's per-layer ledger calls it too, with
+// the forward pass swapped for a timed one.
 //
 // Correctness contract inherited by every caller: eval batches must be
 // independent (the infer callable mutates no state and per-sample outputs

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "selective/load_classifier.hpp"
 
 namespace wm::selective {
 
@@ -39,8 +40,9 @@ float calibrate_threshold(const SelectiveNet& net, const Dataset& validation,
                           double target_coverage, int eval_batch) {
   WM_CHECK(!validation.empty(), "empty calibration set");
 
-  SelectivePredictor predictor(net, /*threshold=*/0.0f, eval_batch);
-  const auto preds = predict_dataset(predictor, validation);
+  const auto preds = predict_dataset(
+      *load_classifier(net, {.threshold = 0.0f, .eval_batch = eval_batch}),
+      validation);
   std::vector<float> gs(preds.size());
   for (std::size_t i = 0; i < preds.size(); ++i) gs[i] = preds[i].g;
   return refit_threshold(gs, target_coverage);

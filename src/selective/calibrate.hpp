@@ -11,7 +11,8 @@
 
 #include <span>
 
-#include "selective/predictor.hpp"
+#include "selective/selective_net.hpp"
+#include "wafermap/dataset.hpp"
 
 namespace wm::selective {
 

@@ -1,97 +1,89 @@
 #include "selective/load_classifier.hpp"
 
+#include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
+#include "selective/batched_inference.hpp"
 #include "selective/model_file.hpp"
-#include "selective/predictor.hpp"
-#include "selective/quant_predictor.hpp"
 
 namespace wm {
 
 namespace {
 
-/// Owning-or-borrowing wrapper over the fp32 predictor. `owned` is null for
-/// the in-memory overload; the predictor always references the live net.
-class Fp32Classifier final : public LoadedClassifier {
+/// The selective classifier over a SelectiveNet or a QuantizedSelectiveNet.
+/// It references `net` and, when `owned` holds it, keeps it alive.
+template <typename Net>
+class SelectiveClassifier final : public LoadedClassifier {
  public:
-  Fp32Classifier(std::unique_ptr<selective::SelectiveNet> owned,
-                 const selective::SelectiveNet& net,
-                 const ClassifierLoadOptions& opts)
-      : owned_(std::move(owned)),
-        predictor_(net, opts.threshold, opts.eval_batch),
-        map_size_(static_cast<int>(net.options().map_size)) {}
+  SelectiveClassifier(const Net& net, std::unique_ptr<const Net> owned,
+                      const ClassifierLoadOptions& opts)
+      : net_(net), owned_(std::move(owned)), opts_(opts) {
+    WM_CHECK(!std::isnan(opts.threshold) && opts.threshold >= 0.0f &&
+                 opts.threshold <= 1.0f,
+             "threshold out of [0,1]");
+    WM_CHECK(opts.eval_batch > 0, "bad eval batch size");
+  }
 
   std::vector<SelectivePrediction> predict_batch(
       std::span<const WaferMap> maps) const override {
-    return predictor_.predict_batch(maps);
+    return selective::detail::predict_batched(
+        [this](const Tensor& images) { return net_.infer(images); },
+        map_size(), opts_.threshold, opts_.eval_batch, maps);
   }
-  int num_classes() const override { return predictor_.num_classes(); }
-  int map_size() const override { return map_size_; }
-  bool is_quantized() const override { return false; }
-  float threshold() const override { return predictor_.threshold(); }
+  int num_classes() const override { return net_.options().num_classes; }
+  int map_size() const override { return net_.options().map_size; }
+  bool is_quantized() const override {
+    return std::is_same_v<Net, selective::QuantizedSelectiveNet>;
+  }
+  float threshold() const override { return opts_.threshold; }
 
  private:
-  std::unique_ptr<selective::SelectiveNet> owned_;
-  selective::SelectivePredictor predictor_;
-  int map_size_;
+  const Net& net_;
+  std::unique_ptr<const Net> owned_;
+  ClassifierLoadOptions opts_;
 };
 
-class QuantClassifier final : public LoadedClassifier {
- public:
-  QuantClassifier(std::unique_ptr<selective::QuantizedSelectiveNet> owned,
-                  const selective::QuantizedSelectiveNet& net,
-                  const ClassifierLoadOptions& opts)
-      : owned_(std::move(owned)),
-        predictor_(net, opts.threshold, opts.eval_batch),
-        map_size_(static_cast<int>(net.options().map_size)) {}
+template <typename Net>
+std::unique_ptr<LoadedClassifier> borrowing(const Net& net,
+                                            const ClassifierLoadOptions& opts) {
+  return std::make_unique<SelectiveClassifier<Net>>(net, nullptr, opts);
+}
 
-  std::vector<SelectivePrediction> predict_batch(
-      std::span<const WaferMap> maps) const override {
-    return predictor_.predict_batch(maps);
-  }
-  int num_classes() const override { return predictor_.num_classes(); }
-  int map_size() const override { return map_size_; }
-  bool is_quantized() const override { return true; }
-  float threshold() const override { return predictor_.threshold(); }
-
- private:
-  std::unique_ptr<selective::QuantizedSelectiveNet> owned_;
-  selective::QuantizedSelectivePredictor predictor_;
-  int map_size_;
-};
+template <typename Net>
+std::unique_ptr<LoadedClassifier> owning(std::unique_ptr<Net> net,
+                                         const ClassifierLoadOptions& opts) {
+  WM_CHECK(net != nullptr, "load_classifier: null net");
+  const Net& ref = *net;
+  return std::make_unique<SelectiveClassifier<Net>>(ref, std::move(net), opts);
+}
 
 }  // namespace
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const std::string& path, const ClassifierLoadOptions& opts) {
   if (selective::probe_model_file(path) == selective::ModelFileKind::kFloat) {
-    auto net = selective::load_model(path);
-    const selective::SelectiveNet& ref = *net;
-    return std::make_unique<Fp32Classifier>(std::move(net), ref, opts);
+    return owning(selective::load_model(path), opts);
   }
-  auto net = selective::load_quantized_model(path);
-  const selective::QuantizedSelectiveNet& ref = *net;
-  return std::make_unique<QuantClassifier>(std::move(net), ref, opts);
+  return owning(selective::load_quantized_model(path), opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::SelectiveNet& net, const ClassifierLoadOptions& opts) {
-  return std::make_unique<Fp32Classifier>(nullptr, net, opts);
+  return borrowing(net, opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts) {
-  WM_CHECK(net != nullptr, "load_classifier: null net");
-  const selective::SelectiveNet& ref = *net;
-  return std::make_unique<Fp32Classifier>(std::move(net), ref, opts);
+  return owning(std::move(net), opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::QuantizedSelectiveNet& net,
     const ClassifierLoadOptions& opts) {
-  return std::make_unique<QuantClassifier>(nullptr, net, opts);
+  return borrowing(net, opts);
 }
 
 }  // namespace wm

@@ -1,5 +1,6 @@
-// The unified classifier-loading API: one factory, wm::load_classifier,
-// behind which every construction path in the repo lives.
+// The one way to build a selective classifier: wm::load_classifier turns a
+// model file or an in-memory net of either precision into the model of
+// Eq. 2 — predict f(x) when g(x) >= threshold, abstain otherwise.
 //
 //   auto clf = wm::load_classifier("model.wsn", {.threshold = 0.7f});
 //   engine = serve::InferenceEngine(*clf, ...);
@@ -15,12 +16,9 @@
 // inference engine, the TCP server, the hot-swap wrapper, the router fleet)
 // and additionally reports the artifact metadata serving paths need:
 // the wafer edge the model expects, whether the int8 fast path is active,
-// and the abstention threshold it was built with.
-//
-// Direct construction of SelectivePredictor / QuantizedSelectivePredictor
-// in tools, examples and benches is deprecated in favour of this factory;
-// the concrete predictors remain public for library code and tests that
-// need the narrower types.
+// and the abstention threshold it was built with. Eval-mode forwards are
+// reentrant, so one classifier may serve concurrent predict_batch calls;
+// results are bit-identical for any thread count and batch grouping.
 #pragma once
 
 #include <memory>
@@ -33,9 +31,11 @@
 namespace wm {
 
 struct ClassifierLoadOptions {
-  /// Abstention cut on g (Eq. 2); 0.5 matches the trained sigmoid boundary.
+  /// Abstention cut on g (Eq. 2), in [0, 1]; 0.5 matches the trained
+  /// sigmoid boundary. selective::calibrate_threshold picks one for a
+  /// target coverage instead.
   float threshold = 0.5f;
-  /// Upper bound on the per-forward micro-batch inside the predictor.
+  /// Upper bound on the per-forward micro-batch inside the classifier (> 0).
   int eval_batch = 256;
 };
 
@@ -54,7 +54,8 @@ class LoadedClassifier : public Classifier {
 /// Loads a model file of either version (WSN1 fp32 / WSN2 quantized),
 /// dispatching on the header, and returns it behind the classifier
 /// interface. Throws wm::IoError on unreadable/truncated/unknown-version
-/// files; the error names the problem.
+/// files; the error names the problem. Every overload throws
+/// wm::InvalidArgument on options outside the ranges above.
 std::unique_ptr<LoadedClassifier> load_classifier(
     const std::string& path, const ClassifierLoadOptions& opts = {});
 

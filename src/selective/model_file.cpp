@@ -71,6 +71,22 @@ SelectiveNetOptions read_options(std::istream& in) {
   return o;
 }
 
+/// Throws IoError unless the rest of a WSN1 file can hold every weight
+/// matrix the options declare — checked before the net is built, since its
+/// constructor allocates (and randomly initialises) all of them.
+void require_weight_bytes(std::istream& in, const SelectiveNetOptions& o) {
+  const std::int64_t f = sizeof(float);
+  const std::int64_t side = o.map_size / 8;  // after three 2x2 pools
+  for (const std::int64_t bytes :
+       {checked_product({f, 25, o.conv1_filters}),
+        checked_product({f, 9, o.conv1_filters, o.conv2_filters}),
+        checked_product({f, 9, o.conv2_filters, o.conv3_filters}),
+        checked_product({f, o.conv3_filters, side, side, o.fc_units}),
+        checked_product({f, o.fc_units, o.num_classes})}) {
+    require_bytes(in, bytes);
+  }
+}
+
 /// One quantized layer record: rows, cols, relu flag, raw int8 weights,
 /// raw float scales, then the float bias tensor. Row sums are derived data
 /// and recomputed on load.
@@ -100,6 +116,8 @@ QuantLayerRecord read_quant_layer(std::istream& in, const std::string& path) {
   if (rec.qw.rows <= 0 || rec.qw.cols <= 0) {
     throw IoError("corrupt quantized layer header in " + path);
   }
+  // Per row: cols int8 weights, then one float scale.
+  require_bytes(in, checked_product({rec.qw.rows, rec.qw.cols + 4}));
   rec.qw.q.resize(static_cast<std::size_t>(rec.qw.rows * rec.qw.cols));
   rec.qw.scales.resize(static_cast<std::size_t>(rec.qw.rows));
   read_bytes(in, rec.qw.q.data(), rec.qw.q.size(), path);
@@ -128,9 +146,10 @@ std::unique_ptr<SelectiveNet> load_model(const std::string& path) {
   if (!in) throw IoError("cannot open model file for reading: " + path);
   if (read_version(in, path) != '1') {
     throw IoError(path + " is a quantized model (WSN2); load it with "
-                  "load_quantized_model or load_model_auto");
+                  "load_quantized_model or wm::load_classifier");
   }
   const SelectiveNetOptions o = read_options(in);
+  require_weight_bytes(in, o);
   // Weight init is immediately overwritten; any seed works.
   Rng rng(0);
   auto net = std::make_unique<SelectiveNet>(o, rng);
@@ -209,23 +228,6 @@ ModelFileKind probe_model_file(const std::string& path) {
   if (!in) throw IoError("cannot open model file for reading: " + path);
   return read_version(in, path) == '1' ? ModelFileKind::kFloat
                                        : ModelFileKind::kQuantized;
-}
-
-LoadedModel load_model_auto(const std::string& path, float threshold,
-                            int eval_batch) {
-  LoadedModel m;
-  if (probe_model_file(path) == ModelFileKind::kFloat) {
-    m.fp32 = load_model(path);
-    m.map_size = m.fp32->options().map_size;
-    m.predictor = std::make_unique<SelectivePredictor>(*m.fp32, threshold,
-                                                       eval_batch);
-  } else {
-    m.quantized = load_quantized_model(path);
-    m.map_size = m.quantized->options().map_size;
-    m.predictor = std::make_unique<QuantizedSelectivePredictor>(
-        *m.quantized, threshold, eval_batch);
-  }
-  return m;
 }
 
 }  // namespace wm::selective

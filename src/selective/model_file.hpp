@@ -7,15 +7,16 @@
 // quantized network (options + per-layer int8 weights, scales and float
 // biases). Loaders reject files whose version they do not understand with
 // an error naming the version, so a newer tool's artifact fails loudly
-// rather than being misparsed.
+// rather than being misparsed. Every size a file declares is checked
+// against the bytes left in it before anything is allocated, so a hostile
+// or corrupt file fails with wm::IoError. wm::load_classifier
+// (load_classifier.hpp) loads either version behind one interface.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "selective/predictor.hpp"
 #include "selective/quant_net.hpp"
-#include "selective/quant_predictor.hpp"
 #include "selective/selective_net.hpp"
 
 namespace wm::selective {
@@ -42,23 +43,5 @@ enum class ModelFileKind { kFloat, kQuantized };
 /// Reads only the header and reports which loader the file needs. Throws on
 /// unreadable files and unknown versions.
 ModelFileKind probe_model_file(const std::string& path);
-
-/// A model of either kind plus a ready predictor over it. Exactly one of
-/// fp32 / quantized is non-null; `predictor` borrows from it, so the struct
-/// must outlive every use of the classifier.
-struct LoadedModel {
-  std::unique_ptr<SelectiveNet> fp32;
-  std::unique_ptr<QuantizedSelectiveNet> quantized;
-  std::unique_ptr<Classifier> predictor;
-  int map_size = 0;
-
-  bool is_quantized() const { return quantized != nullptr; }
-};
-
-/// Loads either format (dispatching on the version byte) and wraps it in
-/// the matching predictor, so CLI paths serve fp32 and quantized artifacts
-/// interchangeably.
-LoadedModel load_model_auto(const std::string& path, float threshold,
-                            int eval_batch = 256);
 
 }  // namespace wm::selective

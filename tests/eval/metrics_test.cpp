@@ -7,8 +7,6 @@
 namespace wm::eval {
 namespace {
 
-using selective::SelectivePrediction;
-
 TEST(ConfusionMatrixTest, CountsAndTotals) {
   ConfusionMatrix cm(3);
   cm.add(0, 0);

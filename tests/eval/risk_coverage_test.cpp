@@ -7,8 +7,6 @@
 namespace wm::eval {
 namespace {
 
-using selective::SelectivePrediction;
-
 SelectivePrediction pred(int label, float g) {
   SelectivePrediction p;
   p.label = label;

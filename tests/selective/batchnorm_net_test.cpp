@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "selective/predictor.hpp"
 #include "selective/trainer.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "wafermap/synth/generator.hpp"

@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "selective/load_classifier.hpp"
 #include "selective/selective_net.hpp"
 #include "wafermap/synth/generator.hpp"
 
@@ -123,8 +124,8 @@ TEST(CalibrateThresholdTest, SingleClassWindowCalibrates) {
                     .conv2_filters = 4, .conv3_filters = 4, .fc_units = 16},
                    rng);
   const float tau = calibrate_threshold(net, donuts, 0.75);
-  SelectivePredictor predictor(net, tau);
-  const auto preds = predict_dataset(predictor, donuts);
+  const auto preds =
+      predict_dataset(*load_classifier(net, {.threshold = tau}), donuts);
   EXPECT_NEAR(coverage_of(preds), 0.75, 1.0 / 32.0 + 1e-9);
 }
 

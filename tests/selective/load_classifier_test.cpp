@@ -1,6 +1,6 @@
 // wm::load_classifier — the unified factory: format dispatch from the file
-// header, the in-memory overloads, artifact metadata, and bit-equality with
-// the direct predictor paths it replaces.
+// header, the in-memory overloads, artifact metadata, and bit-equality
+// between a file load and the in-memory net it was saved from.
 #include "selective/load_classifier.hpp"
 
 #include <unistd.h>
@@ -14,9 +14,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "selective/model_file.hpp"
-#include "selective/predictor.hpp"
 #include "selective/quant_net.hpp"
-#include "selective/quant_predictor.hpp"
 #include "wafermap/synth/generator.hpp"
 
 namespace wm {
@@ -59,10 +57,10 @@ TEST_F(LoadClassifierTest, Fp32FileRoundTripsThroughFactory) {
   EXPECT_FLOAT_EQ(clf->threshold(), 0.7f);
   EXPECT_EQ(clf->num_classes(), 9);
 
-  // Factory output must bit-match the direct predictor it replaces.
+  // The loaded file must bit-match the in-memory net it was saved from.
   const auto maps = sample_maps();
-  selective::SelectivePredictor direct(net, 0.7f);
-  const auto expected = direct.predict_batch(maps);
+  const auto expected =
+      load_classifier(net, {.threshold = 0.7f})->predict_batch(maps);
   const auto got = clf->predict_batch(maps);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -85,8 +83,7 @@ TEST_F(LoadClassifierTest, QuantizedFileRoundTripsThroughFactory) {
   EXPECT_FLOAT_EQ(clf->threshold(), 0.5f);
 
   const auto maps = sample_maps();
-  selective::QuantizedSelectivePredictor direct(qnet, 0.5f);
-  const auto expected = direct.predict_batch(maps);
+  const auto expected = load_classifier(qnet)->predict_batch(maps);
   const auto got = clf->predict_batch(maps);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {

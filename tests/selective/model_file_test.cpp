@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "selective/load_classifier.hpp"
 #include "selective/trainer.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "wafermap/synth/generator.hpp"
@@ -160,14 +161,14 @@ TEST_F(ModelFileTest, TruncatedQuantizedFileThrows) {
 TEST_F(ModelFileTest, ZeroByteFileThrowsOnProbeAndAutoLoad) {
   { std::ofstream out(path_, std::ios::binary | std::ios::trunc); }
   EXPECT_THROW(probe_model_file(path_), IoError);
-  EXPECT_THROW(load_model_auto(path_, 0.5f), IoError);
+  EXPECT_THROW(load_classifier(path_), IoError);
 }
 
 TEST_F(ModelFileTest, DirectoryPathThrowsNotCrashes) {
   // A directory opens readably on POSIX but every read fails; both entry
   // points must surface that as IoError, not garbage or a crash.
   EXPECT_THROW(probe_model_file("/tmp"), IoError);
-  EXPECT_THROW(load_model_auto("/tmp", 0.5f), IoError);
+  EXPECT_THROW(load_classifier("/tmp"), IoError);
 }
 
 TEST_F(ModelFileTest, FileShorterThanHeaderThrows) {
@@ -176,7 +177,58 @@ TEST_F(ModelFileTest, FileShorterThanHeaderThrows) {
     out.write("WS", 2);  // shorter than the magic+version header
   }
   EXPECT_THROW(probe_model_file(path_), IoError);
-  EXPECT_THROW(load_model_auto(path_, 0.5f), IoError);
+  EXPECT_THROW(load_classifier(path_), IoError);
+}
+
+/// Writes a WSN1 or WSN2 header (magic + seven i32 options) followed by
+/// `tail`, a little-endian byte string.
+void write_model(const std::string& path, char version,
+                 std::initializer_list<std::int32_t> options,
+                 const std::string& tail = "") {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << "WSN" << version;
+  for (const std::int32_t v : options) {
+    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  out << tail;
+}
+
+template <typename T>
+std::string bytes_of(T v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// Hostile files: each declares a size far beyond its own length. Loading
+// must fail with IoError before the size is allocated.
+TEST_F(ModelFileTest, HugeMapSizeInHeaderThrowsBeforeBuildingTheNet) {
+  // 32 bytes: map_size 2^20 would need ~2^49 bytes of fc weights.
+  write_model(path_, '1', {1 << 20, 9, 64, 32, 32, 256, 0});
+  EXPECT_THROW(load_classifier(path_), IoError);
+  // map_size 1024 fits in memory (537 MB of weights) but not in the file.
+  write_model(path_, '1', {1024, 9, 64, 32, 32, 256, 0});
+  EXPECT_THROW(load_classifier(path_), IoError);
+}
+
+TEST_F(ModelFileTest, HugeTensorDimsThrowBeforeAllocating) {
+  // 79 bytes: a tiny net whose first parameter tensor claims [2^40, 1].
+  // The weight sizes its options imply already exceed the file; read_tensor
+  // checks the tensor's own size too (SerializeTest).
+  const std::string name = "conv.weight";
+  write_model(path_, '1', {8, 2, 1, 1, 1, 1, 0},
+              "WMM1" + bytes_of<std::uint32_t>(12) +
+                  bytes_of<std::uint32_t>(name.size()) + name + "WMT1" +
+                  bytes_of<std::uint32_t>(2) +
+                  bytes_of<std::int64_t>(std::int64_t{1} << 40) +
+                  bytes_of<std::int64_t>(1));
+  EXPECT_THROW(load_classifier(path_), IoError);
+}
+
+TEST_F(ModelFileTest, HugeQuantizedLayerThrowsBeforeAllocating) {
+  // 44 bytes: the first int8 layer claims 2^20 x 2^20 weights.
+  write_model(path_, '2', {16, 9, 8, 8, 8, 32, 0},
+              bytes_of<std::int32_t>(1 << 20) +
+                  bytes_of<std::int32_t>(1 << 20) + bytes_of<std::int32_t>(1));
+  EXPECT_THROW(load_classifier(path_), IoError);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "selective/quant_predictor.hpp"
+#include "selective/quant_net.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,8 @@
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "selective/calibrate.hpp"
+#include "selective/load_classifier.hpp"
 #include "selective/model_file.hpp"
-#include "selective/predictor.hpp"
-#include "selective/quant_net.hpp"
 #include "selective/trainer.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "wafermap/synth/generator.hpp"
@@ -80,54 +79,26 @@ TEST_F(QuantPredictorTest, AccuracyAndCoverageTrackFp32) {
   // The ISSUE acceptance bar: at the same calibrated threshold, quantized
   // top-1 accuracy within 1% absolute and coverage within 2% of fp32.
   const float tau = calibrate_threshold(*net_, *data_, 0.8);
-  SelectivePredictor fp32(*net_, tau);
-  QuantizedSelectivePredictor quant(*qnet_, tau);
-  const auto pf = predict_dataset(fp32, *eval_);
-  const auto pq = predict_dataset(quant, *eval_);
+  const auto pf =
+      predict_dataset(*load_classifier(*net_, {.threshold = tau}), *eval_);
+  const auto pq =
+      predict_dataset(*load_classifier(*qnet_, {.threshold = tau}), *eval_);
   const auto y = labels_of(*eval_);
   EXPECT_NEAR(full_accuracy(pq, y), full_accuracy(pf, y), 0.01);
   EXPECT_NEAR(coverage_of(pq), coverage_of(pf), 0.02);
   EXPECT_NEAR(selective_accuracy(pq, y), selective_accuracy(pf, y), 0.02);
 }
 
-TEST_F(QuantPredictorTest, ImplementsClassifierInterface) {
-  QuantizedSelectivePredictor quant(*qnet_, 0.5f);
-  const Classifier& c = quant;
-  EXPECT_EQ(c.num_classes(), 9);
-  const auto p = c.predict_one((*data_)[0].map);
-  EXPECT_GE(p.label, 0);
-  EXPECT_LT(p.label, 9);
-  EXPECT_GE(p.g, 0.0f);
-  EXPECT_LE(p.g, 1.0f);
-  EXPECT_GT(p.confidence, 0.0f);
-}
-
-TEST_F(QuantPredictorTest, BatchCompositionDoesNotChangeResults) {
-  QuantizedSelectivePredictor quant(*qnet_, 0.5f, /*eval_batch=*/16);
-  const auto all = quant.predict_batch(
-      std::span<const WaferMap>(&(*data_)[0].map, 0));
-  EXPECT_TRUE(all.empty());
-  std::vector<WaferMap> maps;
-  for (std::size_t i = 0; i < 20; ++i) maps.push_back((*data_)[i].map);
-  const auto batched = quant.predict_batch(maps);
-  for (std::size_t i = 0; i < maps.size(); ++i) {
-    const auto one = quant.predict_one(maps[i]);
-    ASSERT_EQ(one.label, batched[i].label);
-    ASSERT_EQ(one.g, batched[i].g);
-    ASSERT_EQ(one.confidence, batched[i].confidence);
-  }
-}
-
 TEST_F(QuantPredictorTest, BitIdenticalAcrossThreadCounts) {
-  QuantizedSelectivePredictor quant(*qnet_, 0.5f);
+  const auto quant = load_classifier(*qnet_);
   std::vector<WaferMap> maps;
   for (std::size_t i = 0; i < data_->size(); ++i) {
     maps.push_back((*data_)[i].map);
   }
   ThreadPool::configure_global(1);
-  const auto serial = quant.predict_batch(maps);
+  const auto serial = quant->predict_batch(maps);
   ThreadPool::configure_global(4);
-  const auto threaded = quant.predict_batch(maps);
+  const auto threaded = quant->predict_batch(maps);
   ThreadPool::configure_global(0);  // restore default
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -150,29 +121,6 @@ TEST_F(QuantPredictorTest, QuantizedModelFileRoundTripsBitwise) {
   const SelectiveOutput b = loaded->infer(batch.images);
   EXPECT_FLOAT_EQ(max_abs_diff(a.logits, b.logits), 0.0f);
   EXPECT_FLOAT_EQ(max_abs_diff(a.g, b.g), 0.0f);
-}
-
-TEST_F(QuantPredictorTest, LoadModelAutoWrapsBothKinds) {
-  const std::string pid = std::to_string(::getpid());
-  const std::string fpath = "/tmp/wm_quant_auto_f_" + pid + ".wsn";
-  const std::string qpath = "/tmp/wm_quant_auto_q_" + pid + ".wsn";
-  save_model(fpath, *net_);
-  save_quantized_model(qpath, *qnet_);
-  const LoadedModel f = load_model_auto(fpath, 0.5f);
-  const LoadedModel q = load_model_auto(qpath, 0.5f);
-  std::remove(fpath.c_str());
-  std::remove(qpath.c_str());
-  EXPECT_FALSE(f.is_quantized());
-  EXPECT_TRUE(q.is_quantized());
-  EXPECT_EQ(f.map_size, 16);
-  EXPECT_EQ(q.map_size, 16);
-  ASSERT_NE(f.predictor, nullptr);
-  ASSERT_NE(q.predictor, nullptr);
-  // Both wrap the same trained weights, so they should mostly agree.
-  const auto pf = predict_dataset(*f.predictor, *eval_);
-  const auto pq = predict_dataset(*q.predictor, *eval_);
-  const auto y = labels_of(*eval_);
-  EXPECT_NEAR(full_accuracy(pq, y), full_accuracy(pf, y), 0.01);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "selective/calibrate.hpp"
-#include "selective/predictor.hpp"
+#include "selective/load_classifier.hpp"
 #include "wafermap/synth/generator.hpp"
 
 namespace wm::selective {
@@ -124,12 +124,12 @@ TEST(SelectiveIntegrationTest, RejectsIrreducibleRiskSamples) {
   trainer.train(net, data, nullptr, rng);
 
   const Dataset clean = synth::generate_dataset(clean_spec, rng);
-  SelectivePredictor predictor(net);
+  const auto predictor = load_classifier(net);
   double g_clean = 0.0;
-  for (const auto& p : predict_dataset(predictor, clean)) g_clean += p.g;
+  for (const auto& p : predict_dataset(*predictor, clean)) g_clean += p.g;
   g_clean /= static_cast<double>(clean.size());
   double g_amb = 0.0;
-  for (const auto& p : predict_dataset(predictor, ambiguous)) g_amb += p.g;
+  for (const auto& p : predict_dataset(*predictor, ambiguous)) g_amb += p.g;
   g_amb /= static_cast<double>(ambiguous.size());
   EXPECT_GT(g_clean, g_amb + 0.05);
 }

@@ -6,7 +6,7 @@
 
 #include "baseline/wu_classifier.hpp"
 #include "common/rng.hpp"
-#include "selective/predictor.hpp"
+#include "selective/load_classifier.hpp"
 #include "selective/selective_net.hpp"
 #include "wafermap/synth/generator.hpp"
 
@@ -35,8 +35,8 @@ TEST(ClassifierTest, PredictOneDefaultMatchesBatch) {
                                .conv1_filters = 8, .conv2_filters = 8,
                                .conv3_filters = 8, .fc_units = 32},
                               rng);
-  selective::SelectivePredictor predictor(net, 0.5f);
-  const Classifier& clf = predictor;
+  const auto predictor = load_classifier(net);
+  const Classifier& clf = *predictor;
   const auto maps = maps_of(two_class_dataset(2, 16, 3));
   const auto batch = clf.predict_batch(maps);
   for (std::size_t i = 0; i < maps.size(); ++i) {
@@ -76,10 +76,10 @@ TEST(ClassifierTest, PredictDatasetPreservesOrder) {
                                .conv1_filters = 8, .conv2_filters = 8,
                                .conv3_filters = 8, .fc_units = 32},
                               rng);
-  selective::SelectivePredictor predictor(net, 0.5f);
+  const auto predictor = load_classifier(net);
   const Dataset data = two_class_dataset(6, 16, 4);
-  const auto via_dataset = predict_dataset(predictor, data);
-  const auto via_span = predictor.predict_batch(maps_of(data));
+  const auto via_dataset = predict_dataset(*predictor, data);
+  const auto via_span = predictor->predict_batch(maps_of(data));
   ASSERT_EQ(via_dataset.size(), via_span.size());
   for (std::size_t i = 0; i < via_dataset.size(); ++i) {
     EXPECT_EQ(via_dataset[i].label, via_span[i].label);

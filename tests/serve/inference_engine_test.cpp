@@ -12,7 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "selective/predictor.hpp"
+#include "selective/load_classifier.hpp"
 #include "selective/selective_net.hpp"
 #include "wafermap/synth/generator.hpp"
 
@@ -204,7 +204,7 @@ TEST(InferenceEngineTest, ResultsBitMatchDirectPredictBatch) {
                                .conv1_filters = 8, .conv2_filters = 8,
                                .conv3_filters = 8, .fc_units = 32},
                               rng);
-  selective::SelectivePredictor predictor(net, 0.5f);
+  const auto predictor = load_classifier(net);
 
   synth::DatasetSpec spec;
   spec.map_size = 16;
@@ -214,11 +214,11 @@ TEST(InferenceEngineTest, ResultsBitMatchDirectPredictBatch) {
   std::vector<WaferMap> maps;
   for (std::size_t i = 0; i < data.size(); ++i) maps.push_back(data[i].map);
 
-  const auto direct = predictor.predict_batch(maps);
+  const auto direct = predictor->predict_batch(maps);
 
-  InferenceEngine engine(predictor, {.max_batch = 4,
-                                     .max_delay_us = 500,
-                                     .queue_capacity = 8});
+  InferenceEngine engine(*predictor, {.max_batch = 4,
+                                      .max_delay_us = 500,
+                                      .queue_capacity = 8});
   std::vector<std::future<SelectivePrediction>> futures;
   for (const auto& m : maps) futures.push_back(engine.submit(m));
   for (std::size_t i = 0; i < maps.size(); ++i) {

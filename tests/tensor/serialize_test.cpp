@@ -65,6 +65,22 @@ TEST(SerializeTest, TruncatedPayloadThrows) {
   EXPECT_THROW(read_tensor(truncated), IoError);
 }
 
+TEST(SerializeTest, HugeDimsThrowBeforeAllocating) {
+  // A payload larger than the rest of the stream, and one whose size
+  // overflows, must both fail before the tensor is allocated.
+  for (const std::int64_t big :
+       {std::int64_t{1} << 40, std::int64_t{1} << 62}) {
+    std::stringstream ss;
+    ss << "WMT1";
+    const std::uint32_t rank = 2;
+    ss.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+    for (const std::int64_t d : {big, std::int64_t{4}}) {
+      ss.write(reinterpret_cast<const char*>(&d), sizeof(d));
+    }
+    EXPECT_THROW(read_tensor(ss), IoError) << big;
+  }
+}
+
 TEST(SerializeTest, MissingFileThrows) {
   EXPECT_THROW(load_tensor("/nonexistent/wm_tensor.bin"), IoError);
 }

@@ -259,7 +259,7 @@ int cmd_evaluate(const Args& args) {
                         args.get_double("threshold", 0.5))
                         .c_str());
   std::printf("full-coverage accuracy (ignoring rejects): %.1f%%\n",
-              100.0 * selective::full_accuracy(preds, labels));
+              100.0 * full_accuracy(preds, labels));
 
   if (args.has("refit-window")) {
     // Offline dry-run of the adaptation loop's stage 1: re-fit the
