@@ -30,21 +30,19 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
+float sigmoid(float x) {
+  // Split by sign for numerical stability at large |x|.
+  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
+  const float e = std::exp(x);
+  return e / (1.0f + e);
+}
+
 Tensor Sigmoid::forward(const Tensor& input, bool training) {
   Tensor out(input.shape());
   const float* in = input.data();
   float* po = out.data();
   const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    // Split by sign for numerical stability at large |x|.
-    const float x = in[i];
-    if (x >= 0.0f) {
-      po[i] = 1.0f / (1.0f + std::exp(-x));
-    } else {
-      const float e = std::exp(x);
-      po[i] = e / (1.0f + e);
-    }
-  }
+  for (std::int64_t i = 0; i < n; ++i) po[i] = sigmoid(in[i]);
   if (training) output_ = out;
   return out;
 }

@@ -5,6 +5,10 @@
 
 namespace wm::nn {
 
+/// The logistic function as Sigmoid computes it, for fused callers that
+/// must match the layer bit for bit.
+float sigmoid(float x);
+
 class ReLU final : public Module {
  public:
   Tensor forward(const Tensor& input, bool training) override;

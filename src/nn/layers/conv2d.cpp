@@ -47,22 +47,20 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const std::int64_t spatial = oh * ow;
   const std::int64_t in_image = input.dim(1) * input.dim(2) * input.dim(3);
   const std::int64_t out_image = opts_.out_channels * spatial;
-  const std::size_t col_size =
-      static_cast<std::size_t>(g.col_rows() * g.col_cols());
+  // The weights change every training step, so they are packed per call.
+  const PackedPanels w =
+      pack_weights_a(opts_.out_channels, g.col_rows(), weight_.value.data());
 
   Tensor out(Shape{n, opts_.out_channels, oh, ow});
   ThreadPool::global().parallel_chunks(
       0, static_cast<std::size_t>(n),
       [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
-        std::vector<float> col(col_size);
         for (std::size_t i = lo; i < hi; ++i) {
           const std::int64_t img = static_cast<std::int64_t>(i);
-          im2col(g, input.data() + img * in_image, col.data());
-          // out_i (OC x spatial) = W (OC x IC*K*K) * col (IC*K*K x spatial),
-          // with the per-channel bias folded into the GEMM epilogue.
-          sgemm_bias_rows(opts_.out_channels, spatial, g.col_rows(), 1.0f,
-                          weight_.value.data(), col.data(), 0.0f,
-                          out.data() + img * out_image, bias_.value.data());
+          // out_i (OC x spatial) = W (OC x IC*K*K) * im2col(image_i), with
+          // the per-channel bias folded into the GEMM epilogue.
+          sgemm_conv(g, w, input.data() + img * in_image,
+                     out.data() + img * out_image, bias_.value.data());
         }
       });
   return out;

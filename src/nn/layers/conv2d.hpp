@@ -1,10 +1,11 @@
-// 2-D convolution over (N, C, H, W) batches, lowered to GEMM via im2col.
+// 2-D convolution over (N, C, H, W) batches, lowered to GEMM. Forward packs
+// each image's im2col columns straight into the GEMM panels (sgemm_conv);
+// backward materialises im2col / col2im buffers.
 //
-// The batch loop fans out across ThreadPool::global(); every chunk owns its
-// im2col scratch (and, in backward, its own dW/db accumulators), so forward
-// in eval mode is reentrant and the layer is safe to call concurrently from
-// the selective predictor. The input cache needed by backward is only
-// captured when training.
+// The batch loop fans out across ThreadPool::global(); forward keeps no
+// state outside its call, and every backward chunk owns its column scratch
+// and its own dW/db accumulators, so forward in eval mode is reentrant. The
+// input cache needed by backward is only captured when training.
 #pragma once
 
 #include "nn/module.hpp"

@@ -19,6 +19,13 @@
 // and the abstention threshold it was built with. Eval-mode forwards are
 // reentrant, so one classifier may serve concurrent predict_batch calls;
 // results are bit-identical for any thread count and batch grouping.
+//
+// Ownership: an fp32 net is compiled into a selective::InferencePlan at load
+// time, and the classifier keeps the plan, not the net. Every fp32 overload
+// therefore copies what it needs: the caller may destroy or keep training
+// its net afterwards without changing the classifier's predictions (load
+// again to serve new weights). Only the quantized borrow overload still
+// references its net, which must outlive the classifier.
 #pragma once
 
 #include <memory>
@@ -39,8 +46,8 @@ struct ClassifierLoadOptions {
   int eval_batch = 256;
 };
 
-/// A Classifier that carries its backing model (owned when loaded from a
-/// file, borrowed for the in-memory overloads) plus artifact metadata.
+/// A Classifier that carries its backing model (an fp32 plan or an int8 net
+/// it owns, or an int8 net it borrows) plus artifact metadata.
 class LoadedClassifier : public Classifier {
  public:
   /// Wafer edge length the model was trained for (resize inputs to this).
@@ -59,14 +66,14 @@ class LoadedClassifier : public Classifier {
 std::unique_ptr<LoadedClassifier> load_classifier(
     const std::string& path, const ClassifierLoadOptions& opts = {});
 
-/// Wraps an in-memory fp32 net (borrowed; must outlive the classifier).
+/// Compiles an in-memory fp32 net as it is now; the classifier does not
+/// reference `net` afterwards.
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::SelectiveNet& net, const ClassifierLoadOptions& opts = {});
 
-/// Takes ownership of an in-memory fp32 net — the classifier carries the
-/// model for its whole lifetime. The drift-adaptation path builds hot-swap
-/// candidates this way: a fine-tuned clone goes in, a self-contained
-/// shared_ptr<const Classifier> comes out of swap_to's hands.
+/// Compiles an in-memory fp32 net and drops it. The drift-adaptation path
+/// builds hot-swap candidates this way: a fine-tuned clone goes in, a
+/// self-contained shared_ptr<const Classifier> comes out of swap_to's hands.
 std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts = {});

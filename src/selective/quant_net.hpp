@@ -31,7 +31,7 @@ class QuantizedSelectiveNet {
 
   /// Eval-mode forward over (N, 1, map_size, map_size) images. Const and
   /// reentrant: all scratch is call-local, so one net may serve concurrent
-  /// callers — the same contract as SelectiveNet::infer.
+  /// callers — the same contract as the fp32 InferencePlan::infer.
   SelectiveOutput infer(const Tensor& images) const;
 
   const SelectiveNetOptions& options() const { return opts_; }

@@ -62,13 +62,6 @@ SelectiveOutput SelectiveNet::forward(const Tensor& images, bool training) {
   return out;
 }
 
-SelectiveOutput SelectiveNet::infer(const Tensor& images) const {
-  // Safe: forward(..., training=false) touches no member state (§7
-  // reentrancy), it only lacks a const qualifier because the training path
-  // shares the signature.
-  return const_cast<SelectiveNet*>(this)->forward(images, /*training=*/false);
-}
-
 void SelectiveNet::backward(const Tensor& grad_logits, const Tensor& grad_g) {
   Tensor grad_features = head_f_.backward(grad_logits);
   grad_features.add_(head_g_.backward(grad_g));

@@ -49,11 +49,6 @@ class SelectiveNet {
   /// Forward through trunk and both heads.
   SelectiveOutput forward(const Tensor& images, bool training);
 
-  /// Eval-mode forward callable from const contexts. Eval forwards write no
-  /// layer state (backward caches are gated on `training`, DESIGN.md §7), so
-  /// this is safe to call concurrently on one net.
-  SelectiveOutput infer(const Tensor& images) const;
-
   /// Backward given the loss gradients of both heads (from SelectiveLoss).
   /// Head gradients merge at the trunk output.
   void backward(const Tensor& grad_logits, const Tensor& grad_g);

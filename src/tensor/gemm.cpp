@@ -84,56 +84,140 @@ void micro_kernel(std::int64_t kc, const float* __restrict__ ap,
       *reinterpret_cast<vf*>(tile + i * kNR + v * kVL) = acc[i][v];
 }
 
-/// Packs an (mc x kc) block of A into kMR-row micro-panels, alpha-scaled and
-/// zero-padded to a multiple of kMR rows. Source element (i, p) is
-/// a[i * row_stride + p * k_stride], which covers both the plain and the
-/// transposed layouts.
-void pack_a(std::int64_t mc, std::int64_t kc, float alpha, const float* a,
-            std::int64_t row_stride, std::int64_t k_stride, float* ap) {
-  for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-    const std::int64_t rows = std::min(kMR, mc - ir);
-    float* panel = ap + (ir / kMR) * kMR * kc;
+/// Packs `rows` x kc of a strided operand into W-wide micro-panels, scaled
+/// by alpha and zero-padded to a multiple of W. Element (r, p) — r along M
+/// for A, along N for B — is src[r * outer_stride + p * k_stride], which
+/// covers the plain and the transposed layouts of either operand.
+template <std::int64_t W>
+void pack_strided(std::int64_t rows, std::int64_t kc, float alpha,
+                  const float* src, std::int64_t outer_stride,
+                  std::int64_t k_stride, float* dst) {
+  for (std::int64_t r0 = 0; r0 < rows; r0 += W) {
+    const std::int64_t n = std::min(W, rows - r0);
+    float* panel = dst + (r0 / W) * W * kc;
     for (std::int64_t p = 0; p < kc; ++p) {
-      float* dst = panel + p * kMR;
-      const float* src = a + ir * row_stride + p * k_stride;
-      for (std::int64_t i = 0; i < rows; ++i)
-        dst[i] = alpha * src[i * row_stride];
-      for (std::int64_t i = rows; i < kMR; ++i) dst[i] = 0.0f;
+      float* d = panel + p * W;
+      const float* s = src + r0 * outer_stride + p * k_stride;
+      if (outer_stride == 1) {
+        for (std::int64_t i = 0; i < n; ++i) d[i] = alpha * s[i];
+      } else {
+        for (std::int64_t i = 0; i < n; ++i) d[i] = alpha * s[i * outer_stride];
+      }
+      for (std::int64_t i = n; i < W; ++i) d[i] = 0.0f;
     }
   }
 }
 
-/// Packs a (kc x nc) block of B into kNR-column micro-panels, zero-padded to
-/// a multiple of kNR columns. Source element (p, j) is
-/// b[p * k_stride + j * col_stride].
-void pack_b(std::int64_t kc, std::int64_t nc, const float* b,
-            std::int64_t k_stride, std::int64_t col_stride, float* bp) {
+/// Packs the (kc x nc) block at (p0, j0) of im2col(image) into kNR-column
+/// micro-panels, reading the image directly. `g` has no padding (sgemm_conv
+/// hands over a zero-bordered copy), so every tap is in range. Row p of the
+/// column matrix is the tap (channel, kh, kw) in im2col's order; column j is
+/// output pixel (j / OW, j % OW); the panel tail is zero, exactly the values
+/// im2col followed by pack_strided would write.
+void pack_image(const ConvGeometry& g, const float* image, std::int64_t p0,
+                std::int64_t kc, std::int64_t j0, std::int64_t nc, float* dst) {
+  struct Run {
+    std::int64_t src, len, lane;  // image offset of tap (0, 0, 0), length, lane
+  };
+  Run runs[kNR];
+  const std::int64_t ow = g.out_w();
+  const std::int64_t s = g.stride;
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
   for (std::int64_t jr = 0; jr < nc; jr += kNR) {
     const std::int64_t cols = std::min(kNR, nc - jr);
-    float* panel = bp + (jr / kNR) * kNR * kc;
+    // The panel's columns as runs within one output row each.
+    int nruns = 0;
+    for (std::int64_t lane = 0; lane < cols;) {
+      const std::int64_t j = j0 + jr + lane;
+      const std::int64_t len = std::min(ow - j % ow, cols - lane);
+      runs[nruns++] = {(j / ow) * s * g.width + (j % ow) * s, len, lane};
+      lane += len;
+    }
+    float* panel = dst + (jr / kNR) * kNR * kc;
+    std::int64_t c = p0 / taps;
+    std::int64_t kh = p0 % taps / g.kernel_w;
+    std::int64_t kw = p0 % g.kernel_w;
     for (std::int64_t p = 0; p < kc; ++p) {
-      float* dst = panel + p * kNR;
-      const float* src = b + p * k_stride + jr * col_stride;
-      if (col_stride == 1) {
-        for (std::int64_t j = 0; j < cols; ++j) dst[j] = src[j];
-      } else {
-        for (std::int64_t j = 0; j < cols; ++j) dst[j] = src[j * col_stride];
+      float* d = panel + p * kNR;
+      const float* tap = image + (c * g.height + kh) * g.width + kw;
+      for (int r = 0; r < nruns; ++r) {
+        const float* in = tap + runs[r].src;
+        float* out = d + runs[r].lane;
+        if (s == 1) {
+          for (std::int64_t i = 0; i < runs[r].len; ++i) out[i] = in[i];
+        } else {
+          for (std::int64_t i = 0; i < runs[r].len; ++i) out[i] = in[i * s];
+        }
       }
-      for (std::int64_t j = cols; j < kNR; ++j) dst[j] = 0.0f;
+      for (std::int64_t i = cols; i < kNR; ++i) d[i] = 0.0f;
+      if (++kw == g.kernel_w) {
+        kw = 0;
+        if (++kh == g.kernel_h) {
+          kh = 0;
+          ++c;
+        }
+      }
     }
   }
 }
 
+// Panel sources. Each hands the macro-kernel the W-wide micro-panels of
+// rows [r0, r0 + rows) x depth [p0, p0 + kc) of its operand — r along M for
+// A, along N for B — as a base pointer and the stride between panels.
+// r0 is always a multiple of W.
+struct Panels {
+  const float* base;
+  std::int64_t stride;
+};
+
+/// A strided matrix, packed into per-thread scratch on every call.
+template <std::int64_t W>
+struct StridedSource {
+  const float* data;
+  std::int64_t outer_stride;
+  std::int64_t k_stride;
+  float alpha;
+  Panels panels(std::int64_t r0, std::int64_t rows, std::int64_t p0,
+                std::int64_t kc, std::vector<float>& scratch) const {
+    scratch.resize(static_cast<std::size_t>((rows + W - 1) / W * W * kc));
+    pack_strided<W>(rows, kc, alpha, data + r0 * outer_stride + p0 * k_stride,
+                    outer_stride, k_stride, scratch.data());
+    return {scratch.data(), W * kc};
+  }
+};
+
+/// Panels packed once over the full depth: panel i holds rows
+/// [i * W, i * W + W) for every p, so a K block is an offset into it.
+struct PrepackedSource {
+  const PackedPanels& w;
+  Panels panels(std::int64_t r0, std::int64_t /*rows*/, std::int64_t p0,
+                std::int64_t /*kc*/, std::vector<float>& /*scratch*/) const {
+    return {w.data.data() + r0 * w.depth + p0 * w.panel, w.panel * w.depth};
+  }
+};
+
+/// The im2col matrix of one image, packed from the image on every call.
+struct ImageSource {
+  const ConvGeometry& g;
+  const float* image;
+  Panels panels(std::int64_t j0, std::int64_t cols, std::int64_t p0,
+                std::int64_t kc, std::vector<float>& scratch) const {
+    scratch.resize(static_cast<std::size_t>((cols + kNR - 1) / kNR * kNR * kc));
+    pack_image(g, image, p0, kc, j0, cols, scratch.data());
+    return {scratch.data(), kNR * kc};
+  }
+};
+
 /// Serial macro-kernel over the C sub-range [m0, m1) x [n0, n1):
-/// C += alpha * A * B (C already beta-scaled), then the optional bias
-/// epilogues. Operand layouts are expressed as strides so one driver serves
-/// sgemm / sgemm_at / sgemm_bt. Thread-safe: packing scratch is
-/// thread_local, and concurrent calls write disjoint C ranges.
+/// C += A * B (C already beta-scaled), one += per kKC-deep K block, then the
+/// optional bias epilogues. With `zeroed`, C is taken as zero without being
+/// read: the first K block stores 0 + tile, the bits of zeroing C and then
+/// adding. Thread-safe: packing scratch is thread_local, and concurrent calls
+/// write disjoint C ranges.
+template <typename ASource, typename BSource>
 void gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
-                std::int64_t n1, std::int64_t k, float alpha, const float* a,
-                std::int64_t a_row_stride, std::int64_t a_k_stride,
-                const float* b, std::int64_t b_k_stride,
-                std::int64_t b_col_stride, float* c, std::int64_t ldc,
+                std::int64_t n1, std::int64_t k, const ASource& a,
+                const BSource& b, bool zeroed, float* c, std::int64_t ldc,
                 const float* bias_rows, const float* bias_cols) {
   thread_local std::vector<float> ta;
   thread_local std::vector<float> tb;
@@ -141,30 +225,27 @@ void gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
 
   for (std::int64_t jc = n0; jc < n1; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n1 - jc);
-    const std::int64_t nc_panels = (nc + kNR - 1) / kNR;
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
-      tb.resize(static_cast<std::size_t>(nc_panels * kNR * kc));
-      pack_b(kc, nc, b + pc * b_k_stride + jc * b_col_stride, b_k_stride,
-             b_col_stride, tb.data());
+      const Panels bp = b.panels(jc, nc, pc, kc, tb);
       for (std::int64_t ic = m0; ic < m1; ic += kMC) {
         const std::int64_t mc = std::min(kMC, m1 - ic);
-        const std::int64_t mc_panels = (mc + kMR - 1) / kMR;
-        ta.resize(static_cast<std::size_t>(mc_panels * kMR * kc));
-        pack_a(mc, kc, alpha, a + ic * a_row_stride + pc * a_k_stride,
-               a_row_stride, a_k_stride, ta.data());
+        const Panels ap = a.panels(ic, mc, pc, kc, ta);
         for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-          const float* bp = tb.data() + (jr / kNR) * kNR * kc;
+          const float* bpanel = bp.base + (jr / kNR) * bp.stride;
           const std::int64_t cols = std::min(kNR, nc - jr);
           for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-            const float* ap = ta.data() + (ir / kMR) * kMR * kc;
-            micro_kernel(kc, ap, bp, tile);
+            micro_kernel(kc, ap.base + (ir / kMR) * ap.stride, bpanel, tile);
             const std::int64_t rows = std::min(kMR, mc - ir);
             float* cblk = c + (ic + ir) * ldc + jc + jr;
             for (std::int64_t i = 0; i < rows; ++i) {
               float* crow = cblk + i * ldc;
               const float* trow = tile + i * kNR;
-              for (std::int64_t j = 0; j < cols; ++j) crow[j] += trow[j];
+              if (zeroed && pc == 0) {
+                for (std::int64_t j = 0; j < cols; ++j) crow[j] = 0.0f + trow[j];
+              } else {
+                for (std::int64_t j = 0; j < cols; ++j) crow[j] += trow[j];
+              }
             }
           }
         }
@@ -187,16 +268,15 @@ void gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
   }
 }
 
-/// Entry point shared by every public variant. Splits large products across
-/// the global pool by row-panels (or column-panels when N dominates); each
-/// C element is still accumulated over K in one thread in a fixed order, so
-/// the result is bit-identical for every thread count.
-void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                 const float* a, std::int64_t a_row_stride,
-                 std::int64_t a_k_stride, const float* b,
-                 std::int64_t b_k_stride, std::int64_t b_col_stride,
-                 float beta, float* c, const float* bias_rows,
-                 const float* bias_cols) {
+/// Entry point shared by every public variant: C = beta * C + A * B plus the
+/// bias epilogues, with k = 0 meaning no product. Splits large products
+/// across the global pool by row-panels (or column-panels when N
+/// dominates); each C element is still accumulated over K in one thread in
+/// a fixed order, so the result is bit-identical for every thread count.
+template <typename ASource, typename BSource>
+void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
+                 const ASource& a, const BSource& b, float beta, float* c,
+                 const float* bias_rows, const float* bias_cols) {
   WM_TRACE_SCOPE("gemm");
   // Instrument refs are resolved once; afterwards this is two relaxed
   // atomic adds per call.
@@ -207,17 +287,16 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   calls.inc();
   flop_count.inc(static_cast<std::uint64_t>(2 * m * n * k));
   if (m == 0 || n == 0) return;
-  scale_c(m, n, beta, c);
-  const bool no_product = alpha == 0.0f || k == 0;
-  if (no_product && bias_rows == nullptr && bias_cols == nullptr) return;
-  const std::int64_t k_eff = no_product ? 0 : k;
+  // beta = 0 with a product to add: the first K block writes C outright.
+  const bool zeroed = beta == 0.0f && k > 0;
+  if (!zeroed) scale_c(m, n, beta, c);
+  if (k == 0 && bias_rows == nullptr && bias_cols == nullptr) return;
 
   ThreadPool& pool = ThreadPool::global();
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                       static_cast<double>(k_eff);
+                       static_cast<double>(k);
   if (pool.worker_count() == 0 || flops < kThreadFlops) {
-    gemm_block(0, m, 0, n, k_eff, alpha, a, a_row_stride, a_k_stride, b,
-               b_k_stride, b_col_stride, c, n, bias_rows, bias_cols);
+    gemm_block(0, m, 0, n, k, a, b, zeroed, c, n, bias_rows, bias_cols);
     return;
   }
   if (m >= n) {
@@ -226,53 +305,125 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         0, panels, [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
           gemm_block(static_cast<std::int64_t>(lo) * kMR,
                      std::min(m, static_cast<std::int64_t>(hi) * kMR), 0, n,
-                     k_eff, alpha, a, a_row_stride, a_k_stride, b, b_k_stride,
-                     b_col_stride, c, n, bias_rows, bias_cols);
+                     k, a, b, zeroed, c, n, bias_rows, bias_cols);
         });
   } else {
     const std::size_t panels = static_cast<std::size_t>((n + kNR - 1) / kNR);
     pool.parallel_chunks(
         0, panels, [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
           gemm_block(0, m, static_cast<std::int64_t>(lo) * kNR,
-                     std::min(n, static_cast<std::int64_t>(hi) * kNR), k_eff,
-                     alpha, a, a_row_stride, a_k_stride, b, b_k_stride,
-                     b_col_stride, c, n, bias_rows, bias_cols);
+                     std::min(n, static_cast<std::int64_t>(hi) * kNR), k, a, b,
+                     zeroed, c, n, bias_rows, bias_cols);
         });
   }
+}
+
+/// The strided variants: A(i, p) = a[i * a_row_stride + p * a_k_stride],
+/// B(p, j) = b[p * b_k_stride + j * b_col_stride]. alpha = 0 skips the
+/// product.
+void gemm_strided(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                  const float* a, std::int64_t a_row_stride,
+                  std::int64_t a_k_stride, const float* b,
+                  std::int64_t b_k_stride, std::int64_t b_col_stride,
+                  float beta, float* c, const float* bias_rows,
+                  const float* bias_cols) {
+  gemm_driver(m, n, alpha == 0.0f ? 0 : k,
+              StridedSource<kMR>{a, a_row_stride, a_k_stride, alpha},
+              StridedSource<kNR>{b, b_col_stride, b_k_stride, 1.0f}, beta, c,
+              bias_rows, bias_cols);
+}
+
+/// Packs a whole row-major (rows x k) matrix into W-wide full-depth panels.
+template <std::int64_t W>
+PackedPanels pack_weights(std::int64_t rows, std::int64_t k, const float* w) {
+  WM_CHECK_SHAPE(rows > 0 && k > 0, "bad packed weight shape ", rows, "x", k);
+  PackedPanels out;
+  out.rows = rows;
+  out.depth = k;
+  out.panel = W;
+  out.data.resize(static_cast<std::size_t>((rows + W - 1) / W * W * k));
+  pack_strided<W>(rows, k, 1.0f, w, k, 1, out.data.data());
+  return out;
 }
 
 }  // namespace
 
 void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
            const float* a, const float* b, float beta, float* c) {
-  gemm_driver(m, n, k, alpha, a, /*a_row_stride=*/k, /*a_k_stride=*/1, b,
-              /*b_k_stride=*/n, /*b_col_stride=*/1, beta, c, nullptr, nullptr);
+  gemm_strided(m, n, k, alpha, a, /*a_row_stride=*/k, /*a_k_stride=*/1, b,
+               /*b_k_stride=*/n, /*b_col_stride=*/1, beta, c, nullptr, nullptr);
 }
 
 void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c) {
   // A is stored (K x M) row-major: A(i, p) = a[p * m + i].
-  gemm_driver(m, n, k, alpha, a, /*a_row_stride=*/1, /*a_k_stride=*/m, b,
-              /*b_k_stride=*/n, /*b_col_stride=*/1, beta, c, nullptr, nullptr);
+  gemm_strided(m, n, k, alpha, a, /*a_row_stride=*/1, /*a_k_stride=*/m, b,
+               /*b_k_stride=*/n, /*b_col_stride=*/1, beta, c, nullptr, nullptr);
 }
 
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c) {
   // B is stored (N x K) row-major: B(p, j) = b[j * k + p].
-  gemm_driver(m, n, k, alpha, a, /*a_row_stride=*/k, /*a_k_stride=*/1, b,
-              /*b_k_stride=*/1, /*b_col_stride=*/k, beta, c, nullptr, nullptr);
+  gemm_strided(m, n, k, alpha, a, /*a_row_stride=*/k, /*a_k_stride=*/1, b,
+               /*b_k_stride=*/1, /*b_col_stride=*/k, beta, c, nullptr, nullptr);
 }
 
 void sgemm_bias_rows(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const float* b, float beta,
                      float* c, const float* bias) {
-  gemm_driver(m, n, k, alpha, a, k, 1, b, n, 1, beta, c, bias, nullptr);
+  gemm_strided(m, n, k, alpha, a, k, 1, b, n, 1, beta, c, bias, nullptr);
 }
 
 void sgemm_bt_bias_cols(std::int64_t m, std::int64_t n, std::int64_t k,
                         float alpha, const float* a, const float* b, float beta,
                         float* c, const float* bias) {
-  gemm_driver(m, n, k, alpha, a, k, 1, b, 1, k, beta, c, nullptr, bias);
+  gemm_strided(m, n, k, alpha, a, k, 1, b, 1, k, beta, c, nullptr, bias);
+}
+
+PackedPanels pack_weights_a(std::int64_t m, std::int64_t k, const float* w) {
+  return pack_weights<kMR>(m, k, w);
+}
+
+PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k, const float* w) {
+  return pack_weights<kNR>(n, k, w);
+}
+
+void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
+                const float* image, float* c, const float* bias) {
+  WM_CHECK_SHAPE(w.panel == kMR && w.depth == g.col_rows(),
+                 "sgemm_conv: weights packed as ", w.rows, "x", w.depth,
+                 " (panel ", w.panel, ") for a conv of depth ", g.col_rows());
+  // Padding taps read the zero border of a per-thread copy, so the packer
+  // never bounds-checks. Pool workers that split the product only read it.
+  ConvGeometry bordered = g;
+  bordered.height += 2 * g.pad;
+  bordered.width += 2 * g.pad;
+  bordered.pad = 0;
+  thread_local std::vector<float> copy;
+  copy.assign(static_cast<std::size_t>(g.channels * bordered.height *
+                                       bordered.width),
+              0.0f);
+  for (std::int64_t ch = 0; ch < g.channels; ++ch) {
+    for (std::int64_t y = 0; y < g.height; ++y) {
+      const float* src = image + (ch * g.height + y) * g.width;
+      std::copy(src, src + g.width,
+                copy.data() +
+                    (ch * bordered.height + y + g.pad) * bordered.width +
+                    g.pad);
+    }
+  }
+  gemm_driver(w.rows, g.col_cols(), g.col_rows(), PrepackedSource{w},
+              ImageSource{bordered, copy.data()}, 0.0f, c, bias, nullptr);
+}
+
+void sgemm_packed_bt_bias_cols(std::int64_t m, const float* x,
+                               const PackedPanels& w, float* y,
+                               const float* bias) {
+  WM_CHECK_SHAPE(w.panel == kNR, "sgemm_packed_bt_bias_cols: weights not "
+                 "packed by pack_weights_bt");
+  gemm_driver(m, w.rows, w.depth,
+              StridedSource<kMR>{x, w.depth, 1, 1.0f}, PrepackedSource{w},
+              0.0f, y, nullptr, bias);
 }
 
 namespace detail {

@@ -7,6 +7,15 @@
 // compiles to AVX-512 / AVX2 / SSE / plain scalar code depending on the
 // target flags — see WM_NATIVE_ARCH in the top-level CMakeLists).
 //
+// Every entry point runs one macro-kernel whose A and B micro-panels come
+// packed from strided memory (the plain sgemm_* calls), pre-packed once
+// (PackedPanels: weights that stay fixed across calls), or packed straight
+// from an image through a ConvGeometry (sgemm_conv: im2col without the
+// column buffer). The source of a panel never changes its values, and C is
+// always accumulated the same way — zeroed (beta = 0), one += per kKC-deep
+// K block, the bias added last — so every entry that computes the same
+// product returns the same bits.
+//
 // Large products are split across ThreadPool::global() by row- or
 // column-panels. The split never changes the per-element accumulation order
 // over K, so results are bit-identical for every thread count (WM_THREADS=1
@@ -15,6 +24,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
+
+#include "tensor/im2col.hpp"
 
 namespace wm {
 
@@ -47,6 +59,40 @@ void sgemm_bias_rows(std::int64_t m, std::int64_t n, std::int64_t k,
 void sgemm_bt_bias_cols(std::int64_t m, std::int64_t n, std::int64_t k,
                         float alpha, const float* a, const float* b, float beta,
                         float* c, const float* bias);
+
+/// A GEMM operand packed once into the kernel's micro-panel layout, for
+/// weights that stay fixed across many products. Built by pack_weights_a /
+/// pack_weights_bt; the layout of `data` is private to gemm.cpp.
+struct PackedPanels {
+  std::vector<float> data;
+  std::int64_t rows = 0;   // M of an A operand, N of a B operand
+  std::int64_t depth = 0;  // K
+  std::int64_t panel = 0;  // micro-panel width: the kernel's kMR or kNR
+};
+
+/// Packs row-major W (M x K) as the A operand of C = W * B (conv filters).
+PackedPanels pack_weights_a(std::int64_t m, std::int64_t k, const float* w);
+
+/// Packs row-major W (N x K) as the B operand of C = X * W^T (linear layers).
+PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k, const float* w);
+
+/// One image's convolution with implicit im2col:
+///   C (OC x OH*OW) = W (OC x C*KH*KW) * im2col(image) [+ bias[row]]
+/// with W from pack_weights_a(OC, g.col_rows(), ...). The im2col columns are
+/// packed straight from the image into the kernel's B panels, so no column
+/// buffer is built; a padded conv reads a zero-bordered per-thread copy of
+/// the image (C x (H+2p) x (W+2p) floats). Bit-identical to im2col followed by
+/// sgemm_bias_rows(OC, g.col_cols(), g.col_rows(), 1, W, col, 0, c, bias);
+/// bias may be null.
+void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
+                const float* image, float* c, const float* bias);
+
+/// Linear layer with weights from pack_weights_bt(N, K, W):
+///   Y (M x N) = X (M x K) * W^T + bias[col]
+/// Bit-identical to sgemm_bt_bias_cols(M, N, K, 1, x, W, 0, y, bias).
+void sgemm_packed_bt_bias_cols(std::int64_t m, const float* x,
+                               const PackedPanels& w, float* y,
+                               const float* bias);
 
 namespace detail {
 

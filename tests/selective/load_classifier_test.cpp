@@ -1,6 +1,7 @@
 // wm::load_classifier — the unified factory: format dispatch from the file
-// header, the in-memory overloads, artifact metadata, and bit-equality
-// between a file load and the in-memory net it was saved from.
+// header, the in-memory overloads, artifact metadata, bit-equality between a
+// file load and the in-memory net it was saved from, and the fp32 ownership
+// contract (the classifier copies what it needs at load).
 #include "selective/load_classifier.hpp"
 
 #include <unistd.h>
@@ -15,6 +16,8 @@
 #include "common/rng.hpp"
 #include "selective/model_file.hpp"
 #include "selective/quant_net.hpp"
+#include "selective/trainer.hpp"
+#include "serve/hot_swap.hpp"
 #include "wafermap/synth/generator.hpp"
 
 namespace wm {
@@ -114,6 +117,52 @@ TEST_F(LoadClassifierTest, InMemoryOverloadsMatchFileLoads) {
   const auto quant = load_classifier(qnet);
   EXPECT_TRUE(quant->is_quantized());
   EXPECT_EQ(quant->num_classes(), 9);
+}
+
+void expect_bit_equal(const std::vector<SelectivePrediction>& got,
+                      const std::vector<SelectivePrediction>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(serve::bit_equal(got[i], want[i])) << i;
+  }
+}
+
+TEST_F(LoadClassifierTest, Fp32ClassifierOutlivesItsNet) {
+  Rng rng(4);
+  auto net = std::make_unique<selective::SelectiveNet>(small_net_options(),
+                                                       rng);
+  const auto maps = sample_maps();
+  const auto borrowed = load_classifier(*net);
+  const auto before = borrowed->predict_batch(maps);
+  const auto owned = load_classifier(net->clone());
+  net.reset();
+  expect_bit_equal(borrowed->predict_batch(maps), before);
+  expect_bit_equal(owned->predict_batch(maps), before);
+}
+
+TEST_F(LoadClassifierTest, Fp32ClassifierIgnoresLaterTraining) {
+  Rng rng(5);
+  selective::SelectiveNet net(small_net_options(), rng);
+  const auto clf = load_classifier(net);
+  const auto maps = sample_maps();
+  const auto before = clf->predict_batch(maps);
+
+  Rng data_rng(6);
+  synth::DatasetSpec spec;
+  spec.map_size = 16;
+  spec.class_counts.fill(2);
+  const Dataset data = synth::generate_dataset(spec, data_rng);
+  selective::SelectiveTrainer({.epochs = 1, .batch_size = 6})
+      .train(net, data, nullptr, rng);
+
+  expect_bit_equal(clf->predict_batch(maps), before);
+  // The training did move the net: a fresh load sees new weights.
+  const auto after = load_classifier(net)->predict_batch(maps);
+  bool moved = false;
+  for (std::size_t i = 0; i < maps.size(); ++i) {
+    moved = moved || !serve::bit_equal(after[i], before[i]);
+  }
+  EXPECT_TRUE(moved);
 }
 
 TEST_F(LoadClassifierTest, MissingFileThrowsIoError) {

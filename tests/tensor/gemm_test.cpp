@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -261,6 +263,114 @@ TEST(GemmTest, MatchesSeedKernel) {
   sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
   detail::sgemm_seed(m, n, k, 1.0f, a.data(), b.data(), 0.0f, want.data());
   EXPECT_LT(max_abs_diff(got, want), 2e-3f);
+}
+
+bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+std::vector<float> normal_vector(std::int64_t n, Rng& rng) {
+  const Tensor t = Tensor::normal(Shape{n}, rng);
+  return std::vector<float>(t.data(), t.data() + n);
+}
+
+// The implicit-im2col entry against the path it replaces: im2col into a
+// column buffer, then sgemm_bias_rows. Geometries cover every kernel size
+// the nets use and more, strides 1 and 2, pads 0-2, non-square images,
+// depths across the kKC block boundary, output widths across the kNC block
+// boundary, filter counts across the kMC block boundary, and channel / filter counts off every ISA's kMR and kNR; pool
+// size 4 splits the large products across column panels.
+TEST(GemmTest, ImplicitConvBitMatchesIm2colThenGemm) {
+  struct Case {
+    std::int64_t channels, height, width, kernel, stride, pad, filters;
+  };
+  const std::vector<Case> cases = {
+      {1, 9, 7, 1, 1, 0, 5},    {3, 11, 6, 3, 1, 1, 7},
+      {5, 13, 10, 5, 1, 2, 9},  {7, 12, 9, 3, 2, 1, 13},
+      {2, 15, 11, 5, 2, 2, 3},  {1, 32, 32, 5, 1, 2, 64},
+      {64, 16, 16, 3, 1, 1, 32}, {37, 9, 14, 3, 1, 0, 11},
+      {13, 17, 5, 1, 2, 1, 17}, {1, 40, 30, 5, 1, 2, 37},
+      {33, 30, 41, 3, 1, 1, 37}, {6, 5, 8, 5, 2, 0, 1},
+      {2, 6, 5, 3, 1, 1, 300}};
+  Rng rng(21);
+  for (const std::size_t threads : {1, 4}) {
+    ThreadPool::configure_global(threads);
+    for (const Case& t : cases) {
+      const ConvGeometry g{.channels = t.channels, .height = t.height,
+                           .width = t.width, .kernel_h = t.kernel,
+                           .kernel_w = t.kernel, .stride = t.stride,
+                           .pad = t.pad};
+      g.validate();
+      const std::int64_t k = g.col_rows();
+      const std::int64_t n = g.col_cols();
+      const auto image = normal_vector(t.channels * t.height * t.width, rng);
+      const auto weights = normal_vector(t.filters * k, rng);
+      const auto bias = normal_vector(t.filters, rng);
+      std::vector<float> col(static_cast<std::size_t>(k * n));
+      im2col(g, image.data(), col.data());
+      const PackedPanels packed = pack_weights_a(t.filters, k, weights.data());
+      for (const float* b : {bias.data(), static_cast<const float*>(nullptr)}) {
+        std::vector<float> want(static_cast<std::size_t>(t.filters * n), 7.0f);
+        std::vector<float> got(want.size(), -3.0f);
+        sgemm_bias_rows(t.filters, n, k, 1.0f, weights.data(), col.data(),
+                        0.0f, want.data(), b);
+        sgemm_conv(g, packed, image.data(), got.data(), b);
+        EXPECT_TRUE(bits_equal(got, want))
+            << "C=" << t.channels << " H=" << t.height << " W=" << t.width
+            << " k=" << t.kernel << " s=" << t.stride << " p=" << t.pad
+            << " OC=" << t.filters << " bias=" << (b != nullptr)
+            << " threads=" << threads;
+      }
+    }
+  }
+  ThreadPool::configure_global(0);
+}
+
+// Weights packed once must give the bits of the per-call packing path, for
+// batch sizes from one wafer to beyond the row-panel split, and depths and
+// widths off the block and tile sizes.
+TEST(GemmTest, PrepackedLinearBitMatchesBtBiasCols) {
+  Rng rng(22);
+  for (const std::size_t threads : {1, 4}) {
+    ThreadPool::configure_global(threads);
+    for (const std::int64_t m : {1, 7, 25, 300}) {
+      for (const auto& [n, k] : std::vector<std::pair<std::int64_t,
+                                                      std::int64_t>>{
+               {256, 512}, {9, 256}, {1, 256}, {37, 700}}) {
+        const auto x = normal_vector(m * k, rng);
+        const auto w = normal_vector(n * k, rng);
+        const auto bias = normal_vector(n, rng);
+        std::vector<float> want(static_cast<std::size_t>(m * n), 7.0f);
+        std::vector<float> got(want.size(), -3.0f);
+        sgemm_bt_bias_cols(m, n, k, 1.0f, x.data(), w.data(), 0.0f,
+                           want.data(), bias.data());
+        sgemm_packed_bt_bias_cols(m, x.data(), pack_weights_bt(n, k, w.data()),
+                                  got.data(), bias.data());
+        EXPECT_TRUE(bits_equal(got, want))
+            << "M=" << m << " N=" << n << " K=" << k << " threads=" << threads;
+      }
+    }
+  }
+  ThreadPool::configure_global(0);
+}
+
+TEST(GemmTest, PackedOperandOnTheWrongSideThrows) {
+  const std::vector<float> w(9 * 4, 1.0f);
+  const ConvGeometry g{.channels = 1, .height = 4, .width = 4, .kernel_h = 3,
+                       .kernel_w = 3, .stride = 1, .pad = 1};
+  std::vector<float> out(64);
+  const std::vector<float> image(16, 1.0f);
+  EXPECT_THROW(sgemm_conv(g, pack_weights_bt(4, 9, w.data()), image.data(),
+                          out.data(), nullptr),
+               ShapeError);
+  EXPECT_THROW(sgemm_conv(g, pack_weights_a(4, 8, w.data()), image.data(),
+                          out.data(), nullptr),
+               ShapeError);
+  EXPECT_THROW(sgemm_packed_bt_bias_cols(2, w.data(),
+                                         pack_weights_a(4, 9, w.data()),
+                                         out.data(), nullptr),
+               ShapeError);
 }
 
 }  // namespace
