@@ -34,10 +34,10 @@
 //                 exact, not approximations); a provoked latency SLO fires
 //                 its burn-rate alarm under traffic and clears
 //                 hysteretically after traffic stops, with slo_burn /
-//                 slo_clear events verified in the run log; killing one
-//                 replica's exporter mid-flight flips its `up`, the fleet
-//                 view stays merged-correct over the survivors, and the
-//                 revived exporter is re-admitted.
+//                 slo_clear events for the latency_p99 rule verified in
+//                 the run log; killing one replica's exporter mid-flight
+//                 flips its `up`, the fleet view stays merged-correct over
+//                 the survivors, and the revived exporter is re-admitted.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -521,6 +521,9 @@ int main(int argc, char** argv) {
     all_ok &= check(events.find("\"event\":\"slo_clear\"") !=
                         std::string::npos,
                     "slo_clear event in the run log");
+    all_ok &= check(events.find("\"rule\":\"latency_p99\"") !=
+                        std::string::npos,
+                    "the events name the latency_p99 rule");
 
     // Kill one replica's exporter: its `up` flips, and the fleet view
     // stays exactly merged over the two survivors.

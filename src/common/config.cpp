@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
+#include "common/logging.hpp"
 
 namespace wm {
 
@@ -93,15 +94,16 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
 }
 
 double bench_scale() {
-  if (const char* env = std::getenv("WM_BENCH_SCALE")) {
-    try {
-      const double s = std::stod(env);
-      if (s > 0.0) return s;
-    } catch (const std::logic_error&) {
-      // fall through to default
-    }
+  const char* env = std::getenv("WM_BENCH_SCALE");
+  if (env == nullptr) return 1.0;
+  char* end = nullptr;
+  const double s = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(s) || s <= 0.0) {
+    log_warn("WM_BENCH_SCALE='", env,
+             "' is not a finite number > 0; using 1.0");
+    return 1.0;
   }
-  return 1.0;
+  return s;
 }
 
 int scaled(int n, double scale, int min_value) {

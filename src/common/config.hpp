@@ -44,7 +44,8 @@ class Config {
 };
 
 /// Global experiment scale multiplier from env WM_BENCH_SCALE (default 1.0).
-/// Benches multiply dataset sizes and epoch counts by this.
+/// Benches multiply dataset sizes and epoch counts by this. Anything but a
+/// whole finite number > 0 logs a warning and yields 1.0.
 double bench_scale();
 
 /// Rounds scale * n to an integer, clamped to at least min_value.

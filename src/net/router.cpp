@@ -21,13 +21,6 @@ namespace {
 /// below the engine's batching delay.
 constexpr int kTickMs = 1;
 
-std::uint64_t splitmix(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 bool probe_healthz(const std::string& host, int port, int timeout_ms) {
@@ -84,8 +77,7 @@ Router::Router(const RouterOptions& opts)
                                     "replicas currently accepting traffic")),
       dispatch_hist_(metrics_.histogram(
           "wm_stage_router_dispatch_us", obs::Histogram::latency_bounds_us(),
-          "us", "router accept to first replica dispatch")),
-      p2c_state_(opts.seed != 0 ? opts.seed : 1) {
+          "us", "router accept to first replica dispatch")) {
   WM_CHECK(!opts_.replicas.empty(), "router: no replicas configured");
   WM_CHECK(opts_.eject_threshold >= 1, "router: eject_threshold must be >= 1");
   replicas_.reserve(opts_.replicas.size());
@@ -163,19 +155,6 @@ void Router::close() {
 
 std::size_t Router::pick_replica_locked() {
   const std::size_t n = replicas_.size();
-  if (opts_.policy == RouterOptions::Policy::kPowerOfTwo) {
-    // Two independent draws over the healthy subset, min outstanding wins.
-    std::vector<std::size_t> healthy;
-    healthy.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (replicas_[i].healthy) healthy.push_back(i);
-    }
-    if (healthy.empty()) return n;
-    if (healthy.size() == 1) return healthy[0];
-    const std::size_t a = healthy[splitmix(&p2c_state_) % healthy.size()];
-    const std::size_t b = healthy[splitmix(&p2c_state_) % healthy.size()];
-    return replicas_[b].outstanding < replicas_[a].outstanding ? b : a;
-  }
   // Least-outstanding: full scan (replica counts are small), ties broken by
   // index so the choice is deterministic.
   std::size_t best = n;

@@ -12,11 +12,8 @@
 // own:
 //
 //   * the dispatcher assigns calls to replicas and harvests completions.
-//     Replica selection is least-outstanding by default — the healthy
-//     replica with the fewest in-flight calls — or power-of-two-choices
-//     (two seeded random healthy picks, fewer outstanding wins; O(1) with
-//     near-least-loaded behaviour, the classic routing trade-off) via
-//     RouterOptions::policy;
+//     Replica selection is least-outstanding: the healthy replica with the
+//     fewest in-flight calls, ties broken by index;
 //   * the prober drives the health/eject state machine. A replica is
 //     HEALTHY until eject_threshold consecutive transport failures eject
 //     it; an EJECTED replica receives no traffic and rejoins only when its
@@ -77,12 +74,6 @@ struct ReplicaEndpoint {
 struct RouterOptions {
   std::vector<ReplicaEndpoint> replicas;  // at least one
 
-  enum class Policy {
-    kLeastOutstanding,  // scan all healthy replicas, pick min in-flight
-    kPowerOfTwo,        // two seeded random healthy picks, min of the two
-  };
-  Policy policy = Policy::kLeastOutstanding;
-
   /// Consecutive transport errors before a replica is ejected.
   int eject_threshold = 1;
   /// Transparent re-dispatches of a CONNECTION_ERROR call; <= 0 defaults
@@ -94,8 +85,6 @@ struct RouterOptions {
   int health_timeout_ms = 500;
   /// Rejoin delay for replicas without a health_port.
   int blind_rejoin_ms = 1000;
-  /// Seed for the power-of-two choice stream (deterministic in tests).
-  std::uint64_t seed = 1;
   /// Where the wm_router_* instruments live. nullptr = a router-private
   /// registry.
   obs::Registry* registry = nullptr;
@@ -199,8 +188,8 @@ class Router {
 
   void dispatcher_loop();
   void prober_loop();
-  /// Picks a healthy replica by policy; returns replicas_.size() when none
-  /// is healthy. Caller holds mutex_.
+  /// Picks the healthy replica with the fewest calls in flight; returns
+  /// replicas_.size() when none is healthy. Caller holds mutex_.
   std::size_t pick_replica_locked();
   /// Sends `call` to a replica or fails its promise (kNoReplica). Caller
   /// holds mutex_.
@@ -233,7 +222,6 @@ class Router {
   std::vector<Inflight> inflight_;
   std::vector<Replica> replicas_;
   bool stopping_ = false;
-  std::uint64_t p2c_state_;
 
   std::mutex join_mutex_;  // serialises close()
   std::thread prober_;

@@ -7,9 +7,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <optional>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -111,20 +111,6 @@ std::uint64_t Server::responses_sent() const {
 }
 std::uint64_t Server::shed() const { return shed_total_.value(); }
 std::uint64_t Server::timeouts() const { return timeout_total_.value(); }
-
-std::optional<int> Server::port_from_env() {
-  if (const auto port = env_int("WM_SERVE_PORT", 1, 65535)) {
-    return static_cast<int>(*port);
-  }
-  return std::nullopt;
-}
-
-std::optional<int> Server::backlog_from_env() {
-  if (const auto backlog = env_int("WM_SERVE_BACKLOG", 1, 4096)) {
-    return static_cast<int>(*backlog);
-  }
-  return std::nullopt;
-}
 
 void Server::accept_loop() {
   while (!stopping_.load()) {

@@ -55,7 +55,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +71,8 @@ struct ServerOptions {
   int port = 0;
   /// Listen address; the default accepts only loopback connections.
   std::string bind_address = "127.0.0.1";
-  /// Kernel accept backlog (WM_SERVE_BACKLOG overrides via backlog_from_env).
+  /// Kernel accept backlog (serve::ServerConfig fills it from
+  /// WM_SERVE_BACKLOG).
   int backlog = 64;
   /// Connection-handling worker threads.
   int workers = 2;
@@ -125,11 +125,6 @@ class Server {
 
   /// The registry holding the wm_net_* instruments.
   obs::Registry& metrics_registry() const { return metrics_; }
-
-  /// WM_SERVE_PORT / WM_SERVE_BACKLOG, hardened through common/env.hpp
-  /// (warn + nullopt on malformed/out-of-range values, like WM_HTTP_PORT).
-  static std::optional<int> port_from_env();
-  static std::optional<int> backlog_from_env();
 
  private:
   using Clock = std::chrono::steady_clock;

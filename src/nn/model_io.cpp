@@ -1,7 +1,9 @@
 #include "nn/model_io.hpp"
 
 #include <cstdint>
-#include <fstream>
+#include <istream>
+#include <ostream>
+#include <string>
 
 #include "common/error.hpp"
 #include "tensor/serialize.hpp"
@@ -59,18 +61,6 @@ void load_parameters(std::istream& in, const std::vector<Parameter*>& params) {
     }
     p->value = std::move(t);
   }
-}
-
-void save_checkpoint(const std::string& path, const std::vector<Parameter*>& params) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open checkpoint for writing: " + path);
-  save_parameters(out, params);
-}
-
-void load_checkpoint(const std::string& path, const std::vector<Parameter*>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open checkpoint for reading: " + path);
-  load_parameters(in, params);
 }
 
 }  // namespace wm::nn

@@ -1,11 +1,11 @@
-// Checkpointing: saves/loads an ordered parameter list with names.
+// Parameter streams: saves/loads an ordered parameter list with names.
+// The WSN1 model file (selective/model_file.hpp) embeds one such stream.
 //
 // Format: magic "WMM1", u32 count, then per parameter a u32 name length,
 // the name bytes and the tensor (see tensor/serialize.hpp).
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -16,8 +16,5 @@ void save_parameters(std::ostream& out, const std::vector<Parameter*>& params);
 
 /// Loads into the given parameters; names and shapes must match in order.
 void load_parameters(std::istream& in, const std::vector<Parameter*>& params);
-
-void save_checkpoint(const std::string& path, const std::vector<Parameter*>& params);
-void load_checkpoint(const std::string& path, const std::vector<Parameter*>& params);
 
 }  // namespace wm::nn

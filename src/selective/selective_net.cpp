@@ -8,7 +8,6 @@
 #include "nn/layers/flatten.hpp"
 #include "nn/layers/linear.hpp"
 #include "nn/layers/maxpool2d.hpp"
-#include "nn/model_io.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace wm::selective {
@@ -110,14 +109,6 @@ std::unique_ptr<SelectiveNet> SelectiveNet::clone() const {
 
 std::int64_t SelectiveNet::parameter_count() {
   return nn::parameter_count(parameters());
-}
-
-void SelectiveNet::save(const std::string& path) {
-  nn::save_checkpoint(path, parameters());
-}
-
-void SelectiveNet::load(const std::string& path) {
-  nn::load_checkpoint(path, parameters());
 }
 
 }  // namespace wm::selective

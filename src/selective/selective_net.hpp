@@ -72,9 +72,6 @@ class SelectiveNet {
   /// Number of learnable scalars (for reporting).
   std::int64_t parameter_count();
 
-  void save(const std::string& path);
-  void load(const std::string& path);
-
  private:
   SelectiveNetOptions opts_;
   nn::Sequential trunk_;

@@ -32,11 +32,7 @@ ServerConfig::Resolved ServerConfig::resolve() const {
   r.bind_address = bind_address;
   // http_port stays optional: "no exporter" is a real configuration, so
   // only the field or the env var can turn it on.
-  if (http_port) {
-    r.http_port = *http_port;
-  } else if (const auto v = env_int("WM_HTTP_PORT", 1, 65535)) {
-    r.http_port = static_cast<int>(*v);
-  }
+  r.http_port = http_port ? http_port : obs::HttpExporter::port_from_env();
   return r;
 }
 

@@ -103,6 +103,10 @@ TEST(BenchScaleTest, DefaultsToOneAndReadsEnv) {
   EXPECT_DOUBLE_EQ(bench_scale(), 0.25);
   ::setenv("WM_BENCH_SCALE", "garbage", 1);
   EXPECT_DOUBLE_EQ(bench_scale(), 1.0);
+  ::setenv("WM_BENCH_SCALE", "0.5x", 1);  // trailing characters
+  EXPECT_DOUBLE_EQ(bench_scale(), 1.0);
+  ::setenv("WM_BENCH_SCALE", "inf", 1);  // not finite
+  EXPECT_DOUBLE_EQ(bench_scale(), 1.0);
   ::unsetenv("WM_BENCH_SCALE");
 }
 

@@ -126,21 +126,6 @@ TEST(RouterTest, SpreadsLoadAcrossHealthyReplicas) {
   EXPECT_EQ(router.healthy_count(), 3u);
 }
 
-TEST(RouterTest, PowerOfTwoPolicyAnswersEverything) {
-  Replica a, b;
-  Router router({.replicas = {{.port = a.server.port()},
-                              {.port = b.server.port()}},
-                 .policy = RouterOptions::Policy::kPowerOfTwo,
-                 .seed = 7});
-  const WaferMap map = test_map(5);
-  std::vector<std::future<CallResult>> futures;
-  for (int i = 0; i < 16; ++i) futures.push_back(router.predict_async(map));
-  for (auto& f : futures) ASSERT_EQ(f.get().status, Status::kOk);
-  std::uint64_t total = 0;
-  for (const auto& s : router.stats()) total += s.dispatched;
-  EXPECT_EQ(total, 16u);
-}
-
 TEST(RouterTest, FailsOverFromDeadReplicaTransparently) {
   Replica live(/*marker=*/0.25f);
   Router router({.replicas = {{.port = dead_port()},

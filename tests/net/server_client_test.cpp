@@ -1,6 +1,6 @@
 // End-to-end wm_net behaviour over real loopback TCP: round trips,
 // pipelining, deadline enforcement, load shedding, malformed-peer handling,
-// graceful drain, client reconnect, and the WM_SERVE_* env knobs.
+// graceful drain and client reconnect.
 #include "net/server.hpp"
 
 #include <sys/socket.h>
@@ -10,7 +10,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <mutex>
 #include <set>
@@ -382,27 +381,6 @@ TEST(NetServerTest, MetricsLandInTheEngineRegistry) {
   EXPECT_NE(text.find("wm_net_request_latency_us_bucket"),
             std::string::npos);
   EXPECT_NE(text.find("wm_serve_requests_total 1"), std::string::npos);
-}
-
-TEST(NetServerTest, EnvKnobsAreRangeChecked) {
-  ::setenv("WM_SERVE_PORT", "12345", 1);
-  ASSERT_TRUE(Server::port_from_env().has_value());
-  EXPECT_EQ(*Server::port_from_env(), 12345);
-
-  ::setenv("WM_SERVE_PORT", "70000", 1);  // out of range: warn + fallback
-  EXPECT_FALSE(Server::port_from_env().has_value());
-  ::setenv("WM_SERVE_PORT", "not-a-port", 1);
-  EXPECT_FALSE(Server::port_from_env().has_value());
-  ::unsetenv("WM_SERVE_PORT");
-  EXPECT_FALSE(Server::port_from_env().has_value());
-
-  ::setenv("WM_SERVE_BACKLOG", "128", 1);
-  ASSERT_TRUE(Server::backlog_from_env().has_value());
-  EXPECT_EQ(*Server::backlog_from_env(), 128);
-  ::setenv("WM_SERVE_BACKLOG", "-3", 1);
-  EXPECT_FALSE(Server::backlog_from_env().has_value());
-  ::unsetenv("WM_SERVE_BACKLOG");
-  EXPECT_FALSE(Server::backlog_from_env().has_value());
 }
 
 TEST(NetSocketUtilTest, WakePipeWakesAndDrains) {

@@ -64,17 +64,5 @@ TEST(ModelIoTest, BadMagicThrows) {
   EXPECT_THROW(load_parameters(ss, a.parameters()), IoError);
 }
 
-TEST(ModelIoTest, FileRoundTrip) {
-  const std::string path = "/tmp/wm_model_io_test.ckpt";
-  Sequential a = make_net(7);
-  Sequential b = make_net(8);
-  save_checkpoint(path, a.parameters());
-  load_checkpoint(path, b.parameters());
-  Rng rng(9);
-  const Tensor x = Tensor::normal(Shape{2, 4}, rng);
-  EXPECT_FLOAT_EQ(max_abs_diff(a.forward(x, false), b.forward(x, false)), 0.0f);
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace wm::nn

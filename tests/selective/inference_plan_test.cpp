@@ -5,6 +5,7 @@
 #include "selective/inference_plan.hpp"
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,6 +117,11 @@ struct PlanCase {
   std::string name;
   SelectiveNetOptions opts;
 };
+
+// Without a printer gtest dumps the struct's bytes into the test's listed
+// name: the string's heap pointer and padding, so ctest's discovered name
+// changed with every build.
+void PrintTo(const PlanCase& c, std::ostream* os) { *os << c.name; }
 
 class InferencePlanTest : public ::testing::TestWithParam<PlanCase> {
  protected:

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/loss/selective_loss.hpp"
@@ -73,33 +71,6 @@ TEST(SelectiveNetTest, BackwardUpdatesBothHeads) {
     if (l2_norm(p->grad) > 0.0f) ++nonzero_params;
   }
   EXPECT_EQ(nonzero_params, static_cast<int>(net.parameters().size()));
-}
-
-TEST(SelectiveNetTest, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/wm_selnet_test.ckpt";
-  Rng rng(6);
-  SelectiveNet a(tiny_net(), rng);
-  SelectiveNet b(tiny_net(), rng);  // different weights
-  a.save(path);
-  b.load(path);
-  const Tensor x = Tensor::uniform(Shape{2, 1, 16, 16}, rng);
-  const SelectiveOutput oa = a.forward(x, false);
-  const SelectiveOutput ob = b.forward(x, false);
-  EXPECT_FLOAT_EQ(max_abs_diff(oa.logits, ob.logits), 0.0f);
-  EXPECT_FLOAT_EQ(max_abs_diff(oa.g, ob.g), 0.0f);
-  std::remove(path.c_str());
-}
-
-TEST(SelectiveNetTest, CheckpointMismatchThrows) {
-  const std::string path = "/tmp/wm_selnet_mismatch.ckpt";
-  Rng rng(7);
-  SelectiveNet a(tiny_net(), rng);
-  SelectiveNet b({.map_size = 16, .num_classes = 5, .conv1_filters = 8,
-                  .conv2_filters = 8, .conv3_filters = 8, .fc_units = 32},
-                 rng);
-  a.save(path);
-  EXPECT_THROW(b.load(path), IoError);
-  std::remove(path.c_str());
 }
 
 }  // namespace

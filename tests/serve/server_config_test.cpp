@@ -67,13 +67,17 @@ TEST(ServerConfigTest, ExplicitFieldBeatsEnv) {
 
 TEST(ServerConfigTest, MalformedEnvFallsThroughToDefault) {
   clear_env();
+  ::setenv("WM_SERVE_PORT", "70000", 1);  // out of [1, 65535]
   ::setenv("WM_SERVE_BACKLOG", "not-a-number", 1);
   ::setenv("WM_SERVE_WORKERS", "100000", 1);  // out of [1, 256]
   ::setenv("WM_SERVE_MAX_DELAY_US", "-5", 1);
+  ::setenv("WM_HTTP_PORT", "not-a-port", 1);
   const auto r = ServerConfig{}.resolve();
+  EXPECT_EQ(r.port, 0);
   EXPECT_EQ(r.backlog, 64);
   EXPECT_EQ(r.workers, 2);
   EXPECT_EQ(r.max_delay_us, 2000);
+  EXPECT_FALSE(r.http_port.has_value());
   clear_env();
 }
 

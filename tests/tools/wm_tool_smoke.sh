@@ -12,9 +12,12 @@ export WM_LOG=warn
 "$WM_TOOL" generate --out "$WORK/data" --per-class 6 --size 16 --seed 5 \
   | grep -q "wrote 54 wafers"
 
-"$WM_TOOL" train --data "$WORK/data" --model "$WORK/m.wsn" \
-  --epochs 2 --size 16 --no-augment --seed 5 \
+# WM_RUN_LOG opens the process-wide run log, so training leaves its epoch
+# events there.
+WM_RUN_LOG="$WORK/run.jsonl" "$WM_TOOL" train --data "$WORK/data" \
+  --model "$WORK/m.wsn" --epochs 2 --size 16 --no-augment --seed 5 \
   | grep -q "model written"
+grep -q '"event":"epoch"' "$WORK/run.jsonl"
 
 "$WM_TOOL" evaluate --data "$WORK/data" --model "$WORK/m.wsn" \
   | grep -q "Overall: accuracy"

@@ -12,19 +12,6 @@
 // (WMWP v2), so the per-stage means (queue / batch / compute / server
 // total) cover all OK responses, sampled or not.
 //
-// Fleet mode (--fleet M, in-process stack only) then stands up M full
-// serving replicas (each: own registry, hot-swap wrapper, micro-batching
-// engine, TCP server, /healthz + /metrics exporter) and drives them
-// through net::Router while an obs::Collector scrapes every replica each
-// --collector-interval-ms and runs the SLO burn-rate rules over the merged
-// view. Chaos flags exercise failover mid-run: --kill-replica takes the
-// last replica down at 1/3 progress — wire port, exporter and all, so the
-// collector's `up` flips — and restarts it at 2/3 (the router ejects,
-// fails over, and re-admits it via /healthz); --swap-mid-run hot-swaps
-// every replica from fp32 to the int8 quantized model at 1/2 progress with
-// canary verification. Per-replica latency percentiles and eject/rejoin
-// counts land in the JSON report as "fleet_replicas".
-//
 // Flags:
 //   --connections N   client connections               (default 4)
 //   --window W        in-flight calls per connection   (default 8)
@@ -39,20 +26,8 @@
 //                     (trace id, per-stage breakdown, selective decision)
 //   --out-dir DIR     prefix for every relative file artifact above
 //                     (--trace-out, --slow-log); absolute paths win
-//   --fleet M         also run the M-replica fleet (0 = skip)
-//   --kill-replica    kill + restart a replica mid-run (fleet mode)
-//   --swap-mid-run    hot-swap fp32 -> int8 mid-run    (fleet mode)
-//   --collector-port P        the collector's own exporter port (/fleet,
-//                             /dashboard, /metrics; default 0 = ephemeral)
-//   --collector-interval-ms M scrape + SLO tick interval (default 100)
-//   --slo-p99-us U    override the latency SLO threshold (default 0 keeps
-//                     SloEngine::default_rules(); a tiny value like 1
-//                     provokes a burn-rate alarm under any traffic — CI
-//                     uses it to assert the slo_burn/slo_clear run-log
-//                     events fire end-to-end)
 //   --json            machine-readable report on stdout
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -66,18 +41,12 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "net/client.hpp"
-#include "net/router.hpp"
 #include "net/server.hpp"
-#include "obs/collector.hpp"
-#include "obs/http_exporter.hpp"
-#include "obs/metrics.hpp"
 #include "obs/run_log.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "selective/load_classifier.hpp"
-#include "selective/quant_net.hpp"
 #include "selective/selective_net.hpp"
-#include "serve/hot_swap.hpp"
 #include "serve/inference_engine.hpp"
 #include "wafermap/synth/generator.hpp"
 
@@ -86,12 +55,6 @@ using namespace wm;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// Fleet replicas flush a micro-batch after 12 ms and get 2 calls in flight
-// each, so a replica is bound by its batching window rather than the CPU;
-// the kill/revive progress points above land at the same times run to run.
-constexpr int kFleetDelayUs = 12000;
-constexpr int kFleetWindow = 2;
 
 /// One finished call.
 struct CallRecord {
@@ -103,7 +66,6 @@ struct CallRecord {
 };
 
 struct RunResult {
-  std::string mode;  // "remote" | "fleet"
   int connections = 0;
   int window = 0;
   double wall_s = 0.0;
@@ -177,23 +139,19 @@ void finish(RunResult& r) {
   r.p99_us = percentile(lat, 0.99);
 }
 
-/// Closed loop: one calling thread per entry of `callees` (a net::Client
-/// each, or one shared net::Router), each issuing total/threads calls with
-/// `window` of them in flight, waiting on the oldest when the window is
-/// full. Every trace_sample'th call of a thread (0 = none) starts a sampled
-/// trace. `done` counts finished calls as they land.
-template <class Callee>
-RunResult closed_loop(const std::string& mode,
-                      const std::vector<Callee*>& callees,
+/// Closed loop: one calling thread per client, each issuing total/threads
+/// calls with `window` of them in flight, waiting on the oldest when the
+/// window is full. Every trace_sample'th call of a thread (0 = none) starts
+/// a sampled trace.
+RunResult closed_loop(const std::vector<std::unique_ptr<net::Client>>& clients,
                       const std::vector<WaferMap>& stream, std::size_t total,
-                      int window, int trace_sample,
-                      std::atomic<std::size_t>& done) {
+                      int window, int trace_sample) {
   struct Inflight {
     Clock::time_point sent;
     std::uint64_t trace_id = 0;
     std::future<net::CallResult> future;
   };
-  const std::size_t threads = callees.size();
+  const std::size_t threads = clients.size();
   const std::size_t per_thread = total / threads;
   std::vector<std::vector<CallRecord>> records(threads);
 
@@ -212,7 +170,6 @@ RunResult closed_loop(const std::string& mode,
         records[t].push_back(CallRecord{e2e_us, call.trace_id, res.status,
                                         res.server, res.prediction});
         inflight.pop_front();
-        done.fetch_add(1, std::memory_order_relaxed);
       };
       for (std::size_t i = 0; i < per_thread; ++i) {
         if (inflight.size() >= static_cast<std::size_t>(window)) {
@@ -227,7 +184,7 @@ RunResult closed_loop(const std::string& mode,
         Inflight call;
         call.sent = Clock::now();
         call.trace_id = ctx.trace_id;
-        call.future = callees[t]->predict_async(map, /*deadline_ms=*/0, ctx);
+        call.future = clients[t]->predict_async(map, /*deadline_ms=*/0, ctx);
         inflight.push_back(std::move(call));
         while (!inflight.empty() &&
                inflight.front().future.wait_for(std::chrono::seconds(0)) ==
@@ -241,7 +198,6 @@ RunResult closed_loop(const std::string& mode,
   for (auto& th : pool) th.join();
 
   RunResult r;
-  r.mode = mode;
   r.connections = static_cast<int>(threads);
   r.window = window;
   r.wall_s = watch.seconds();
@@ -250,237 +206,11 @@ RunResult closed_loop(const std::string& mode,
   return r;
 }
 
-/// One in-process serving replica for fleet mode: its own registry, a
-/// hot-swap wrapper, a micro-batching engine, a TCP server, and a /healthz
-/// + /metrics exporter. down()/up() model a whole-process crash + restart
-/// on the same ports: the exporter dies with the replica (the router's
-/// prober and the fleet collector both see a vanished endpoint, eject the
-/// replica, and re-admit it after up() rebinds). The registry survives the
-/// restart — like a warm-restarted process the counters resume, and a
-/// genuine reset is the collector's counter-reset rule's job to absorb.
-class FleetReplica {
- public:
-  explicit FleetReplica(std::shared_ptr<const Classifier> initial)
-      : swap_(std::move(initial), {.registry = &registry_}) {
-    up();
-    wire_port_ = server_->port();
-    health_port_ = exporter_->port();
-  }
-
-  ~FleetReplica() { down(); }
-
-  FleetReplica(const FleetReplica&) = delete;
-  FleetReplica& operator=(const FleetReplica&) = delete;
-
-  /// (Re)starts the engine + server + exporter; rebinds the original wire
-  /// and health ports after the first call. The SwappableClassifier
-  /// survives restarts, so a model promoted while the replica was down
-  /// serves as soon as it is back.
-  void up() {
-    if (serving_.load()) return;
-    engine_ = std::make_unique<serve::InferenceEngine>(
-        swap_, serve::EngineOptions{.max_batch = 32,
-                                    .max_delay_us = kFleetDelayUs,
-                                    .queue_capacity = 256,
-                                    .registry = &registry_});
-    server_ = std::make_unique<net::Server>(
-        *engine_, net::ServerOptions{.port = wire_port_, .workers = 1});
-    exporter_ = std::make_unique<obs::HttpExporter>(obs::HttpExporterOptions{
-        .port = health_port_,
-        .registry = &registry_,
-        .healthy = [this] { return serving_.load(); }});
-    serving_.store(true);
-  }
-
-  /// Kills the replica: connections drop, in-flight calls fail over at the
-  /// router, the health/metrics exporter vanishes (the collector marks the
-  /// target down).
-  void down() {
-    serving_.store(false);
-    if (server_ != nullptr) {
-      server_->stop();
-      server_.reset();
-    }
-    if (engine_ != nullptr) {
-      engine_->shutdown();
-      engine_.reset();
-    }
-    exporter_.reset();
-  }
-
-  void swap_model(std::shared_ptr<const Classifier> candidate,
-                  std::span<const WaferMap> canaries,
-                  const std::string& label) {
-    (void)swap_.swap_to(std::move(candidate), canaries, label);
-  }
-
-  int wire_port() const { return wire_port_; }
-  int health_port() const { return health_port_; }
-  std::uint64_t model_swaps() const { return swap_.swaps(); }
-
- private:
-  obs::Registry registry_;
-  serve::SwappableClassifier swap_;
-  int wire_port_ = 0;    // 0 only before the first up()
-  int health_port_ = 0;  // likewise
-  std::atomic<bool> serving_{false};
-  std::unique_ptr<serve::InferenceEngine> engine_;
-  std::unique_ptr<net::Server> server_;
-  std::unique_ptr<obs::HttpExporter> exporter_;
-};
-
-/// Fleet block of the report.
-struct FleetReport {
-  int fleet = 0;
-  std::uint64_t collector_rounds = 0;
-  int collector_targets_up = 0;  // at the end of the run
-  /// Sum of per-target up<->down edges (first successful scrape counts as
-  /// one): M on a quiet fleet, M + 2 after one kill + revive.
-  std::uint64_t collector_up_transitions = 0;
-  std::uint64_t slo_fires = 0;
-  std::uint64_t slo_clears = 0;
-  bool kill_replica = false;
-  bool swap_mid_run = false;
-  std::uint64_t retries = 0;
-  std::uint64_t no_replica = 0;
-  std::uint64_t model_swaps = 0;  // sum over replicas
-  std::vector<net::Router::ReplicaStats> replicas;
-};
-
-/// Runs the fleet closed loop with the collector live, firing the chaos
-/// events off completed-call progress.
-FleetReport run_fleet(selective::SelectiveNet& net,
-                      const std::vector<WaferMap>& stream, int fleet,
-                      std::size_t total, bool kill_replica, bool swap_mid_run,
-                      int collector_port, int collector_interval_ms,
-                      int slo_p99_us, std::vector<RunResult>& rows) {
-  FleetReport report;
-  report.fleet = fleet;
-  report.kill_replica = kill_replica && fleet > 1;
-  report.swap_mid_run = swap_mid_run;
-
-  // Every replica serves the same fp32 net (and, for --swap-mid-run, is
-  // promoted to its int8 quantization) behind the unified classifier
-  // factory.
-  std::vector<std::unique_ptr<FleetReplica>> replicas;
-  net::RouterOptions ropts;
-  obs::CollectorOptions copts;
-  for (int i = 0; i < fleet; ++i) {
-    replicas.push_back(std::make_unique<FleetReplica>(
-        std::shared_ptr<const Classifier>(load_classifier(net))));
-    ropts.replicas.push_back({.port = replicas.back()->wire_port(),
-                              .health_port = replicas.back()->health_port()});
-    copts.targets.push_back(
-        "127.0.0.1:" + std::to_string(replicas.back()->health_port()));
-  }
-  std::unique_ptr<selective::QuantizedSelectiveNet> qnet;
-  std::shared_ptr<const Classifier> candidate;
-  const std::vector<WaferMap> canaries(stream.begin(), stream.begin() + 4);
-  if (swap_mid_run) {
-    qnet = std::make_unique<selective::QuantizedSelectiveNet>(
-        selective::quantize_selective_net(net));
-    candidate = std::shared_ptr<const Classifier>(load_classifier(*qnet));
-  }
-
-  std::vector<obs::SloRule> rules = obs::SloEngine::default_rules();
-  if (slo_p99_us > 0) {
-    // Provocation mode: an absurdly low latency objective that any traffic
-    // violates, tuned to fire (and later clear) within a short run.
-    for (obs::SloRule& rule : rules) {
-      if (rule.kind == obs::SloKind::kLatencyP99) {
-        rule.latency_threshold_us = slo_p99_us;
-        rule.fast_window = 2;
-        rule.slow_window = 4;
-        rule.fire_count = 2;
-        rule.clear_count = 2;
-      }
-    }
-  }
-  copts.interval_ms = collector_interval_ms;
-  copts.scrape_timeout_ms = 1000;
-  copts.slo_rules = std::move(rules);
-  copts.exporter_port = collector_port;
-  obs::Collector collector(copts);
-  net::Router router(ropts);
-
-  const std::size_t calls = total / static_cast<std::size_t>(fleet) *
-                            static_cast<std::size_t>(fleet);
-  std::atomic<std::size_t> done{0};
-  std::thread chaos;
-  if (report.kill_replica || swap_mid_run) {
-    chaos = std::thread([&] {
-      bool killed = false, swapped = false, restarted = false;
-      while (done.load() < calls) {
-        const std::size_t d = done.load();
-        if (report.kill_replica && !killed && d >= calls / 3) {
-          replicas.back()->down();
-          killed = true;
-        }
-        if (swap_mid_run && !swapped && d >= calls / 2) {
-          for (auto& rep : replicas) {
-            try {
-              rep->swap_model(candidate, canaries, "int8");
-            } catch (const std::exception& e) {
-              std::fprintf(stderr, "loadgen: mid-run swap failed: %s\n",
-                           e.what());
-            }
-          }
-          swapped = true;
-        }
-        if (killed && !restarted && d >= 2 * calls / 3) {
-          replicas.back()->up();
-          restarted = true;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      // A fast run can drain before the restart threshold fires: never end
-      // with a dead replica.
-      if (killed && !restarted) replicas.back()->up();
-    });
-  }
-  rows.push_back(closed_loop("fleet",
-                             std::vector<net::Router*>(
-                                 static_cast<std::size_t>(fleet), &router),
-                             stream, total, kFleetWindow, /*trace_sample=*/0,
-                             done));
-  if (chaos.joinable()) chaos.join();
-
-  // Traffic is done: let the burn windows drain so a provoked alarm also
-  // demonstrates the hysteretic clear before we shut down.
-  for (int i = 0; i < 40; ++i) {
-    bool firing = false;
-    for (const obs::SloStatus& s : collector.slo_status()) {
-      firing = firing || s.firing || s.fires > s.clears;
-    }
-    if (!firing) break;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(collector_interval_ms));
-  }
-  for (const obs::SloStatus& s : collector.slo_status()) {
-    report.slo_fires += s.fires;
-    report.slo_clears += s.clears;
-  }
-  report.collector_rounds = collector.rounds();
-  const obs::FleetAggregate final_agg = collector.aggregate();
-  report.collector_targets_up = final_agg.targets_up;
-  for (const auto& [target, health] : final_agg.health) {
-    report.collector_up_transitions += health.up_transitions;
-  }
-  collector.stop();
-
-  report.retries = router.retries();
-  report.no_replica = router.no_replica();
-  report.replicas = router.stats();
-  for (auto& rep : replicas) report.model_swaps += rep->model_swaps();
-  router.close();
-  return report;
-}
-
 void print_row(const RunResult& r) {
-  std::printf("%-6s c=%-2d w=%-2d %6zu req  %6.2f s  %8.1f req/s  "
+  std::printf("remote c=%-2d w=%-2d %6zu req  %6.2f s  %8.1f req/s  "
               "ok %zu shed %zu timeout %zu err %zu  p50/p95/p99 "
               "%lld/%lld/%lld us\n",
-              r.mode.c_str(), r.connections, r.window, r.calls.size(),
+              r.connections, r.window, r.calls.size(),
               r.wall_s, r.throughput_rps(), r.ok, r.shed, r.timeout, r.errors,
               static_cast<long long>(r.p50_us),
               static_cast<long long>(r.p95_us),
@@ -525,73 +255,21 @@ void write_slow_log(const std::string& path, std::vector<CallRecord> records) {
   }
 }
 
-void print_json(const std::vector<RunResult>& rows, int map_size,
-                const FleetReport* fleet) {
+void print_json(const RunResult& r, int map_size) {
   std::printf("{\n  \"map_size\": %d,\n", map_size);
-  if (fleet != nullptr) {
-    std::printf("  \"fleet\": %d,\n", fleet->fleet);
-    // The fleet run is the last row (CI reads this key).
-    std::printf("  \"fleet_collected_rps\": %.2f,\n",
-                rows.back().throughput_rps());
-    std::printf("  \"collector_rounds\": %llu,\n",
-                static_cast<unsigned long long>(fleet->collector_rounds));
-    std::printf("  \"collector_targets_up\": %d,\n",
-                fleet->collector_targets_up);
-    std::printf("  \"collector_up_transitions\": %llu,\n",
-                static_cast<unsigned long long>(
-                    fleet->collector_up_transitions));
-    std::printf("  \"collector_slo_fires\": %llu,\n",
-                static_cast<unsigned long long>(fleet->slo_fires));
-    std::printf("  \"collector_slo_clears\": %llu,\n",
-                static_cast<unsigned long long>(fleet->slo_clears));
-    std::printf("  \"fleet_kill_replica\": %s,\n",
-                fleet->kill_replica ? "true" : "false");
-    std::printf("  \"fleet_swap_mid_run\": %s,\n",
-                fleet->swap_mid_run ? "true" : "false");
-    std::printf("  \"fleet_retries\": %llu,\n",
-                static_cast<unsigned long long>(fleet->retries));
-    std::printf("  \"fleet_no_replica\": %llu,\n",
-                static_cast<unsigned long long>(fleet->no_replica));
-    std::printf("  \"fleet_model_swaps\": %llu,\n",
-                static_cast<unsigned long long>(fleet->model_swaps));
-    std::printf("  \"fleet_replicas\": [\n");
-    for (std::size_t i = 0; i < fleet->replicas.size(); ++i) {
-      const auto& rep = fleet->replicas[i];
-      std::printf(
-          "    {\"index\": %d, \"port\": %d, \"healthy\": %s, "
-          "\"dispatched\": %llu, \"ok\": %llu, \"transport_errors\": %llu, "
-          "\"ejects\": %llu, \"rejoins\": %llu, "
-          "\"p50_us\": %lld, \"p95_us\": %lld, \"p99_us\": %lld}%s\n",
-          rep.index, rep.port, rep.healthy ? "true" : "false",
-          static_cast<unsigned long long>(rep.dispatched),
-          static_cast<unsigned long long>(rep.ok),
-          static_cast<unsigned long long>(rep.transport_errors),
-          static_cast<unsigned long long>(rep.ejects),
-          static_cast<unsigned long long>(rep.rejoins),
-          static_cast<long long>(rep.latency.quantile(0.50)),
-          static_cast<long long>(rep.latency.quantile(0.95)),
-          static_cast<long long>(rep.latency.quantile(0.99)),
-          i + 1 < fleet->replicas.size() ? "," : "");
-    }
-    std::printf("  ],\n");
-  }
-  std::printf("  \"runs\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RunResult& r = rows[i];
-    std::printf(
-        "    {\"mode\": \"%s\", \"connections\": %d, \"window\": %d, "
-        "\"requests\": %zu, \"ok\": %zu, \"shed\": %zu, \"timeout\": %zu, "
-        "\"errors\": %zu, \"wall_s\": %.4f, \"throughput_rps\": %.2f, "
-        "\"p50_us\": %lld, \"p95_us\": %lld, \"p99_us\": %lld, "
-        "\"queue_us_mean\": %.1f, \"batch_us_mean\": %.1f, "
-        "\"compute_us_mean\": %.1f, \"server_total_us_mean\": %.1f}%s\n",
-        r.mode.c_str(), r.connections, r.window, r.calls.size(), r.ok, r.shed,
-        r.timeout, r.errors, r.wall_s, r.throughput_rps(),
-        static_cast<long long>(r.p50_us), static_cast<long long>(r.p95_us),
-        static_cast<long long>(r.p99_us), r.queue_us, r.batch_us,
-        r.compute_us, r.server_us, i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  std::printf(
+      "  \"runs\": [\n"
+      "    {\"mode\": \"remote\", \"connections\": %d, \"window\": %d, "
+      "\"requests\": %zu, \"ok\": %zu, \"shed\": %zu, \"timeout\": %zu, "
+      "\"errors\": %zu, \"wall_s\": %.4f, \"throughput_rps\": %.2f, "
+      "\"p50_us\": %lld, \"p95_us\": %lld, \"p99_us\": %lld, "
+      "\"queue_us_mean\": %.1f, \"batch_us_mean\": %.1f, "
+      "\"compute_us_mean\": %.1f, \"server_total_us_mean\": %.1f}\n"
+      "  ]\n}\n",
+      r.connections, r.window, r.calls.size(), r.ok, r.shed, r.timeout,
+      r.errors, r.wall_s, r.throughput_rps(), static_cast<long long>(r.p50_us),
+      static_cast<long long>(r.p95_us), static_cast<long long>(r.p99_us),
+      r.queue_us, r.batch_us, r.compute_us, r.server_us);
 }
 
 int get_flag(int argc, char** argv, const char* name, int fallback) {
@@ -630,14 +308,6 @@ int main(int argc, char** argv) {
   const std::string host =
       ext_port == 0 ? "127.0.0.1"
                     : get_flag_s(argc, argv, "--host", "127.0.0.1");
-  const int fleet = std::max(0, get_flag(argc, argv, "--fleet", 0));
-  const bool kill_replica = has_flag(argc, argv, "--kill-replica");
-  const bool swap_mid_run = has_flag(argc, argv, "--swap-mid-run");
-  const int collector_port =
-      std::max(0, get_flag(argc, argv, "--collector-port", 0));
-  const int collector_interval_ms =
-      std::max(10, get_flag(argc, argv, "--collector-interval-ms", 100));
-  const int slo_p99_us = std::max(0, get_flag(argc, argv, "--slo-p99-us", 0));
   const int trace_sample =
       std::max(1, get_flag(argc, argv, "--trace-sample", 16));
   // --out-dir prefixes every file artifact (--trace-out, --slow-log) so a
@@ -695,20 +365,16 @@ int main(int argc, char** argv) {
       obs::set_trace_enabled(true);
       obs::set_trace_process_name("loadgen");
     }
-    std::vector<RunResult> rows;
+    RunResult result;
     {
       std::vector<std::unique_ptr<net::Client>> clients;
-      std::vector<net::Client*> callees;
       for (int c = 0; c < connections; ++c) {
         clients.push_back(std::make_unique<net::Client>(
             net::ClientOptions{.host = host, .port = port}));
-        callees.push_back(clients.back().get());
       }
-      std::atomic<std::size_t> done{0};
-      rows.push_back(closed_loop("remote", callees, stream, total, window,
-                                 traced ? trace_sample : 0, done));
+      result = closed_loop(clients, stream, total, window,
+                           traced ? trace_sample : 0);
     }
-    if (!json) print_row(rows.back());
 
     // Stopping the in-process server joins its workers, so every
     // server.request span (emitted after the response is written) is in
@@ -718,36 +384,13 @@ int main(int argc, char** argv) {
     server.reset();
     engine.reset();
     if (!trace_out.empty()) obs::trace_write_json(trace_out);
-    if (!slow_log.empty()) write_slow_log(slow_log, rows.back().calls);
+    if (!slow_log.empty()) write_slow_log(slow_log, result.calls);
     obs::set_trace_enabled(false);
 
-    FleetReport freport;
-    if (fleet > 0 && ext_port != 0) {
-      std::fprintf(stderr,
-                   "loadgen: --fleet needs the in-process stack; "
-                   "ignoring it with an external --port\n");
-    } else if (fleet > 0) {
-      freport = run_fleet(*net_model, stream, fleet, total, kill_replica,
-                          swap_mid_run, collector_port, collector_interval_ms,
-                          slo_p99_us, rows);
-      if (!json) {
-        print_row(rows.back());
-        std::printf("fleet(%d): retries %llu, no_replica %llu, swaps %llu, "
-                    "%llu scrape rounds, %d/%d up at end, slo fires %llu "
-                    "clears %llu\n",
-                    freport.fleet,
-                    static_cast<unsigned long long>(freport.retries),
-                    static_cast<unsigned long long>(freport.no_replica),
-                    static_cast<unsigned long long>(freport.model_swaps),
-                    static_cast<unsigned long long>(freport.collector_rounds),
-                    freport.collector_targets_up, freport.fleet,
-                    static_cast<unsigned long long>(freport.slo_fires),
-                    static_cast<unsigned long long>(freport.slo_clears));
-      }
-    }
-
     if (json) {
-      print_json(rows, map_size, freport.fleet > 0 ? &freport : nullptr);
+      print_json(result, map_size);
+    } else {
+      print_row(result);
     }
     return 0;
   } catch (const std::exception& e) {
