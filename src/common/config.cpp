@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/string_util.hpp"
 
 namespace wm {
 
@@ -48,27 +49,11 @@ std::string Config::get_string(const std::string& key) const {
 }
 
 int Config::get_int(const std::string& key) const {
-  const std::string v = get_string(key);
-  try {
-    std::size_t pos = 0;
-    const int out = std::stoi(v, &pos);
-    WM_CHECK(pos == v.size(), "trailing junk in int config '", key, "' = ", v);
-    return out;
-  } catch (const std::logic_error&) {
-    throw InvalidArgument("config key '" + key + "' is not an int: " + v);
-  }
+  return parse_int(get_string(key), "config key '" + key + "'");
 }
 
 double Config::get_double(const std::string& key) const {
-  const std::string v = get_string(key);
-  try {
-    std::size_t pos = 0;
-    const double out = std::stod(v, &pos);
-    WM_CHECK(pos == v.size(), "trailing junk in double config '", key, "' = ", v);
-    return out;
-  } catch (const std::logic_error&) {
-    throw InvalidArgument("config key '" + key + "' is not a double: " + v);
-  }
+  return parse_double(get_string(key), "config key '" + key + "'");
 }
 
 bool Config::get_bool(const std::string& key) const {

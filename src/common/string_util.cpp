@@ -2,8 +2,29 @@
 
 #include <cctype>
 #include <sstream>
+#include <stdexcept>
+
+#include "common/error.hpp"
 
 namespace wm {
+
+namespace {
+
+/// Runs parse(text, &pos) and requires it to consume the whole text.
+template <typename Parse>
+auto parse_whole(const std::string& text, const std::string& what,
+                 const char* type, Parse parse) {
+  try {
+    std::size_t pos = 0;
+    const auto out = parse(text, &pos);
+    if (pos == text.size()) return out;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument (no number) or std::out_of_range.
+  }
+  throw InvalidArgument(what + " is not " + type + ": '" + text + "'");
+}
+
+}  // namespace
 
 std::string format_fixed(double v, int decimals) {
   std::ostringstream os;
@@ -61,6 +82,20 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
 
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
+}
+
+int parse_int(const std::string& text, const std::string& what) {
+  return parse_whole(text, what, "an int",
+                     [](const std::string& t, std::size_t* pos) {
+                       return std::stoi(t, pos);
+                     });
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  return parse_whole(text, what, "a number",
+                     [](const std::string& t, std::size_t* pos) {
+                       return std::stod(t, pos);
+                     });
 }
 
 }  // namespace wm

@@ -28,4 +28,12 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep);
 /// True if s starts with prefix.
 bool starts_with(const std::string& s, const std::string& prefix);
 
+/// Parses all of `text` as a decimal int (std::stoi) or a double
+/// (std::stod). Throws wm::InvalidArgument naming `what` (a flag or a
+/// config key) when the text is empty, holds anything after the number
+/// ("3x", "0.9oops"), or is out of the type's range ("99999999999",
+/// "1e999"); a bare numeric prefix never passes for the whole value.
+int parse_int(const std::string& text, const std::string& what);
+double parse_double(const std::string& text, const std::string& what);
+
 }  // namespace wm

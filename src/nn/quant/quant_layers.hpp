@@ -6,9 +6,11 @@
 // per-batch) activation ranges keep every sample's output independent of
 // what it was batched with — the wm::Classifier contract.
 //
-// There is no backward — quantized layers serve the predictor hot path
-// only; training stays fp32. Forwards are const and reentrant (scratch is
-// local), matching the Classifier thread-safety contract.
+// There is no backward; training stays fp32. These forwards are the int8
+// reference path: the serving plan (selective/inference_plan.hpp) packs the
+// same weights once and reproduces their bits. Forwards are const and
+// reentrant (scratch is local), matching the Classifier thread-safety
+// contract.
 #pragma once
 
 #include "nn/layers/conv2d.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -68,11 +69,35 @@ void refresh_row_sums(QuantizedWeights& qw) {
 }
 
 ActivationQuant choose_activation_quant(const float* x, std::int64_t n) {
+  // Sixteen independent lanes in one vector (GCC vector extensions, as in
+  // gemm.cpp), so the scan runs at SIMD width. Each lane makes std::min's
+  // and std::max's choice (a NaN never replaces, and +0 is kept over -0),
+  // and every lane starts at +0, so each lane holds +0 or a value of the one
+  // serial answer, and combining them yields the serial scan's bits.
+  typedef float Lanes __attribute__((vector_size(64), aligned(4)));
+  constexpr std::int64_t kLanes = sizeof(Lanes) / sizeof(float);
+  Lanes vlo = {};
+  Lanes vhi = {};  // range always includes 0 (see header)
+  std::int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Lanes v;
+    std::memcpy(&v, x + i, sizeof(v));
+    vlo = v < vlo ? v : vlo;
+    vhi = vhi < v ? v : vhi;
+  }
+  float lanes_lo[kLanes];
+  float lanes_hi[kLanes];
+  std::memcpy(lanes_lo, &vlo, sizeof(vlo));
+  std::memcpy(lanes_hi, &vhi, sizeof(vhi));
+  for (std::int64_t l = 0; i < n; ++i, ++l) {
+    lanes_lo[l] = std::min(lanes_lo[l], x[i]);
+    lanes_hi[l] = std::max(lanes_hi[l], x[i]);
+  }
   float lo = 0.0f;
-  float hi = 0.0f;  // range always includes 0 (see header)
-  for (std::int64_t i = 0; i < n; ++i) {
-    lo = std::min(lo, x[i]);
-    hi = std::max(hi, x[i]);
+  float hi = 0.0f;
+  for (std::int64_t l = 0; l < kLanes; ++l) {
+    lo = std::min(lo, lanes_lo[l]);
+    hi = std::max(hi, lanes_hi[l]);
   }
   ActivationQuant aq;
   if (hi == lo) return aq;  // all-zero tensor: scale 1, zero point 0

@@ -1,33 +1,50 @@
-// A SelectiveNet compiled for serving: the f and g of Eq. 2 in eval mode,
-// frozen at compile time.
+// A selective net compiled for serving: the f and g of Eq. 2 in eval mode,
+// frozen at compile time, from an fp32 SelectiveNet or an int8
+// QuantizedSelectiveNet.
 //
-// Compiling copies what inference needs out of the net: each conv's filters
-// packed once into the GEMM's A panels, the FC and head weights packed once
-// into B panels, and per-channel conv bias and BatchNorm constants, with
-// inv_std computed exactly as BatchNorm2d's eval forward computes it. The
-// plan keeps no reference to the net, so later changes to the net (or its
-// destruction) do not reach it.
+// Compiling copies what inference needs out of the net, and each stage
+// holds the packed panels of its own precision: each conv's filters packed
+// once into the GEMM's A panels, the FC and head weights packed once into B
+// panels, and per-channel epilogue constants (fp32: conv bias and BatchNorm,
+// with inv_std computed exactly as BatchNorm2d's eval forward computes it;
+// int8: weight scales, weight row sums and the folded bias). The plan keeps
+// no reference to the net, so later changes to the net (or its destruction)
+// do not reach it.
 //
-// infer() runs each image through three stages with per-thread scratch,
-// fanning images over ThreadPool::global() as Conv2d::forward does:
+// infer() runs each image through three conv stages with per-thread scratch,
+// fanning images over ThreadPool::global() as Conv2d::forward does. An fp32
+// stage is
 //
 //   sgemm_conv (im2col packed straight into the GEMM panels)
 //     -> one pass: + bias -> (x - mean) * inv_std -> gamma * norm + beta
 //                  -> ReLU -> 2x2 max into the next stage's input
 //
-// conv3's pass writes the image's row of the FC input. FC + ReLU, both heads
-// and the sigmoid then run once over the batch. BatchNorm is not folded into
-// the weights (that changes bits), and every GEMM accumulates in the order of
-// the layer it replaces, so logits and g are bit-identical to
-// SelectiveNet::forward(images, false) for any thread count and batch
-// grouping. infer() is const and reentrant.
+// and an int8 stage is
+//
+//   activation range -> quantize into a u8 image bordered with the zero
+//   point -> i8gemm_conv (the image packed straight into the i8gemm panels;
+//   dequantize + bias [+ ReLU] in its epilogue) -> 2x2 max into the next
+//   stage's input
+//
+// conv3's pooled output is the image's row of the FC input. FC (+ ReLU),
+// both heads and the sigmoid then run once over the batch, fp32 or int8
+// with per-row activation parameters. Every float operation runs on the
+// values, and in the order, of the layer path it replaces, so logits and g
+// are bit-identical for any thread count and batch grouping to
+// SelectiveNet::forward(images, false) (fp32), or to QuantConv2d::forward ->
+// 2x2 MaxPool2d -> ... -> QuantLinear::forward -> 1 / (1 + e^-x) (int8).
+// infer() is const and reentrant.
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <variant>
 #include <vector>
 
+#include "selective/quant_net.hpp"
 #include "selective/selective_net.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/i8gemm.hpp"
 #include "tensor/im2col.hpp"
 
 namespace wm::selective {
@@ -37,35 +54,85 @@ class InferencePlan {
   /// Compiles the net's current parameters and BatchNorm statistics.
   explicit InferencePlan(const SelectiveNet& net);
 
+  /// Compiles the quantized net's int8 weights. Throws wm::Error unless
+  /// every conv is stride 1 with pad = kernel / 2 (odd kernel), the "same"
+  /// convs the per-thread scratch is sized for.
+  explicit InferencePlan(const QuantizedSelectiveNet& net);
+
   /// Eval-mode forward over (N, 1, map_size, map_size) images.
   SelectiveOutput infer(const Tensor& images) const;
 
   const SelectiveNetOptions& options() const { return opts_; }
 
+  /// True when compiled from a QuantizedSelectiveNet.
+  bool is_quantized() const { return quantized_; }
+
  private:
-  /// One conv -> [BatchNorm] -> ReLU -> 2x2 max-pool block.
-  struct ConvStage {
+  /// Per-thread scratch of one image's pass: conv output floats and the
+  /// bordered u8 image of an int8 stage.
+  struct Scratch {
+    float* conv;
+    std::uint8_t* bordered;
+  };
+
+  /// One conv -> [BatchNorm] -> ReLU -> 2x2 max-pool block in fp32.
+  struct Fp32Conv {
     ConvGeometry geom;
     PackedPanels weights;
     std::vector<float> bias;
     // Per-channel BatchNorm constants; empty when the net has no BatchNorm.
     std::vector<float> mean, inv_std, gamma, beta;
 
-    std::int64_t out_size() const { return weights.rows * geom.col_cols(); }
-    /// Convolves `image` into `conv` (out_size() floats of scratch, left
-    /// clobbered), then writes the pooled activations to `pooled`.
-    void run(const float* image, float* conv, float* pooled) const;
+    /// Writes the image's pooled activations to `pooled`.
+    void run(const float* image, const Scratch& s, float* pooled) const;
   };
-  struct Dense {
+  /// An int8 layer's weights, packed at load, and epilogue constants.
+  struct Int8Layer {
+    I8PackedPanels weights;
+    std::vector<float> scales;
+    std::vector<std::int32_t> row_sums;
+    std::vector<float> bias;
+    bool relu;
+
+    /// The epilogue, short of the activation parameters.
+    I8Epilogue epilogue() const;
+  };
+  /// One quantized conv [+ fused ReLU] -> 2x2 max-pool block.
+  struct Int8Conv : Int8Layer {
+    ConvGeometry geom;
+
+    void run(const float* image, const Scratch& s, float* pooled) const;
+  };
+  using ConvStage = std::variant<Fp32Conv, Int8Conv>;
+
+  /// One linear layer [+ ReLU] over the batch: y (n x out) from x (n x in).
+  struct Fp32Dense {
     PackedPanels weights;
     std::vector<float> bias;
+    bool relu;
+
+    void run(std::int64_t n, const float* x, float* y) const;
   };
+  struct Int8Dense : Int8Layer {
+    void run(std::int64_t n, const float* x, float* y) const;
+  };
+  using DenseStage = std::variant<Fp32Dense, Int8Dense>;
+
+  /// Sizes the per-thread scratch once the stages are built.
+  void size_scratch();
 
   SelectiveNetOptions opts_;
+  bool quantized_ = false;
   std::array<ConvStage, 3> convs_;
-  Dense fc_;
-  Dense head_f_;
-  Dense head_g_;
+  DenseStage fc_;
+  DenseStage head_f_;
+  DenseStage head_g_;
+  // Per-thread scratch: the largest conv output and the pooled inputs of
+  // conv2 and conv3, in floats; the largest bordered int8 input, in bytes.
+  std::int64_t conv_scratch_ = 0;
+  std::int64_t in2_ = 0;
+  std::int64_t in3_ = 0;
+  std::int64_t bordered_scratch_ = 0;
 };
 
 }  // namespace wm::selective

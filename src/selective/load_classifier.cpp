@@ -1,7 +1,6 @@
 #include "selective/load_classifier.hpp"
 
 #include <cmath>
-#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -13,15 +12,13 @@ namespace wm {
 
 namespace {
 
-/// The selective classifier over a compiled fp32 InferencePlan or a
-/// QuantizedSelectiveNet. It references `model` and, when `owned` holds it,
-/// keeps it alive.
-template <typename Model>
-class SelectiveClassifier final : public LoadedClassifier {
+/// The selective classifier over a compiled InferencePlan of either
+/// precision. It owns the plan and references no net.
+class PlanClassifier final : public LoadedClassifier {
  public:
-  SelectiveClassifier(const Model& model, std::unique_ptr<const Model> owned,
-                      const ClassifierLoadOptions& opts)
-      : model_(model), owned_(std::move(owned)), opts_(opts) {
+  PlanClassifier(selective::InferencePlan plan,
+                 const ClassifierLoadOptions& opts)
+      : plan_(std::move(plan)), opts_(opts) {
     WM_CHECK(!std::isnan(opts.threshold) && opts.threshold >= 0.0f &&
                  opts.threshold <= 1.0f,
              "threshold out of [0,1]");
@@ -31,35 +28,24 @@ class SelectiveClassifier final : public LoadedClassifier {
   std::vector<SelectivePrediction> predict_batch(
       std::span<const WaferMap> maps) const override {
     return selective::detail::predict_batched(
-        [this](const Tensor& images) { return model_.infer(images); },
+        [this](const Tensor& images) { return plan_.infer(images); },
         map_size(), opts_.threshold, opts_.eval_batch, maps);
   }
-  int num_classes() const override { return model_.options().num_classes; }
-  int map_size() const override { return model_.options().map_size; }
-  bool is_quantized() const override {
-    return std::is_same_v<Model, selective::QuantizedSelectiveNet>;
-  }
+  int num_classes() const override { return plan_.options().num_classes; }
+  int map_size() const override { return plan_.options().map_size; }
+  bool is_quantized() const override { return plan_.is_quantized(); }
   float threshold() const override { return opts_.threshold; }
 
  private:
-  const Model& model_;
-  std::unique_ptr<const Model> owned_;
+  const selective::InferencePlan plan_;
   ClassifierLoadOptions opts_;
 };
 
-template <typename Model>
-std::unique_ptr<LoadedClassifier> owning(std::unique_ptr<Model> model,
-                                         const ClassifierLoadOptions& opts) {
-  WM_CHECK(model != nullptr, "load_classifier: null net");
-  const Model& ref = *model;
-  return std::make_unique<SelectiveClassifier<Model>>(ref, std::move(model),
-                                                      opts);
-}
-
 /// Compiles the net into a plan the classifier owns; the net is not kept.
-std::unique_ptr<LoadedClassifier> compiled(const selective::SelectiveNet& net,
+template <typename Net>
+std::unique_ptr<LoadedClassifier> compiled(const Net& net,
                                            const ClassifierLoadOptions& opts) {
-  return owning(std::make_unique<selective::InferencePlan>(net), opts);
+  return std::make_unique<PlanClassifier>(selective::InferencePlan(net), opts);
 }
 
 }  // namespace
@@ -69,7 +55,7 @@ std::unique_ptr<LoadedClassifier> load_classifier(
   if (selective::probe_model_file(path) == selective::ModelFileKind::kFloat) {
     return compiled(*selective::load_model(path), opts);
   }
-  return owning(selective::load_quantized_model(path), opts);
+  return compiled(*selective::load_quantized_model(path), opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
@@ -87,8 +73,7 @@ std::unique_ptr<LoadedClassifier> load_classifier(
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::QuantizedSelectiveNet& net,
     const ClassifierLoadOptions& opts) {
-  return std::make_unique<SelectiveClassifier<selective::QuantizedSelectiveNet>>(
-      net, nullptr, opts);
+  return compiled(net, opts);
 }
 
 }  // namespace wm

@@ -20,12 +20,11 @@
 // reentrant, so one classifier may serve concurrent predict_batch calls;
 // results are bit-identical for any thread count and batch grouping.
 //
-// Ownership: an fp32 net is compiled into a selective::InferencePlan at load
-// time, and the classifier keeps the plan, not the net. Every fp32 overload
-// therefore copies what it needs: the caller may destroy or keep training
-// its net afterwards without changing the classifier's predictions (load
-// again to serve new weights). Only the quantized borrow overload still
-// references its net, which must outlive the classifier.
+// Ownership: a net of either precision is compiled into a
+// selective::InferencePlan at load time, and the classifier keeps the plan,
+// not the net. Every overload therefore copies what it needs: the caller may
+// destroy or keep training its net afterwards without changing the
+// classifier's predictions (load again to serve new weights).
 #pragma once
 
 #include <memory>
@@ -46,8 +45,8 @@ struct ClassifierLoadOptions {
   int eval_batch = 256;
 };
 
-/// A Classifier that carries its backing model (an fp32 plan or an int8 net
-/// it owns, or an int8 net it borrows) plus artifact metadata.
+/// A Classifier that carries its compiled model (an fp32 or int8 plan) plus
+/// artifact metadata.
 class LoadedClassifier : public Classifier {
  public:
   /// Wafer edge length the model was trained for (resize inputs to this).
@@ -78,7 +77,8 @@ std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts = {});
 
-/// Wraps an in-memory quantized net (borrowed; must outlive the classifier).
+/// Compiles an in-memory quantized net; the classifier does not reference
+/// `net` afterwards.
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::QuantizedSelectiveNet& net,
     const ClassifierLoadOptions& opts = {});

@@ -1,7 +1,5 @@
 #include "selective/quant_net.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <tuple>
 #include <utility>
 
@@ -9,34 +7,6 @@
 #include "nn/layers/batchnorm2d.hpp"
 
 namespace wm::selective {
-
-namespace {
-
-/// 2x2 stride-2 max pool over (N, C, H, W) — the only trunk op left in
-/// float. It is cheap, and max is order-preserving, so there is nothing to
-/// gain from an integer version.
-Tensor maxpool2(const Tensor& x) {
-  const std::int64_t h = x.dim(2);
-  const std::int64_t w = x.dim(3);
-  const std::int64_t oh = h / 2;
-  const std::int64_t ow = w / 2;
-  Tensor out(Shape{x.dim(0), x.dim(1), oh, ow});
-  const std::int64_t planes = x.dim(0) * x.dim(1);
-  for (std::int64_t pl = 0; pl < planes; ++pl) {
-    const float* plane = x.data() + pl * h * w;
-    float* oplane = out.data() + pl * oh * ow;
-    for (std::int64_t i = 0; i < oh; ++i) {
-      for (std::int64_t j = 0; j < ow; ++j) {
-        const float* p = plane + 2 * i * w + 2 * j;
-        oplane[i * ow + j] =
-            std::max(std::max(p[0], p[1]), std::max(p[w], p[w + 1]));
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 QuantizedSelectiveNet::QuantizedSelectiveNet(
     const SelectiveNetOptions& opts, nn::quant::QuantConv2d conv1,
@@ -64,28 +34,6 @@ QuantizedSelectiveNet::QuantizedSelectiveNet(
           head_g_.in_features() == opts_.fc_units &&
           head_g_.out_features() == 1,
       "quantized layer shapes do not match the net options");
-}
-
-SelectiveOutput QuantizedSelectiveNet::infer(const Tensor& images) const {
-  WM_CHECK_SHAPE(images.rank() == 4 && images.dim(1) == 1 &&
-                     images.dim(2) == opts_.map_size &&
-                     images.dim(3) == opts_.map_size,
-                 "QuantizedSelectiveNet expects (N,1,", opts_.map_size, ",",
-                 opts_.map_size, "), got ", images.shape().to_string());
-  Tensor x = maxpool2(conv1_.forward(images));  // relu fused into the conv
-  x = maxpool2(conv2_.forward(x));
-  x = maxpool2(conv3_.forward(x));
-  const std::int64_t n = x.dim(0);
-  x = x.reshape(Shape{n, x.numel() / std::max<std::int64_t>(n, 1)});
-  x = fc_.forward(x);  // relu fused
-  SelectiveOutput out;
-  out.logits = head_f_.forward(x);
-  Tensor g = head_g_.forward(x);
-  for (std::int64_t i = 0; i < g.numel(); ++i) {
-    g[i] = 1.0f / (1.0f + std::exp(-g[i]));
-  }
-  out.g = std::move(g);
-  return out;
 }
 
 QuantizedSelectiveNet quantize_selective_net(SelectiveNet& net) {

@@ -6,7 +6,9 @@
 //
 //   [qconv+relu -> pool] x3 -> flatten -> qfc+relu -> {qhead_f, qhead_g+sigmoid}
 //
-// Inference only — there is no backward and no training path. Produced by
+// Inference only — there is no backward and no training path — and the net
+// holds the layers without running them: an InferencePlan compiled from it
+// serves that forward (inference_plan.hpp). Produced by
 // quantize_selective_net() from a trained fp32 net, or reconstructed from a
 // WSN2 model file (model_file.hpp).
 #pragma once
@@ -29,14 +31,10 @@ class QuantizedSelectiveNet {
                         nn::quant::QuantLinear head_f,
                         nn::quant::QuantLinear head_g);
 
-  /// Eval-mode forward over (N, 1, map_size, map_size) images. Const and
-  /// reentrant: all scratch is call-local, so one net may serve concurrent
-  /// callers — the same contract as the fp32 InferencePlan::infer.
-  SelectiveOutput infer(const Tensor& images) const;
-
   const SelectiveNetOptions& options() const { return opts_; }
 
-  // Layer accessors for serialization (model_file.cpp).
+  // Layer accessors for serialization (model_file.cpp), for compiling an
+  // InferencePlan, and for the layer-by-layer reference path.
   const nn::quant::QuantConv2d& conv1() const { return conv1_; }
   const nn::quant::QuantConv2d& conv2() const { return conv2_; }
   const nn::quant::QuantConv2d& conv3() const { return conv3_; }

@@ -22,12 +22,23 @@
 // scalar. All three consume the same packed layout (K in groups of 4,
 // zero-padded) and produce identical bits.
 //
+// As in gemm.hpp, every entry point runs one macro-kernel and one epilogue,
+// and only the source of the A and B micro-panels differs: packed from
+// strided memory on every call (i8gemm_bias_rows, i8gemm_bt_bias_cols),
+// pre-packed once (I8PackedPanels: weights fixed across calls), or packed
+// straight from a bordered u8 image (i8gemm_conv: im2col_u8 without the
+// column buffer). Integer accumulation makes every source give the same
+// bits for the same product.
+//
 // Threading mirrors sgemm: large products split across
 // ThreadPool::global() by row- or column-panels; int32 accumulation makes
 // the split trivially reproducible.
 #pragma once
 
 #include <cstdint>
+#include <vector>
+
+#include "tensor/im2col.hpp"
 
 namespace wm {
 
@@ -63,5 +74,45 @@ void i8gemm_bias_rows(std::int64_t m, std::int64_t n, std::int64_t k,
 void i8gemm_bt_bias_cols(std::int64_t m, std::int64_t n, std::int64_t k,
                          const std::uint8_t* a, const std::int8_t* b, float* c,
                          const I8Epilogue& epilogue);
+
+/// An int8 GEMM operand packed once into the kernel's micro-panel layout,
+/// for weights that stay fixed across many products. Built by the int8
+/// pack_weights_a / pack_weights_bt; the layout of `data` is private to
+/// i8gemm.cpp.
+struct I8PackedPanels {
+  std::vector<std::int8_t> data;
+  std::int64_t rows = 0;   // M of an A operand, N of a B operand
+  std::int64_t depth = 0;  // K
+  std::int64_t panel = 0;  // micro-panel width: the kernel's kMR or kNR
+};
+
+/// Packs row-major int8 W (M x K) as the A operand of i8gemm_conv (filters).
+I8PackedPanels pack_weights_a(std::int64_t m, std::int64_t k,
+                              const std::int8_t* w);
+
+/// Packs row-major int8 W (N x K) as the B operand of
+/// i8gemm_packed_bt_bias_cols (linear layers).
+I8PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k,
+                               const std::int8_t* w);
+
+/// One image's quantized convolution with implicit im2col:
+///   C (OC x OH*OW) = epilogue(W (OC x C*KH*KW) * im2col(image))
+/// with W from the int8 pack_weights_a(OC, g.col_rows(), ...). `image` is
+/// bordered: (C, H + 2·pad, W + 2·pad) u8, with the pad-wide ring already
+/// holding the value the padding taps read (the activation zero point). Its
+/// columns are packed straight into the kernel's B panels, so no column
+/// buffer is built. Bit-identical to im2col_u8(g, unbordered, col, ring)
+/// followed by i8gemm_bias_rows(OC, g.col_cols(), g.col_rows(), W, col, c,
+/// epilogue).
+void i8gemm_conv(const ConvGeometry& g, const I8PackedPanels& w,
+                 const std::uint8_t* image, float* c,
+                 const I8Epilogue& epilogue);
+
+/// Linear layer with weights from the int8 pack_weights_bt(N, K, W):
+///   Y (M x N) = epilogue(X (M x K) * W^T)
+/// Bit-identical to i8gemm_bt_bias_cols(M, N, K, x, W, y, epilogue).
+void i8gemm_packed_bt_bias_cols(std::int64_t m, const std::uint8_t* x,
+                                const I8PackedPanels& w, float* y,
+                                const I8Epilogue& epilogue);
 
 }  // namespace wm

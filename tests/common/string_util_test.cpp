@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hpp"
+
 namespace wm {
 namespace {
 
@@ -49,6 +53,28 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(starts_with("wafer_map", "wafer"));
   EXPECT_FALSE(starts_with("wafer", "wafer_map"));
   EXPECT_TRUE(starts_with("x", ""));
+}
+
+TEST(StringUtilTest, ParseNumbersTakeTheWholeToken) {
+  EXPECT_EQ(parse_int("42", "--n"), 42);
+  EXPECT_EQ(parse_int("-7", "--n"), -7);
+  EXPECT_DOUBLE_EQ(parse_double("0.9", "--t"), 0.9);
+  EXPECT_DOUBLE_EQ(parse_double("2.5e-3", "--t"), 2.5e-3);
+  EXPECT_DOUBLE_EQ(parse_double("99999999999", "--t"), 99999999999.0);
+  // Trailing junk, nothing at all, and values past the type's range.
+  for (const char* bad : {"0.9oops", "3x", "", "1e999", "99999999999"}) {
+    EXPECT_THROW(parse_int(bad, "--n"), InvalidArgument) << bad;
+  }
+  for (const char* bad : {"0.9oops", "3x", "", "1e999"}) {
+    EXPECT_THROW(parse_double(bad, "--t"), InvalidArgument) << bad;
+  }
+  try {
+    parse_int("2x", "--per-class");
+    FAIL() << "2x parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--per-class"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -81,6 +85,71 @@ TEST(QuantizeTest, ZeroPointRepresentsZeroExactly) {
   const ActivationQuant z = choose_activation_quant(zeros.data(), 8);
   EXPECT_FLOAT_EQ(z.scale, 1.0f);
   EXPECT_EQ(z.zero_point, 0);
+}
+
+/// choose_activation_quant as one serial std::min / std::max scan.
+ActivationQuant serial_activation_quant(const float* x, std::int64_t n) {
+  float lo = 0.0f;
+  float hi = 0.0f;
+  for (std::int64_t i = 0; i < n; ++i) {
+    lo = std::min(lo, x[i]);
+    hi = std::max(hi, x[i]);
+  }
+  ActivationQuant aq;
+  if (hi == lo) return aq;
+  aq.scale = (hi - lo) / 127.0f;
+  aq.zero_point = std::clamp(
+      static_cast<std::int32_t>(std::lround(-lo / aq.scale)), 0, 127);
+  return aq;
+}
+
+TEST(QuantizeTest, ActivationRangeMatchesSerialScan) {
+  Rng rng(11);
+  // Each fills x[i] for one input family.
+  const std::vector<std::pair<std::string, float (*)(Rng&, std::int64_t)>>
+      families = {
+          {"mixed", [](Rng& r, std::int64_t) {
+             return static_cast<float>(r.uniform(-2.0, 5.0));
+           }},
+          {"mixed with NaN", [](Rng& r, std::int64_t i) {
+             return i % 5 == 2 ? std::numeric_limits<float>::quiet_NaN()
+                               : static_cast<float>(r.uniform(-3.0, 2.0));
+           }},
+          {"signed zeros", [](Rng& r, std::int64_t) {
+             return r.bernoulli(0.5) ? -0.0f : 0.0f;
+           }},
+          {"signed zeros and one value", [](Rng& r, std::int64_t i) {
+             return i == 3 ? 0.75f : (r.bernoulli(0.5) ? -0.0f : 0.0f);
+           }},
+          {"all negative", [](Rng& r, std::int64_t) {
+             return static_cast<float>(r.uniform(-4.0, -0.1));
+           }},
+          {"all negative with -0", [](Rng& r, std::int64_t i) {
+             return i % 3 == 0 ? -0.0f
+                               : static_cast<float>(r.uniform(-4.0, -0.1));
+           }},
+          {"all zero", [](Rng&, std::int64_t) { return 0.0f; }},
+          {"all NaN", [](Rng&, std::int64_t) {
+             return std::numeric_limits<float>::quiet_NaN();
+           }},
+          {"NaN first", [](Rng& r, std::int64_t i) {
+             return i == 0 ? std::numeric_limits<float>::quiet_NaN()
+                           : static_cast<float>(r.uniform(-1.0, 1.0));
+           }},
+      };
+  for (const auto& [name, fill] : families) {
+    for (std::int64_t n = 1; n <= 70; ++n) {
+      std::vector<float> x(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) {
+        x[static_cast<std::size_t>(i)] = fill(rng, i);
+      }
+      const ActivationQuant got = choose_activation_quant(x.data(), n);
+      const ActivationQuant want = serial_activation_quant(x.data(), n);
+      EXPECT_EQ(std::memcmp(&got.scale, &want.scale, sizeof(float)), 0)
+          << name << ", n = " << n << ": " << got.scale << " vs " << want.scale;
+      EXPECT_EQ(got.zero_point, want.zero_point) << name << ", n = " << n;
+    }
+  }
 }
 
 TEST(QuantizeTest, FoldedBatchnormMatchesConvBnEval) {

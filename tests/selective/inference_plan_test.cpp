@@ -1,9 +1,12 @@
-// InferencePlan, the compiled fp32 serving path: its logits and g must be
-// the bits of SelectiveNet::forward(x, false), and load_classifier's
-// predictions the bits of predict_batched over that forward, for every net
-// shape, batch size, thread count and concurrent caller.
+// InferencePlan, the compiled serving path of both precisions: its logits
+// and g must be the bits of the layer path it replaces (fp32:
+// SelectiveNet::forward(x, false); int8: QuantConv2d::forward -> 2x2
+// MaxPool2d -> ... -> QuantLinear::forward -> sigmoid), and
+// load_classifier's predictions the bits of predict_batched over that path,
+// for every net shape, batch size, thread count and concurrent caller.
 #include "selective/inference_plan.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <ostream>
 #include <string>
@@ -15,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "nn/layers/maxpool2d.hpp"
 #include "selective/batched_inference.hpp"
 #include "selective/load_classifier.hpp"
 #include "serve/hot_swap.hpp"
@@ -96,12 +100,26 @@ Tensor head_rows(const Tensor& t, std::int64_t n) {
   return out;
 }
 
-/// The pre-plan serving path: predict_batched over the net's eval forward.
-std::vector<SelectivePrediction> reference_predictions(
-    SelectiveNet& net, std::span<const WaferMap> maps) {
-  return detail::predict_batched(
-      [&](const Tensor& x) { return net.forward(x, /*training=*/false); },
-      net.options().map_size, /*threshold=*/0.5f, kEvalBatch, maps);
+/// The int8 layer path: each quantized layer's own forward, MaxPool2d
+/// between the convs and 1 / (1 + e^-x) after head_g.
+SelectiveOutput int8_layer_path(const QuantizedSelectiveNet& q,
+                                const Tensor& images) {
+  nn::MaxPool2d pool(2);
+  Tensor x = images;
+  for (const nn::quant::QuantConv2d* conv : {&q.conv1(), &q.conv2(),
+                                             &q.conv3()}) {
+    x = pool.forward(conv->forward(x), /*training=*/false);
+  }
+  const std::int64_t n = x.dim(0);
+  x = x.reshape(Shape{n, x.numel() / n});
+  x = q.fc().forward(x);
+  SelectiveOutput out;
+  out.logits = q.head_f().forward(x);
+  out.g = q.head_g().forward(x);
+  for (std::int64_t i = 0; i < out.g.numel(); ++i) {
+    out.g[i] = 1.0f / (1.0f + std::exp(-out.g[i]));
+  }
+  return out;
 }
 
 void expect_same_predictions(const std::vector<SelectivePrediction>& got,
@@ -128,21 +146,20 @@ class InferencePlanTest : public ::testing::TestWithParam<PlanCase> {
   void TearDown() override { ThreadPool::configure_global(0); }
 };
 
-TEST_P(InferencePlanTest, BitMatchesTheEvalForward) {
-  const SelectiveNetOptions& opts = GetParam().opts;
-  SelectiveNet net = random_net(opts, 7);
-  const InferencePlan plan(net);
-  const auto clf = load_classifier(net, {.threshold = 0.5f,
-                                         .eval_batch = kEvalBatch});
-
+/// Checks `plan` and `clf` against `reference` (the layer path) on batches
+/// of 1, 7 and 25 images and on predict_batch calls, at pool sizes 1 and 4.
+template <typename Reference>
+void expect_bit_match(const InferencePlan& plan, const LoadedClassifier& clf,
+                      const Reference& reference) {
+  const int map = plan.options().map_size;
   Rng rng(8);
-  const Tensor images =
-      Tensor::normal(Shape{25, 1, opts.map_size, opts.map_size}, rng);
-  const SelectiveOutput want = net.forward(images, /*training=*/false);
+  const Tensor images = Tensor::normal(Shape{25, 1, map, map}, rng);
+  const SelectiveOutput want = reference(images);
   // More wafers than one eval batch, so predict_batch splits them.
-  const std::vector<WaferMap> maps =
-      random_maps(kEvalBatch * 2 + 3, opts.map_size, 9);
-  const auto want_pred = reference_predictions(net, maps);
+  const std::vector<WaferMap> maps = random_maps(kEvalBatch * 2 + 3, map, 9);
+  // The pre-plan serving path: predict_batched over the layer path.
+  const auto want_pred = detail::predict_batched(
+      reference, map, /*threshold=*/0.5f, kEvalBatch, maps);
 
   for (const std::size_t threads : {1, 4}) {
     ThreadPool::configure_global(threads);
@@ -157,13 +174,36 @@ TEST_P(InferencePlanTest, BitMatchesTheEvalForward) {
     for (const std::size_t n : {std::size_t{1}, std::size_t{7}, maps.size()}) {
       const std::span<const WaferMap> some(maps.data(), n);
       expect_same_predictions(
-          clf->predict_batch(some),
+          clf.predict_batch(some),
           std::vector<SelectivePrediction>(want_pred.begin(),
                                            want_pred.begin() + n),
           "predict_batch of " + std::to_string(n) + ", " +
               std::to_string(threads) + " threads");
     }
   }
+}
+
+TEST_P(InferencePlanTest, BitMatchesTheEvalForward) {
+  SelectiveNet net = random_net(GetParam().opts, 7);
+  const InferencePlan plan(net);
+  EXPECT_FALSE(plan.is_quantized());
+  const auto clf = load_classifier(net, {.threshold = 0.5f,
+                                         .eval_batch = kEvalBatch});
+  expect_bit_match(plan, *clf, [&](const Tensor& x) {
+    return net.forward(x, /*training=*/false);
+  });
+}
+
+TEST_P(InferencePlanTest, Int8BitMatchesTheLayerPath) {
+  SelectiveNet net = random_net(GetParam().opts, 7);
+  const QuantizedSelectiveNet qnet = quantize_selective_net(net);
+  const InferencePlan plan(qnet);
+  EXPECT_TRUE(plan.is_quantized());
+  const auto clf = load_classifier(qnet, {.threshold = 0.5f,
+                                          .eval_batch = kEvalBatch});
+  expect_bit_match(plan, *clf, [&](const Tensor& x) {
+    return int8_layer_path(qnet, x);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,40 +222,81 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Per-thread scratch and the image fan-out: four callers on one classifier
 // at once, over a pool that also splits their batches, each get the answers
-// of a serial run.
+// of a serial run, for both precisions.
 TEST(InferencePlanConcurrencyTest, ConcurrentCallersGetTheSerialAnswers) {
   SelectiveNet net = random_net(shrunken(16, true), 11);
-  const auto clf = load_classifier(net, {.threshold = 0.5f,
-                                         .eval_batch = kEvalBatch});
+  const ClassifierLoadOptions opts{.threshold = 0.5f, .eval_batch = kEvalBatch};
+  const std::unique_ptr<LoadedClassifier> clfs[] = {
+      load_classifier(net, opts),
+      load_classifier(quantize_selective_net(net), opts)};
   const std::vector<WaferMap> maps = random_maps(25, 16, 12);
-  ThreadPool::configure_global(1);
-  const auto serial = clf->predict_batch(maps);
-  ThreadPool::configure_global(4);
-  constexpr int kRounds = 5;
-  std::vector<std::vector<std::vector<SelectivePrediction>>> got(
-      4, std::vector<std::vector<SelectivePrediction>>(kRounds));
-  std::vector<std::thread> callers;
-  for (std::size_t t = 0; t < got.size(); ++t) {
-    callers.emplace_back([&, t] {
-      for (int r = 0; r < kRounds; ++r) got[t][r] = clf->predict_batch(maps);
-    });
-  }
-  for (std::thread& c : callers) c.join();
-  ThreadPool::configure_global(0);
-  for (std::size_t t = 0; t < got.size(); ++t) {
-    for (int r = 0; r < kRounds; ++r) {
-      expect_same_predictions(got[t][r], serial,
-                              "caller " + std::to_string(t) + " round " +
-                                  std::to_string(r));
+  for (const auto& clf : clfs) {
+    const std::string precision = clf->is_quantized() ? "int8" : "fp32";
+    ThreadPool::configure_global(1);
+    const auto serial = clf->predict_batch(maps);
+    ThreadPool::configure_global(4);
+    constexpr int kRounds = 5;
+    std::vector<std::vector<std::vector<SelectivePrediction>>> got(
+        4, std::vector<std::vector<SelectivePrediction>>(kRounds));
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      callers.emplace_back([&, t] {
+        for (int r = 0; r < kRounds; ++r) got[t][r] = clf->predict_batch(maps);
+      });
+    }
+    for (std::thread& c : callers) c.join();
+    ThreadPool::configure_global(0);
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      for (int r = 0; r < kRounds; ++r) {
+        expect_same_predictions(got[t][r], serial,
+                                precision + " caller " + std::to_string(t) +
+                                    " round " + std::to_string(r));
+      }
     }
   }
 }
 
 TEST(InferencePlanShapeTest, RejectsImagesOfTheWrongSize) {
   SelectiveNet net = random_net(shrunken(16, false), 13);
-  const InferencePlan plan(net);
-  EXPECT_THROW(plan.infer(Tensor(Shape{2, 1, 8, 8})), ShapeError);
-  EXPECT_THROW(plan.infer(Tensor(Shape{2, 2, 16, 16})), ShapeError);
+  for (const InferencePlan& plan :
+       {InferencePlan(net), InferencePlan(quantize_selective_net(net))}) {
+    EXPECT_THROW(plan.infer(Tensor(Shape{2, 1, 8, 8})), ShapeError);
+    EXPECT_THROW(plan.infer(Tensor(Shape{2, 2, 16, 16})), ShapeError);
+  }
+}
+
+// The plan sizes its scratch for stride-1 convs that keep the image size, so
+// an int8 net with any other conv is refused at compile time.
+TEST(InferencePlanShapeTest, RejectsInt8ConvsThatChangeTheImageSize) {
+  SelectiveNet net = random_net(shrunken(16, false), 14);
+  const QuantizedSelectiveNet q = quantize_selective_net(net);
+  const auto with_conv2 = [&](std::int64_t kernel, std::int64_t stride,
+                              std::int64_t pad) {
+    nn::Conv2dOptions o = q.conv2().options();
+    o.kernel = kernel;
+    o.stride = stride;
+    o.pad = pad;
+    Rng rng(15);
+    const Tensor w = Tensor::normal(
+        Shape{o.out_channels, o.in_channels * kernel * kernel}, rng);
+    return QuantizedSelectiveNet(
+        q.options(), q.conv1(),
+        nn::quant::QuantConv2d(o, w, q.conv2().bias(), /*fuse_relu=*/true),
+        q.conv3(), q.fc(), q.head_f(), q.head_g());
+  };
+  // Any odd kernel keeps the size, and the plan takes its geometry from
+  // the layer.
+  const QuantizedSelectiveNet k5 = with_conv2(5, 1, 2);
+  Rng rng(16);
+  const Tensor images = Tensor::normal(Shape{3, 1, 16, 16}, rng);
+  const SelectiveOutput got = InferencePlan(k5).infer(images);
+  const SelectiveOutput want = int8_layer_path(k5, images);
+  EXPECT_TRUE(same_bits(got.logits, want.logits));
+  EXPECT_TRUE(same_bits(got.g, want.g));
+  EXPECT_THROW(InferencePlan(with_conv2(3, 2, 1)), Error);
+  EXPECT_THROW(InferencePlan(with_conv2(3, 1, 0)), Error);
+  EXPECT_THROW(InferencePlan(with_conv2(3, 1, 2)), Error);
+  EXPECT_THROW(InferencePlan(with_conv2(4, 1, 2)), Error);
 }
 
 }  // namespace

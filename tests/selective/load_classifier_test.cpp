@@ -1,7 +1,7 @@
 // wm::load_classifier — the unified factory: format dispatch from the file
 // header, the in-memory overloads, artifact metadata, bit-equality between a
-// file load and the in-memory net it was saved from, and the fp32 ownership
-// contract (the classifier copies what it needs at load).
+// file load and the in-memory net it was saved from, and the ownership
+// contract of both precisions (the classifier copies what it needs at load).
 #include "selective/load_classifier.hpp"
 
 #include <unistd.h>
@@ -138,6 +138,19 @@ TEST_F(LoadClassifierTest, Fp32ClassifierOutlivesItsNet) {
   net.reset();
   expect_bit_equal(borrowed->predict_batch(maps), before);
   expect_bit_equal(owned->predict_batch(maps), before);
+}
+
+TEST_F(LoadClassifierTest, Int8ClassifierOutlivesItsNet) {
+  Rng rng(7);
+  selective::SelectiveNet net(small_net_options(), rng);
+  auto qnet = std::make_unique<selective::QuantizedSelectiveNet>(
+      selective::quantize_selective_net(net));
+  const auto maps = sample_maps();
+  const auto clf = load_classifier(*qnet);
+  EXPECT_TRUE(clf->is_quantized());
+  const auto before = clf->predict_batch(maps);
+  qnet.reset();
+  expect_bit_equal(clf->predict_batch(maps), before);
 }
 
 TEST_F(LoadClassifierTest, Fp32ClassifierIgnoresLaterTraining) {

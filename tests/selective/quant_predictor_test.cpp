@@ -15,7 +15,7 @@
 #include "selective/load_classifier.hpp"
 #include "selective/model_file.hpp"
 #include "selective/trainer.hpp"
-#include "tensor/tensor_ops.hpp"
+#include "serve/hot_swap.hpp"
 #include "wafermap/synth/generator.hpp"
 
 namespace wm::selective {
@@ -114,13 +114,18 @@ TEST_F(QuantPredictorTest, QuantizedModelFileRoundTripsBitwise) {
                            std::to_string(::getpid()) + ".wsn";
   save_quantized_model(path, *qnet_);
   EXPECT_EQ(probe_model_file(path), ModelFileKind::kQuantized);
-  auto loaded = load_quantized_model(path);
+  const auto from_file = load_classifier(path);
   std::remove(path.c_str());
-  const Batch batch = data_->full_batch();
-  const SelectiveOutput a = qnet_->infer(batch.images);
-  const SelectiveOutput b = loaded->infer(batch.images);
-  EXPECT_FLOAT_EQ(max_abs_diff(a.logits, b.logits), 0.0f);
-  EXPECT_FLOAT_EQ(max_abs_diff(a.g, b.g), 0.0f);
+  std::vector<WaferMap> maps;
+  for (std::size_t i = 0; i < data_->size(); ++i) {
+    maps.push_back((*data_)[i].map);
+  }
+  const auto want = load_classifier(*qnet_)->predict_batch(maps);
+  const auto got = from_file->predict_batch(maps);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(serve::bit_equal(got[i], want[i])) << "wafer " << i;
+  }
 }
 
 }  // namespace

@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "tensor/im2col.hpp"
 
 namespace wm {
 namespace {
@@ -249,6 +252,137 @@ TEST(I8GemmTest, BitIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < results[0].size(); ++i) {
     ASSERT_EQ(results[0][i], results[1][i]) << "diverged at " << i;
   }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// The image-packed conv entry against the explicit lowering it replaces:
+/// im2col_u8 with the ring value as padding, then i8gemm_bias_rows.
+TEST(I8GemmTest, ImplicitConvBitMatchesIm2colThenGemm) {
+  struct Case {
+    ConvGeometry g;
+    std::int64_t out_channels;
+  };
+  std::vector<Case> cases;
+  // Every kernel, stride and pad over a small H != W image; 3 channels make
+  // K = 3·k² no multiple of 4, and 5 filters no multiple of kMR.
+  for (const std::int64_t kernel : {1, 3, 5}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t pad : {0, 1, 2}) {
+        cases.push_back({{.channels = 3, .height = 7, .width = 9,
+                          .kernel_h = kernel, .kernel_w = kernel,
+                          .stride = stride, .pad = pad},
+                         5});
+      }
+    }
+  }
+  // Products past the kernel's cache blocks and the threading threshold:
+  // N = 667 columns and M = 300 filters, then M > N so the pool splits rows.
+  cases.push_back({{.channels = 3, .height = 23, .width = 29, .kernel_h = 3,
+                    .kernel_w = 3, .stride = 1, .pad = 1},
+                   300});
+  cases.push_back({{.channels = 16, .height = 12, .width = 12, .kernel_h = 3,
+                    .kernel_w = 3, .stride = 1, .pad = 1},
+                   300});
+  cases.push_back({{.channels = 7, .height = 31, .width = 26, .kernel_h = 5,
+                    .kernel_w = 5, .stride = 2, .pad = 2},
+                   37});
+
+  Rng rng(5);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::configure_global(threads);
+    for (const Case& cs : cases) {
+      const ConvGeometry& g = cs.g;
+      const std::int64_t m = cs.out_channels;
+      const std::int64_t k = g.col_rows();
+      const std::int64_t n = g.col_cols();
+      const auto w = random_s8(rng, m * k);
+      const auto image = random_u8(rng, g.channels * g.height * g.width);
+      const auto scales = random_f32(rng, m);
+      const auto bias = random_f32(rng, m);
+      const auto sums = row_sums_of(w.data(), m, k);
+      const I8PackedPanels packed = pack_weights_a(m, k, w.data());
+      for (const std::uint8_t ring : {0, 37, 127}) {
+        const std::string what =
+            "k" + std::to_string(g.kernel_h) + " s" + std::to_string(g.stride) +
+            " p" + std::to_string(g.pad) + " " + std::to_string(m) + "x" +
+            std::to_string(n) + "x" + std::to_string(k) + " ring " +
+            std::to_string(ring) + ", " + std::to_string(threads) + " threads";
+        I8Epilogue epi;
+        epi.channel_scales = scales.data();
+        epi.act_scale = 0.02f;
+        epi.act_zero_point = ring;
+        epi.weight_row_sums = sums.data();
+        epi.bias = bias.data();
+        epi.relu = ring % 2 == 1;
+
+        std::vector<std::uint8_t> col(static_cast<std::size_t>(k * n));
+        im2col_u8(g, image.data(), col.data(), ring);
+        std::vector<float> want(static_cast<std::size_t>(m * n));
+        i8gemm_bias_rows(m, n, k, w.data(), col.data(), want.data(), epi);
+
+        const std::int64_t bh = g.height + 2 * g.pad;
+        const std::int64_t bw = g.width + 2 * g.pad;
+        std::vector<std::uint8_t> bordered(
+            static_cast<std::size_t>(g.channels * bh * bw), ring);
+        for (std::int64_t c = 0; c < g.channels; ++c) {
+          for (std::int64_t y = 0; y < g.height; ++y) {
+            std::memcpy(bordered.data() + (c * bh + y + g.pad) * bw + g.pad,
+                        image.data() + (c * g.height + y) * g.width,
+                        static_cast<std::size_t>(g.width));
+          }
+        }
+        std::vector<float> got(static_cast<std::size_t>(m * n));
+        i8gemm_conv(g, packed, bordered.data(), got.data(), epi);
+        EXPECT_TRUE(same_bits(got, want)) << what;
+      }
+    }
+  }
+  ThreadPool::configure_global(0);
+}
+
+/// The pre-packed linear entry against the strided one, with per-row
+/// activation parameters as QuantLinear passes them.
+TEST(I8GemmTest, PrepackedLinearBitMatchesBtBiasCols) {
+  Rng rng(6);
+  const std::int64_t n = 530;
+  const std::int64_t k = 70;
+  const auto w = random_s8(rng, n * k);
+  const auto scales = random_f32(rng, n);
+  const auto bias = random_f32(rng, n);
+  const auto sums = row_sums_of(w.data(), n, k);
+  const I8PackedPanels packed = pack_weights_bt(n, k, w.data());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::configure_global(threads);
+    for (const std::int64_t m : {1, 7, 25, 300}) {
+      const auto x = random_u8(rng, m * k);
+      std::vector<float> row_scales(static_cast<std::size_t>(m));
+      std::vector<std::int32_t> row_zps(static_cast<std::size_t>(m));
+      for (std::int64_t i = 0; i < m; ++i) {
+        row_scales[static_cast<std::size_t>(i)] =
+            static_cast<float>(rng.uniform(0.001, 0.1));
+        row_zps[static_cast<std::size_t>(i)] =
+            static_cast<std::int32_t>(rng.uniform_int(0, 127));
+      }
+      I8Epilogue epi;
+      epi.channel_scales = scales.data();
+      epi.weight_row_sums = sums.data();
+      epi.bias = bias.data();
+      epi.relu = m % 2 == 1;
+      epi.act_row_scales = row_scales.data();
+      epi.act_row_zero_points = row_zps.data();
+      std::vector<float> want(static_cast<std::size_t>(m * n));
+      i8gemm_bt_bias_cols(m, n, k, x.data(), w.data(), want.data(), epi);
+      std::vector<float> got(static_cast<std::size_t>(m * n));
+      i8gemm_packed_bt_bias_cols(m, x.data(), packed, got.data(), epi);
+      EXPECT_TRUE(same_bits(got, want))
+          << "m = " << m << ", " << threads << " threads";
+    }
+  }
+  ThreadPool::configure_global(0);
 }
 
 TEST(I8GemmTest, RejectsMissingScalesAndRowSums) {

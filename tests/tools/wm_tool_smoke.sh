@@ -40,6 +40,10 @@ grep -q '"event":"epoch"' "$WORK/run.jsonl"
 
 # Unknown command and missing flags must fail cleanly.
 if "$WM_TOOL" bogus >/dev/null 2>&1; then exit 1; fi
+# So must a numeric flag with trailing junk.
+if "$WM_TOOL" generate --out "$WORK/junk" --per-class 2x >/dev/null 2>&1; then
+  exit 1
+fi
 if "$WM_TOOL" classify --model "$WORK/m.wsn" >/dev/null 2>&1; then exit 1; fi
 # Quantizing an already-quantized file must be rejected, not double-applied.
 if "$WM_TOOL" quantize --model "$WORK/m_int8.wsn" --out "$WORK/m2.wsn" \

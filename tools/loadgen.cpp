@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/string_util.hpp"
 #include "common/stopwatch.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -272,15 +273,8 @@ void print_json(const RunResult& r, int map_size) {
       r.queue_us, r.batch_us, r.compute_us, r.server_us);
 }
 
-int get_flag(int argc, char** argv, const char* name, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string get_flag_s(int argc, char** argv, const char* name,
-                       const std::string& fallback) {
+std::string get_flag(int argc, char** argv, const char* name,
+                     const std::string& fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
   }
@@ -297,34 +291,37 @@ bool has_flag(int argc, char** argv, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = has_flag(argc, argv, "--json");
-  const int connections = std::max(1, get_flag(argc, argv, "--connections", 4));
-  const int window = std::max(1, get_flag(argc, argv, "--window", 8));
-  const int map_size = get_flag(argc, argv, "--map", 32);
-  const int workers = std::max(1, get_flag(argc, argv, "--workers", 2));
-  const std::size_t total = static_cast<std::size_t>(std::max(
-      connections * window, get_flag(argc, argv, "--requests", 2000)));
-  const int ext_port = get_flag(argc, argv, "--port", 0);
-  const std::string host =
-      ext_port == 0 ? "127.0.0.1"
-                    : get_flag_s(argc, argv, "--host", "127.0.0.1");
-  const int trace_sample =
-      std::max(1, get_flag(argc, argv, "--trace-sample", 16));
-  // --out-dir prefixes every file artifact (--trace-out, --slow-log) so a
-  // CI job can point the whole run at a scratch directory with one flag;
-  // absolute paths pass through untouched.
-  const std::string out_dir = get_flag_s(argc, argv, "--out-dir", "");
-  const auto in_out_dir = [&](std::string path) {
-    if (path.empty() || out_dir.empty() || path.front() == '/') return path;
-    return out_dir + "/" + path;
-  };
-  const std::string trace_out =
-      in_out_dir(get_flag_s(argc, argv, "--trace-out", ""));
-  const std::string slow_log =
-      in_out_dir(get_flag_s(argc, argv, "--slow-log", ""));
-  const bool traced = !trace_out.empty() || !slow_log.empty();
-
   try {
+    const bool json = has_flag(argc, argv, "--json");
+    // Numeric flags parse as whole tokens; a malformed one fails naming itself.
+    const auto int_flag = [&](const char* name, const char* fallback) {
+      return parse_int(get_flag(argc, argv, name, fallback), name);
+    };
+    const int connections = std::max(1, int_flag("--connections", "4"));
+    const int window = std::max(1, int_flag("--window", "8"));
+    const int map_size = int_flag("--map", "32");
+    const int workers = std::max(1, int_flag("--workers", "2"));
+    const std::size_t total = static_cast<std::size_t>(
+        std::max(connections * window, int_flag("--requests", "2000")));
+    const int ext_port = int_flag("--port", "0");
+    const std::string host =
+        ext_port == 0 ? "127.0.0.1"
+                      : get_flag(argc, argv, "--host", "127.0.0.1");
+    const int trace_sample = std::max(1, int_flag("--trace-sample", "16"));
+    // --out-dir prefixes every file artifact (--trace-out, --slow-log) so a
+    // CI job can point the whole run at a scratch directory with one flag;
+    // absolute paths pass through untouched.
+    const std::string out_dir = get_flag(argc, argv, "--out-dir", "");
+    const auto in_out_dir = [&](std::string path) {
+      if (path.empty() || out_dir.empty() || path.front() == '/') return path;
+      return out_dir + "/" + path;
+    };
+    const std::string trace_out =
+        in_out_dir(get_flag(argc, argv, "--trace-out", ""));
+    const std::string slow_log =
+        in_out_dir(get_flag(argc, argv, "--slow-log", ""));
+    const bool traced = !trace_out.empty() || !slow_log.empty();
+
     const auto stream = make_stream(map_size, 256);
 
     // The in-process stack (skipped when --port targets an external server).

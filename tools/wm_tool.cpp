@@ -118,6 +118,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/string_util.hpp"
 #include "eval/metrics.hpp"
 #include "net/server.hpp"
 #include "obs/collector.hpp"
@@ -172,11 +173,12 @@ class Args {
   }
   int get_int(const std::string& key, int fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoi(it->second);
+    return it == values_.end() ? fallback : parse_int(it->second, "--" + key);
   }
   double get_double(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return it == values_.end() ? fallback
+                               : parse_double(it->second, "--" + key);
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -574,7 +576,7 @@ int cmd_collect(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto int_flag = [&](const char* name) {
       WM_CHECK(i + 1 < argc, name, " needs a value");
-      return std::stoi(argv[++i]);
+      return parse_int(argv[++i], name);
     };
     if (arg == "--port") opts.exporter_port = int_flag("--port");
     else if (arg == "--interval-ms") opts.interval_ms = int_flag("--interval-ms");
@@ -628,7 +630,7 @@ int cmd_scrape(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--delta-ms") {
       WM_CHECK(i + 1 < argc, "--delta-ms needs a value");
-      delta_ms = std::stoi(argv[++i]);
+      delta_ms = parse_int(argv[++i], "--delta-ms");
     } else if (arg.rfind("--", 0) == 0) {
       throw Error("scrape: unknown flag " + arg);
     } else {
