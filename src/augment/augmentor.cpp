@@ -95,8 +95,6 @@ Dataset Augmentor::augment_class(const Dataset& class_samples, Rng& rng) const {
 
 Dataset Augmentor::augment_dataset(const Dataset& training, Rng& rng) const {
   Dataset merged = training;
-  // Collect the classes that actually need augmentation first so the
-  // parallel path can fork one child rng per class in a fixed order.
   std::vector<Dataset> classes;
   for (DefectType type : all_defect_types()) {
     if (type == DefectType::kNone) continue;  // paper augments defects only
@@ -109,17 +107,11 @@ Dataset Augmentor::augment_dataset(const Dataset& training, Rng& rng) const {
   }
   if (classes.empty()) return merged;
 
-  if (ThreadPool::global().worker_count() == 0) {
-    // Serial path draws from the caller's rng directly — the exact
-    // pre-threading sequence, so WM_THREADS=1 reproduces historical runs.
-    for (const Dataset& cls : classes) merged.append(augment_class(cls, rng));
-    return merged;
-  }
-
-  // Parallel path: each class trains its own CAE and synthesises from its
-  // own forked rng, then results are appended in class order. The output is
-  // deterministic for a given seed (fork order is fixed) but draws a
-  // different stream than the serial path.
+  // Each class trains its own CAE and synthesises from its own rng, forked
+  // in class order, and the results are appended in class order. So the
+  // output depends on the seed only: the pool runs the classes concurrently,
+  // or inline at one thread, and every class draws the same stream either
+  // way.
   std::vector<Rng> rngs;
   rngs.reserve(classes.size());
   for (std::size_t i = 0; i < classes.size(); ++i) rngs.push_back(rng.fork());

@@ -3,9 +3,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/layers/activations.hpp"
-#include "nn/layers/conv2d.hpp"
+#include "nn/layers/conv_stage.hpp"
 #include "nn/layers/conv_transpose2d.hpp"
-#include "nn/layers/maxpool2d.hpp"
 #include "nn/layers/upsample2d.hpp"
 #include "nn/loss/mse.hpp"
 
@@ -24,17 +23,15 @@ ConvAutoencoder::ConvAutoencoder(const CaeOptions& opts, Rng& rng) : opts_(opts)
   WM_CHECK(spatial >= 2, "too many stages for map size ", opts.map_size);
 
   const std::int64_t pad = opts.kernel / 2;
-  // Encoder: Conv -> ReLU -> Pool per stage.
+  // Encoder: Conv -> ReLU -> Pool per stage, each one nn::ConvStage.
   int in_ch = 1;
   for (int s = 0; s < stages; ++s) {
     const int out_ch = opts.encoder_filters[static_cast<std::size_t>(s)];
     WM_CHECK(out_ch > 0, "bad encoder filter count");
-    encoder_.add(nn::make_layer<nn::Conv2d>(
-        nn::Conv2dOptions{.in_channels = in_ch, .out_channels = out_ch,
-                          .kernel = opts.kernel, .stride = 1, .pad = pad},
+    encoder_.add(nn::make_layer<nn::ConvStage>(
+        nn::ConvStageOptions{.in_channels = in_ch, .out_channels = out_ch,
+                             .kernel = opts.kernel, .pad = pad},
         rng));
-    encoder_.add(nn::make_layer<nn::ReLU>());
-    encoder_.add(nn::make_layer<nn::MaxPool2d>(2));
     in_ch = out_ch;
   }
   // Decoder: Upsample -> Deconv -> activation per stage, mirrored filters.
@@ -76,7 +73,8 @@ Tensor ConvAutoencoder::reconstruct(const Tensor& images, bool training) {
 float ConvAutoencoder::training_step(const Tensor& images) {
   const Tensor recon = reconstruct(images, /*training=*/true);
   const auto loss = nn::MseLoss::compute(recon, images);
-  encoder_.backward(decoder_.backward(loss.grad));
+  // The encoder's input is the image batch: its gradient is never used.
+  encoder_.backward_params(decoder_.backward(loss.grad));
   return loss.value;
 }
 

@@ -76,7 +76,7 @@ bool ThreadPool::on_worker_thread() const {
 
 void ThreadPool::parallel_chunks(
     std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   // Serial fast path: no workers, a single chunk, or a nested call from a
@@ -84,7 +84,7 @@ void ThreadPool::parallel_chunks(
   // deadlock (all workers stuck in the wait, nobody left to drain the
   // queue), so nested calls degrade to inline execution.
   if (workers_.empty() || n == 1 || on_worker_thread()) {
-    fn(begin, end, 0);
+    fn(begin, end);
     return;
   }
 
@@ -101,7 +101,7 @@ void ThreadPool::parallel_chunks(
     const std::size_t lo = begin + c * chunk_size;
     const std::size_t hi = std::min(end, lo + chunk_size);
     try {
-      if (lo < hi) fn(lo, hi, c);
+      if (lo < hi) fn(lo, hi);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
@@ -132,10 +132,9 @@ void ThreadPool::parallel_chunks(
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_chunks(begin, end,
-                  [&fn](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
-                    for (std::size_t i = lo; i < hi; ++i) fn(i);
-                  });
+  parallel_chunks(begin, end, [&fn](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) fn(i);
+  });
 }
 
 ThreadPool& ThreadPool::global() {

@@ -42,28 +42,19 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
-  /// Upper bound on concurrently running chunks (workers + caller).
-  std::size_t max_chunks() const { return workers_.size() + 1; }
-
-  /// Number of chunks parallel_chunks() will use for a range of n items.
-  std::size_t chunk_count(std::size_t n) const {
-    return n < max_chunks() ? n : max_chunks();
-  }
-
   /// Runs fn(i) for i in [begin, end), partitioned into contiguous chunks,
   /// and blocks until all iterations complete. Exceptions from fn propagate
   /// (first one wins). Runs inline when called from a worker of this pool.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Chunked variant for callers that need per-chunk scratch: runs
-  /// fn(lo, hi, slot) over a partition of [begin, end) into
-  /// chunk_count(end - begin) contiguous chunks; slot is the chunk index,
-  /// dense in [0, chunk_count). Each slot is executed by exactly one thread,
-  /// so slot-indexed scratch needs no synchronisation.
-  void parallel_chunks(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
+  /// Chunked variant for callers that set up scratch once per chunk: runs
+  /// fn(lo, hi) over a partition of [begin, end) into at most one contiguous
+  /// chunk per thread (workers + caller), each on one thread. Which chunk a
+  /// thread runs is not part of the contract, so nothing may be reduced per
+  /// chunk: results must not depend on the pool size.
+  void parallel_chunks(std::size_t begin, std::size_t end,
+                       const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Process-wide pool shared by the nn library. First use sizes it from
   /// WM_THREADS (see file comment).
@@ -79,6 +70,14 @@ class ThreadPool {
   static std::size_t default_worker_count();
 
  private:
+  /// Upper bound on concurrently running chunks (workers + caller).
+  std::size_t max_chunks() const { return workers_.size() + 1; }
+
+  /// Number of chunks parallel_chunks() uses for a range of n items.
+  std::size_t chunk_count(std::size_t n) const {
+    return n < max_chunks() ? n : max_chunks();
+  }
+
   void worker_loop();
 
   /// True when the calling thread is one of this pool's workers.

@@ -16,13 +16,4 @@ void he_normal(Tensor& w, std::int64_t fan_in, Rng& rng) {
   }
 }
 
-void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out, Rng& rng) {
-  WM_CHECK(fan_in > 0 && fan_out > 0, "xavier_uniform needs positive fans");
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  float* p = w.data();
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
-    p[i] = static_cast<float>(rng.uniform(-a, a));
-  }
-}
-
 }  // namespace wm::nn

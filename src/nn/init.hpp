@@ -14,7 +14,4 @@ namespace wm::nn {
 /// He (Kaiming) normal: N(0, sqrt(2 / fan_in)); suited to ReLU stacks.
 void he_normal(Tensor& w, std::int64_t fan_in, Rng& rng);
 
-/// Xavier/Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out, Rng& rng);
-
 }  // namespace wm::nn

@@ -58,25 +58,4 @@ Tensor Sigmoid::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::forward(const Tensor& input, bool training) {
-  Tensor out(input.shape());
-  const float* in = input.data();
-  float* po = out.data();
-  const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) po[i] = std::tanh(in[i]);
-  if (training) output_ = out;
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  WM_CHECK_SHAPE(grad_output.same_shape(output_), "Tanh backward shape mismatch");
-  Tensor grad(output_.shape());
-  const float* t = output_.data();
-  const float* go = grad_output.data();
-  float* g = grad.data();
-  const std::int64_t n = output_.numel();
-  for (std::int64_t i = 0; i < n; ++i) g[i] = go[i] * (1.0f - t[i] * t[i]);
-  return grad;
-}
-
 }  // namespace wm::nn

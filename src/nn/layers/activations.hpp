@@ -1,4 +1,4 @@
-// Element-wise activation layers: ReLU, Sigmoid, Tanh.
+// Element-wise activation layers: ReLU, Sigmoid.
 #pragma once
 
 #include "nn/module.hpp"
@@ -27,16 +27,6 @@ class Sigmoid final : public Module {
 
  private:
   Tensor output_;  // sigma(x); derivative is sigma*(1-sigma)
-};
-
-class Tanh final : public Module {
- public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor output_;
 };
 
 }  // namespace wm::nn

@@ -1,6 +1,5 @@
 #include "nn/layers/batchnorm2d.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -9,6 +8,44 @@
 #include "common/threadpool.hpp"
 
 namespace wm::nn {
+
+namespace {
+
+constexpr int kLanes = 16;
+
+/// Adds term(s) for s in [0, n) into lane s % kLanes and folds the lanes.
+template <typename Term>
+double lane_sum(std::int64_t n, const Term& term) {
+  double lane[kLanes] = {};
+  std::int64_t s = 0;
+  for (; s + kLanes <= n; s += kLanes) {
+    for (int l = 0; l < kLanes; ++l) lane[l] += term(s + l);
+  }
+  for (int l = 0; s + l < n; ++l) lane[l] += term(s + l);
+  for (int width = kLanes / 2; width > 0; width /= 2) {
+    for (int l = 0; l < width; ++l) lane[l] += lane[l + width];
+  }
+  return lane[0];
+}
+
+}  // namespace
+
+double plane_sum(const float* x, std::int64_t n) {
+  return lane_sum(n, [&](std::int64_t s) { return static_cast<double>(x[s]); });
+}
+
+double plane_squared_deviations(const float* x, std::int64_t n, float mean) {
+  return lane_sum(n, [&](std::int64_t s) {
+    const double d = x[s] - mean;
+    return d * d;
+  });
+}
+
+double plane_products(const float* x, const float* y, std::int64_t n) {
+  return lane_sum(n, [&](std::int64_t s) {
+    return static_cast<double>(x[s]) * static_cast<double>(y[s]);
+  });
+}
 
 BatchNorm2d::BatchNorm2d(const BatchNorm2dOptions& opts)
     : opts_(opts),
@@ -49,21 +86,17 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
     float mean;
     float var;
     if (training) {
-      double acc = 0.0;
+      double sum = 0.0;
       for (std::int64_t i = 0; i < n; ++i) {
-        const float* p = input.data() + (i * c + ch) * spatial;
-        for (std::int64_t s = 0; s < spatial; ++s) acc += p[s];
+        sum += plane_sum(input.data() + (i * c + ch) * spatial, spatial);
       }
-      mean = static_cast<float>(acc / static_cast<double>(per_channel));
-      double vacc = 0.0;
+      mean = static_cast<float>(sum / static_cast<double>(per_channel));
+      double squares = 0.0;
       for (std::int64_t i = 0; i < n; ++i) {
-        const float* p = input.data() + (i * c + ch) * spatial;
-        for (std::int64_t s = 0; s < spatial; ++s) {
-          const double d = p[s] - mean;
-          vacc += d * d;
-        }
+        squares += plane_squared_deviations(
+            input.data() + (i * c + ch) * spatial, spatial, mean);
       }
-      var = static_cast<float>(vacc / static_cast<double>(per_channel));
+      var = static_cast<float>(squares / static_cast<double>(per_channel));
       const float m = static_cast<float>(opts_.momentum);
       running_mean_[ch] = (1.0f - m) * running_mean_[ch] + m * mean;
       running_var_[ch] = (1.0f - m) * running_var_[ch] + m * var;
@@ -71,7 +104,7 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
       mean = running_mean_[ch];
       var = running_var_[ch];
     }
-    const float inv_std = 1.0f / std::sqrt(var + static_cast<float>(opts_.eps));
+    const float inv_std = bn_inv_std(var, opts_.eps);
     if (training) inv_std_[static_cast<std::size_t>(ch)] = inv_std;
     const float g = gamma_.value[ch];
     const float b = beta_.value[ch];
@@ -113,10 +146,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     for (std::int64_t i = 0; i < n; ++i) {
       const float* dy = grad_output.data() + (i * c + ch) * spatial;
       const float* xh = normalized_.data() + (i * c + ch) * spatial;
-      for (std::int64_t s = 0; s < spatial; ++s) {
-        sum_dy += dy[s];
-        sum_dy_xh += static_cast<double>(dy[s]) * xh[s];
-      }
+      sum_dy += plane_sum(dy, spatial);
+      sum_dy_xh += plane_products(dy, xh, spatial);
     }
     gamma_.grad[ch] += static_cast<float>(sum_dy_xh);
     beta_.grad[ch] += static_cast<float>(sum_dy);

@@ -3,9 +3,32 @@
 // for inference.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
+
 #include "nn/module.hpp"
 
 namespace wm::nn {
+
+/// The reductions behind BatchNorm's batch statistics and gradient, and a
+/// conv's bias gradient. Each reduces one plane in double over 16
+/// interleaved partial sums (element s into lane s % 16, lanes folded
+/// pairwise at the end), which the compiler vectorises; a channel adds its
+/// planes' results in batch order. BatchNorm2d, ConvStage and the conv
+/// kernels all reduce through these, so they get the same bits, and the
+/// order never depends on the pool.
+double plane_sum(const float* x, std::int64_t n);
+
+/// Sum of d * d with d = x[s] - mean, the difference taken in float.
+double plane_squared_deviations(const float* x, std::int64_t n, float mean);
+
+/// Sum of x[s] * y[s] in double (exact products of floats).
+double plane_products(const float* x, const float* y, std::int64_t n);
+
+/// 1 / sqrt(var + eps) in float, as BatchNorm2d's forward computes it.
+inline float bn_inv_std(float var, double eps) {
+  return 1.0f / std::sqrt(var + static_cast<float>(eps));
+}
 
 struct BatchNorm2dOptions {
   std::int64_t channels = 0;

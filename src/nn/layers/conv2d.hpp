@@ -1,11 +1,12 @@
 // 2-D convolution over (N, C, H, W) batches, lowered to GEMM. Forward packs
 // each image's im2col columns straight into the GEMM panels (sgemm_conv);
-// backward materialises im2col / col2im buffers.
+// backward runs the kernels of conv_grad.hpp: dW as one GEMM over the batch
+// on implicit-im2col panels, dX as an implicit-col2im sgemm_conv per image.
+// No column buffer is built, and no gradient depends on the pool size.
 //
 // The batch loop fans out across ThreadPool::global(); forward keeps no
-// state outside its call, and every backward chunk owns its column scratch
-// and its own dW/db accumulators, so forward in eval mode is reentrant. The
-// input cache needed by backward is only captured when training.
+// state outside its call, so forward in eval mode is reentrant. The input
+// cache needed by backward is only captured when training.
 #pragma once
 
 #include "nn/module.hpp"

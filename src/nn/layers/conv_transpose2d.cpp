@@ -1,14 +1,13 @@
 #include "nn/layers/conv_transpose2d.hpp"
 
 #include <sstream>
-#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "common/rng.hpp"
-#include "common/threadpool.hpp"
 #include "nn/init.hpp"
+#include "nn/layers/conv_kernels.hpp"
 #include "tensor/gemm.hpp"
 
 namespace wm::nn {
@@ -57,35 +56,13 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
   WM_CHECK_SHAPE(g.out_h() == h && g.out_w() == w,
                  "inconsistent transpose geometry (stride/pad/kernel mismatch)");
 
-  const std::int64_t spatial = h * w;  // col_cols of g
-  const std::int64_t in_image = opts_.in_channels * spatial;
-  const std::int64_t out_image = opts_.out_channels * oh * ow;
-  const std::size_t col_size =
-      static_cast<std::size_t>(g.col_rows() * g.col_cols());
+  // The forward of a transposed conv is the input gradient of the conv with
+  // geometry g, whose filters are this layer's weights (IC x OC*K*K).
   Tensor out(Shape{n, opts_.out_channels, oh, ow});
-
-  ThreadPool::global().parallel_chunks(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
-        std::vector<float> col(col_size);
-        for (std::size_t ii = lo; ii < hi; ++ii) {
-          const std::int64_t i = static_cast<std::int64_t>(ii);
-          // col (OC*K*K x spatial) = W^T (OC*K*K x IC) * X_i (IC x spatial)
-          sgemm_at(g.col_rows(), spatial, opts_.in_channels, 1.0f,
-                   weight_.value.data(), input.data() + i * in_image, 0.0f,
-                   col.data());
-          float* oimg = out.data() + i * out_image;
-          // `out` is zeroed at construction, but this layer may run twice on
-          // the same tensor storage only if reused; keep the explicit clear.
-          for (std::int64_t z = 0; z < out_image; ++z) oimg[z] = 0.0f;
-          col2im(g, col.data(), oimg);
-          const float* b = bias_.value.data();
-          for (std::int64_t oc = 0; oc < opts_.out_channels; ++oc) {
-            float* chan = oimg + oc * oh * ow;
-            for (std::int64_t s = 0; s < oh * ow; ++s) chan[s] += b[oc];
-          }
-        }
-      });
+  conv_input_grad(g, n, opts_.in_channels,
+                  pack_input_grad_filters(g, opts_.in_channels,
+                                          weight_.value.data()),
+                  input.data(), out.data(), bias_.value.data());
   return out;
 }
 
@@ -93,72 +70,26 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   WM_TRACE_SCOPE("conv_transpose2d.bwd");
   WM_COUNTER_INC("wm_nn_conv_transpose2d_backward_total", "ConvTranspose2d backward passes");
   const std::int64_t n = input_.dim(0);
-  const std::int64_t h = input_.dim(2);
-  const std::int64_t w = input_.dim(3);
-  const std::int64_t oh = out_size(h);
-  const std::int64_t ow = out_size(w);
+  const std::int64_t oh = out_size(input_.dim(2));
+  const std::int64_t ow = out_size(input_.dim(3));
   WM_CHECK_SHAPE(grad_output.rank() == 4 && grad_output.dim(0) == n &&
                      grad_output.dim(1) == opts_.out_channels &&
                      grad_output.dim(2) == oh && grad_output.dim(3) == ow,
                  "ConvTranspose2d backward shape mismatch: got ",
                  grad_output.shape().to_string());
   const ConvGeometry g = geometry(oh, ow);
-  const std::int64_t spatial = h * w;
-  const std::int64_t in_image = opts_.in_channels * spatial;
-  const std::int64_t out_image = opts_.out_channels * oh * ow;
-
+  // dX_i (IC x h*w) = W (IC x OC*K*K) * im2col(dY_i): the conv's forward.
   Tensor grad_input(input_.shape());
-  const std::size_t col_size =
-      static_cast<std::size_t>(g.col_rows() * g.col_cols());
-
-  // Per-chunk dW/db accumulators, reduced in slot order; slot 0 writes the
-  // parameter gradients directly so a single chunk keeps the serial
-  // accumulation order bit-for-bit (see Conv2d::backward).
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t chunks = pool.chunk_count(static_cast<std::size_t>(n));
-  const std::size_t wsize = static_cast<std::size_t>(weight_.grad.numel());
-  const std::size_t bsize = static_cast<std::size_t>(bias_.grad.numel());
-  std::vector<float> dw_slots(chunks > 1 ? (chunks - 1) * wsize : 0, 0.0f);
-  std::vector<float> db_slots(chunks > 1 ? (chunks - 1) * bsize : 0, 0.0f);
-
-  pool.parallel_chunks(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-        float* dw = slot == 0 ? weight_.grad.data()
-                              : dw_slots.data() + (slot - 1) * wsize;
-        float* db = slot == 0 ? bias_.grad.data()
-                              : db_slots.data() + (slot - 1) * bsize;
-        std::vector<float> col(col_size);
-        for (std::size_t ii = lo; ii < hi; ++ii) {
-          const std::int64_t i = static_cast<std::int64_t>(ii);
-          const float* dy = grad_output.data() + i * out_image;
-          // col = im2col(dY_i) over the output geometry.
-          im2col(g, dy, col.data());
-          // dX_i (IC x spatial) = W (IC x OC*K*K) * col (OC*K*K x spatial)
-          sgemm(opts_.in_channels, spatial, g.col_rows(), 1.0f,
-                weight_.value.data(), col.data(), 0.0f,
-                grad_input.data() + i * in_image);
-          // dW (IC x OC*K*K) += X_i (IC x spatial) * col^T (spatial x OC*K*K)
-          sgemm_bt(opts_.in_channels, g.col_rows(), spatial, 1.0f,
-                   input_.data() + i * in_image, col.data(), 1.0f, dw);
-          // db += per-output-channel sums of dY
-          for (std::int64_t oc = 0; oc < opts_.out_channels; ++oc) {
-            const float* chan = dy + oc * oh * ow;
-            float acc = 0.0f;
-            for (std::int64_t s = 0; s < oh * ow; ++s) acc += chan[s];
-            db[oc] += acc;
-          }
-        }
-      });
-
-  for (std::size_t slot = 1; slot < chunks; ++slot) {
-    const float* dw = dw_slots.data() + (slot - 1) * wsize;
-    const float* db = db_slots.data() + (slot - 1) * bsize;
-    float* wgrad = weight_.grad.data();
-    float* bgrad = bias_.grad.data();
-    for (std::size_t i = 0; i < wsize; ++i) wgrad[i] += dw[i];
-    for (std::size_t i = 0; i < bsize; ++i) bgrad[i] += db[i];
-  }
+  conv_forward(g, n,
+               pack_weights_a(opts_.in_channels, g.col_rows(),
+                              weight_.value.data()),
+               grad_output.data(), grad_input.data(), nullptr);
+  // dW (IC x OC*K*K) += X (IC x N*h*w) * im2col(dY)^T, one GEMM over the
+  // batch; db += per-output-channel sums of dY.
+  sgemm_conv_dw(g, n, opts_.in_channels, input_.data(), grad_output.data(),
+                weight_.grad.data());
+  accumulate_row_sums(n, opts_.out_channels, oh * ow, grad_output.data(),
+                      bias_.grad.data());
   return grad_input;
 }
 

@@ -1,10 +1,11 @@
 // Transposed convolution ("deconvolution") over (N, C, H, W) batches.
 //
 // Forward is exactly the data-gradient of a Conv2d with the same geometry:
-// output height = (H - 1) * stride + K - 2 * pad.
+// output height = (H - 1) * stride + K - 2 * pad. It runs on the same
+// kernels (conv_kernels.hpp): forward is the conv's implicit-col2im input
+// gradient, backward's dX is the conv's forward, and dW is the batched GEMM
+// on implicit-im2col panels.
 #pragma once
-
-#include <vector>
 
 #include "nn/module.hpp"
 #include "tensor/im2col.hpp"

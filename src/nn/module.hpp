@@ -33,12 +33,20 @@ class Module {
   virtual ~Module() = default;
 
   /// Computes the output for a batch. `training` toggles train-only
-  /// behaviour (dropout). Implementations cache activations for backward.
+  /// behaviour (batch statistics, backward caches). Implementations cache
+  /// activations for backward.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Propagates the loss gradient: accumulates into parameter grads and
   /// returns d(loss)/d(input). Must be called after a matching forward.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// backward() for a caller that discards d(loss)/d(input): a net's first
+  /// layer, whose input is the image batch. Accumulates the parameter
+  /// gradients only; layers whose input gradient costs work skip it.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }

@@ -14,34 +14,6 @@ void Optimizer::zero_grad() {
   for (Parameter* p : params_) p->grad.fill(0.0f);
 }
 
-Sgd::Sgd(std::vector<Parameter*> params, const SgdOptions& opts)
-    : Optimizer(std::move(params)), opts_(opts) {
-  WM_CHECK(opts.lr > 0.0, "learning rate must be positive");
-  WM_CHECK(opts.momentum >= 0.0 && opts.momentum < 1.0, "bad momentum");
-  WM_CHECK(opts.weight_decay >= 0.0, "bad weight decay");
-  velocity_.reserve(params_.size());
-  for (const Parameter* p : params_) velocity_.emplace_back(p->value.shape());
-}
-
-void Sgd::step() {
-  const float lr = static_cast<float>(opts_.lr);
-  const float mu = static_cast<float>(opts_.momentum);
-  const float wd = static_cast<float>(opts_.weight_decay);
-  for (std::size_t pi = 0; pi < params_.size(); ++pi) {
-    Parameter& p = *params_[pi];
-    Tensor& vel = velocity_[pi];
-    float* w = p.value.data();
-    const float* g = p.grad.data();
-    float* v = vel.data();
-    const std::int64_t n = p.value.numel();
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float grad = g[i] + wd * w[i];
-      v[i] = mu * v[i] + grad;
-      w[i] -= lr * v[i];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, const AdamOptions& opts)
     : Optimizer(std::move(params)), opts_(opts) {
   WM_CHECK(opts.lr > 0.0, "learning rate must be positive");

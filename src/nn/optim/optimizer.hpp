@@ -1,4 +1,4 @@
-// Optimizer interface plus SGD(+momentum) and Adam implementations.
+// Optimizer interface and the Adam implementation.
 #pragma once
 
 #include <cstdint>
@@ -23,24 +23,6 @@ class Optimizer {
 
  protected:
   std::vector<Parameter*> params_;
-};
-
-struct SgdOptions {
-  double lr = 0.01;
-  double momentum = 0.0;
-  double weight_decay = 0.0;  // L2 coefficient added to the gradient
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, const SgdOptions& opts);
-  void step() override;
-
-  SgdOptions& options() { return opts_; }
-
- private:
-  SgdOptions opts_;
-  std::vector<Tensor> velocity_;
 };
 
 struct AdamOptions {

@@ -74,7 +74,7 @@ Tensor QuantConv2d::forward(const Tensor& input) const {
   Tensor out(Shape{n, opts_.out_channels, g.out_h(), g.out_w()});
   ThreadPool::global().parallel_chunks(
       0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+      [&](std::size_t lo, std::size_t hi) {
         std::vector<std::uint8_t> qimg(static_cast<std::size_t>(in_image));
         std::vector<std::uint8_t> col(col_size);
         for (std::size_t i = lo; i < hi; ++i) {

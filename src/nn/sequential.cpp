@@ -26,6 +26,15 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor g = grad_output;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->backward(g);
+  }
+  layers_.front()->backward_params(g);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> out;
   for (auto& layer : layers_) {

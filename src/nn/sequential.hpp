@@ -17,6 +17,8 @@ class Sequential final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Backward through every layer, the first one by its backward_params.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::vector<Tensor*> buffers() override;
   std::string name() const override;

@@ -318,7 +318,7 @@ SelectiveOutput InferencePlan::infer(const Tensor& images) const {
   Tensor fc_in(Shape{n, features});
   ThreadPool::global().parallel_chunks(
       0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+      [&](std::size_t lo, std::size_t hi) {
         thread_local std::vector<float> floats;
         thread_local std::vector<std::uint8_t> bytes;
         floats.resize(static_cast<std::size_t>(conv_scratch_ + in2_ + in3_));

@@ -3,11 +3,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/layers/activations.hpp"
-#include "nn/layers/batchnorm2d.hpp"
-#include "nn/layers/conv2d.hpp"
+#include "nn/layers/conv_stage.hpp"
 #include "nn/layers/flatten.hpp"
 #include "nn/layers/linear.hpp"
-#include "nn/layers/maxpool2d.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace wm::selective {
@@ -23,16 +21,11 @@ SelectiveNet::SelectiveNet(const SelectiveNetOptions& opts, Rng& rng)
            "bad layer sizes");
 
   const auto add_conv_block = [&](int in_ch, int out_ch, int kernel, int pad) {
-    trunk_.add(nn::make_layer<nn::Conv2d>(
-        nn::Conv2dOptions{.in_channels = in_ch, .out_channels = out_ch,
-                          .kernel = kernel, .stride = 1, .pad = pad},
+    trunk_.add(nn::make_layer<nn::ConvStage>(
+        nn::ConvStageOptions{.in_channels = in_ch, .out_channels = out_ch,
+                             .kernel = kernel, .pad = pad,
+                             .batchnorm = opts.use_batchnorm},
         rng));
-    if (opts.use_batchnorm) {
-      trunk_.add(nn::make_layer<nn::BatchNorm2d>(
-          nn::BatchNorm2dOptions{.channels = out_ch}));
-    }
-    trunk_.add(nn::make_layer<nn::ReLU>());
-    trunk_.add(nn::make_layer<nn::MaxPool2d>(2));
   };
   add_conv_block(1, opts.conv1_filters, 5, 2);
   add_conv_block(opts.conv1_filters, opts.conv2_filters, 3, 1);
@@ -64,7 +57,8 @@ SelectiveOutput SelectiveNet::forward(const Tensor& images, bool training) {
 void SelectiveNet::backward(const Tensor& grad_logits, const Tensor& grad_g) {
   Tensor grad_features = head_f_.backward(grad_logits);
   grad_features.add_(head_g_.backward(grad_g));
-  trunk_.backward(grad_features);
+  // The trunk's input is the image batch: its gradient is never used.
+  trunk_.backward_params(grad_features);
 }
 
 void SelectiveNet::zero_grad() {

@@ -5,6 +5,7 @@
 //   Conv 3x3 x32 -> ReLU -> MaxPool 2x2
 //   Conv 3x3 x32 -> ReLU -> MaxPool 2x2
 //   Flatten -> FC 256 -> ReLU
+// Each conv block (with its optional BatchNorm) is one nn::ConvStage.
 // Heads (departing after the main blocks):
 //   prediction head f: FC(256 -> n_c) logits
 //   selection head g:  FC(256 -> 1) -> sigmoid

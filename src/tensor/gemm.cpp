@@ -208,6 +208,108 @@ struct ImageSource {
   }
 };
 
+/// Packs the (kc x cols) block at (p0, j0) of the transposed im2col matrix of
+/// a batch into kNR-column micro-panels, reading the images directly. `g`
+/// describes one image and has no padding (sgemm_conv_dw hands over
+/// zero-bordered copies), so every tap is in range. The images are stored
+/// channels-last, (H, W, C), and the columns run tap-major: column j is
+/// channel j % C of tap j / C = (kh, kw). Row p is output pixel p % (OH*OW)
+/// of image p / (OH*OW); the panel tail is zero. A panel row is then a few
+/// contiguous runs of the image (one per kh row of taps), copied whole.
+void pack_columns(const ConvGeometry& g, const float* images, std::int64_t j0,
+                  std::int64_t cols, std::int64_t p0, std::int64_t kc,
+                  float* dst) {
+  struct Run {
+    std::int64_t src, len, lane;  // image offset from the pixel, length, lane
+  };
+  Run runs[kNR];
+  const std::int64_t c = g.channels;
+  const std::int64_t ow = g.out_w();
+  const std::int64_t pixels = g.out_h() * ow;
+  const std::int64_t image = c * g.height * g.width;
+  const std::int64_t row_step = g.stride * g.width * c;
+  const std::int64_t col_step = g.stride * c;
+  for (std::int64_t jr = 0; jr < cols; jr += kNR) {
+    const std::int64_t lanes = std::min(kNR, cols - jr);
+    int nruns = 0;
+    for (std::int64_t l = 0; l < lanes; ++l) {
+      const std::int64_t j = j0 + jr + l;
+      const std::int64_t tap = j / c;
+      const std::int64_t src =
+          ((tap / g.kernel_w) * g.width + tap % g.kernel_w) * c + j % c;
+      if (nruns > 0 && runs[nruns - 1].src + runs[nruns - 1].len == src) {
+        ++runs[nruns - 1].len;
+      } else {
+        runs[nruns++] = {src, 1, l};
+      }
+    }
+    float* panel = dst + (jr / kNR) * kNR * kc;
+    std::int64_t q = p0;
+    std::int64_t x = q % ow;
+    const float* base =
+        images + (q / pixels) * image + (q % pixels / ow) * row_step + x * col_step;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      float* d = panel + p * kNR;
+      for (int r = 0; r < nruns; ++r) {
+        const float* in = base + runs[r].src;
+        float* out = d + runs[r].lane;
+        for (std::int64_t i = 0; i < runs[r].len; ++i) out[i] = in[i];
+      }
+      for (std::int64_t l = lanes; l < kNR; ++l) d[l] = 0.0f;
+      ++q;
+      if (++x < ow) {
+        base += col_step;
+      } else {
+        x = 0;
+        base = images + (q / pixels) * image + (q % pixels / ow) * row_step;
+      }
+    }
+  }
+}
+
+/// A batch of (rows_total x per) row-major blocks side by side along K:
+/// A(r, p) = data[((p / per) * rows_total + r) * per + p % per]. A conv's
+/// output gradient (N, M, OH*OW) read as one M x N*OH*OW matrix, packed per
+/// call into kMR-row panels.
+struct BatchRowsSource {
+  const float* data;
+  std::int64_t rows_total;
+  std::int64_t per;
+  Panels panels(std::int64_t r0, std::int64_t rows, std::int64_t p0,
+                std::int64_t kc, std::vector<float>& scratch) const {
+    scratch.resize(static_cast<std::size_t>((rows + kMR - 1) / kMR * kMR * kc));
+    for (std::int64_t i0 = 0; i0 < rows; i0 += kMR) {
+      const std::int64_t n = std::min(kMR, rows - i0);
+      float* d = scratch.data() + (i0 / kMR) * kMR * kc;
+      std::int64_t img = p0 / per;
+      std::int64_t s = p0 % per;
+      for (std::int64_t p = 0; p < kc; ++p, d += kMR) {
+        const float* src = data + (img * rows_total + r0 + i0) * per + s;
+        for (std::int64_t i = 0; i < n; ++i) d[i] = src[i * per];
+        for (std::int64_t i = n; i < kMR; ++i) d[i] = 0.0f;
+        if (++s == per) {
+          s = 0;
+          ++img;
+        }
+      }
+    }
+    return {scratch.data(), kMR * kc};
+  }
+};
+
+/// The transposed im2col matrix of a batch of zero-bordered images, packed
+/// from the images on every call (see pack_columns).
+struct BatchColumnsSource {
+  const ConvGeometry& g;
+  const float* images;
+  Panels panels(std::int64_t j0, std::int64_t cols, std::int64_t p0,
+                std::int64_t kc, std::vector<float>& scratch) const {
+    scratch.resize(static_cast<std::size_t>((cols + kNR - 1) / kNR * kNR * kc));
+    pack_columns(g, images, j0, cols, p0, kc, scratch.data());
+    return {scratch.data(), kNR * kc};
+  }
+};
+
 /// Serial macro-kernel over the C sub-range [m0, m1) x [n0, n1):
 /// C += A * B (C already beta-scaled), one += per kKC-deep K block, then the
 /// optional bias epilogues. With `zeroed`, C is taken as zero without being
@@ -302,7 +404,7 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
   if (m >= n) {
     const std::size_t panels = static_cast<std::size_t>((m + kMR - 1) / kMR);
     pool.parallel_chunks(
-        0, panels, [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+        0, panels, [&](std::size_t lo, std::size_t hi) {
           gemm_block(static_cast<std::int64_t>(lo) * kMR,
                      std::min(m, static_cast<std::int64_t>(hi) * kMR), 0, n,
                      k, a, b, zeroed, c, n, bias_rows, bias_cols);
@@ -310,7 +412,7 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
   } else {
     const std::size_t panels = static_cast<std::size_t>((n + kNR - 1) / kNR);
     pool.parallel_chunks(
-        0, panels, [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+        0, panels, [&](std::size_t lo, std::size_t hi) {
           gemm_block(0, m, static_cast<std::int64_t>(lo) * kNR,
                      std::min(n, static_cast<std::int64_t>(hi) * kNR), k, a, b,
                      zeroed, c, n, bias_rows, bias_cols);
@@ -414,6 +516,53 @@ void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
   }
   gemm_driver(w.rows, g.col_cols(), g.col_rows(), PrepackedSource{w},
               ImageSource{bordered, copy.data()}, 0.0f, c, bias, nullptr);
+}
+
+void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,
+                   const float* dy, const float* images, float* dw) {
+  WM_CHECK_SHAPE(batch > 0 && m > 0, "sgemm_conv_dw: bad batch ", batch,
+                 " or rows ", m);
+  // A channels-last copy of the batch, zero-bordered so that padding taps
+  // read zeros: each panel row is then a few contiguous runs (see
+  // pack_columns). Pool workers that split the product only read it.
+  ConvGeometry bordered = g;
+  bordered.height += 2 * g.pad;
+  bordered.width += 2 * g.pad;
+  bordered.pad = 0;
+  const std::int64_t c = g.channels;
+  const std::int64_t plane = g.height * g.width;
+  thread_local std::vector<float> copy;
+  copy.assign(static_cast<std::size_t>(batch * c * bordered.height *
+                                       bordered.width),
+              0.0f);
+  for (std::int64_t n = 0; n < batch; ++n) {
+    const float* src = images + n * c * plane;
+    for (std::int64_t y = 0; y < g.height; ++y) {
+      float* row = copy.data() +
+                   ((n * bordered.height + y + g.pad) * bordered.width + g.pad) * c;
+      for (std::int64_t x = 0; x < g.width; ++x) {
+        for (std::int64_t ch = 0; ch < c; ++ch) {
+          row[x * c + ch] = src[ch * plane + y * g.width + x];
+        }
+      }
+    }
+  }
+  // The product's columns run tap-major; dw's run channel-major.
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  const std::int64_t cols = g.col_rows();
+  thread_local std::vector<float> product;
+  product.resize(static_cast<std::size_t>(m * cols));
+  gemm_driver(m, cols, batch * g.col_cols(),
+              BatchRowsSource{dy, m, g.col_cols()},
+              BatchColumnsSource{bordered, copy.data()}, 0.0f, product.data(),
+              nullptr, nullptr);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* prow = product.data() + i * cols;
+    float* drow = dw + i * cols;
+    for (std::int64_t t = 0; t < taps; ++t) {
+      for (std::int64_t ch = 0; ch < c; ++ch) drow[ch * taps + t] += prow[t * c + ch];
+    }
+  }
 }
 
 void sgemm_packed_bt_bias_cols(std::int64_t m, const float* x,

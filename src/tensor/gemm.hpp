@@ -10,11 +10,12 @@
 // Every entry point runs one macro-kernel whose A and B micro-panels come
 // packed from strided memory (the plain sgemm_* calls), pre-packed once
 // (PackedPanels: weights that stay fixed across calls), or packed straight
-// from an image through a ConvGeometry (sgemm_conv: im2col without the
-// column buffer). The source of a panel never changes its values, and C is
-// always accumulated the same way — zeroed (beta = 0), one += per kKC-deep
-// K block, the bias added last — so every entry that computes the same
-// product returns the same bits.
+// from images through a ConvGeometry (sgemm_conv: im2col without the column
+// buffer; sgemm_conv_dw: the transposed im2col of a whole batch). The source
+// of a panel never changes its values, and C is always accumulated the same
+// way — zeroed (beta = 0) or kept (beta = 1), one += per kKC-deep K block,
+// the bias added last — so every entry that computes the same product
+// returns the same bits.
 //
 // Large products are split across ThreadPool::global() by row- or
 // column-panels. The split never changes the per-element accumulation order
@@ -86,6 +87,19 @@ PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k, const float* w);
 /// bias may be null.
 void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
                 const float* image, float* c, const float* bias);
+
+/// A convolution's weight gradient over a whole batch, with implicit im2col:
+///   dw (m x g.col_rows()) += sum over images i of
+///                            dy_i (m x g.col_cols()) * im2col(image_i)^T
+/// as one GEMM with K = batch * g.col_cols(), into scratch, then added to
+/// dw. dy holds the batch's (m x OH*OW) blocks back to back, as a conv's
+/// (N, OC, OH, OW) output gradient does; `images` holds `batch` images of g.
+/// The transposed im2col panels are packed straight from a zero-bordered,
+/// channels-last copy of the batch, so no column buffer is built. The
+/// product splits across the pool by M/N panels only, so dw gets the same
+/// bits at every pool size.
+void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,
+                   const float* dy, const float* images, float* dw);
 
 /// Linear layer with weights from pack_weights_bt(N, K, W):
 ///   Y (M x N) = X (M x K) * W^T + bias[col]

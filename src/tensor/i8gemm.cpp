@@ -424,7 +424,7 @@ void i8gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
   if (m >= n) {
     const std::size_t panels = static_cast<std::size_t>((m + kMR - 1) / kMR);
     pool.parallel_chunks(
-        0, panels, [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+        0, panels, [&](std::size_t lo, std::size_t hi) {
           i8gemm_block<UnsignedBroadcast, ChannelsAreRows>(
               static_cast<std::int64_t>(lo) * kMR,
               std::min(m, static_cast<std::int64_t>(hi) * kMR), 0, n, k, a, b,
@@ -433,7 +433,7 @@ void i8gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k,
   } else {
     const std::size_t panels = static_cast<std::size_t>((n + kNR - 1) / kNR);
     pool.parallel_chunks(
-        0, panels, [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
+        0, panels, [&](std::size_t lo, std::size_t hi) {
           i8gemm_block<UnsignedBroadcast, ChannelsAreRows>(
               0, m, static_cast<std::int64_t>(lo) * kNR,
               std::min(n, static_cast<std::int64_t>(hi) * kNR), k, a, b, c, n,

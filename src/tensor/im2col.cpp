@@ -59,29 +59,4 @@ void im2col_u8(const ConvGeometry& g, const std::uint8_t* image,
   im2col_impl(g, image, col, pad);
 }
 
-void col2im(const ConvGeometry& g, const float* col, float* image) {
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t hw = g.height * g.width;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.channels; ++c) {
-    float* chan = image + c * hw;
-    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* in_row = col + row * (oh * ow);
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + kh - g.pad;
-          if (iy < 0 || iy >= g.height) continue;
-          float* out_row = chan + iy * g.width;
-          const float* in = in_row + y * ow;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kw - g.pad;
-            if (ix >= 0 && ix < g.width) out_row[ix] += in[x];
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace wm

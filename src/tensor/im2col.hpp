@@ -1,4 +1,4 @@
-// im2col / col2im lowering for convolution as GEMM.
+// im2col lowering for convolution as GEMM.
 //
 // Layout conventions (single image):
 //   image:  (C, H, W) row-major
@@ -41,9 +41,5 @@ void im2col(const ConvGeometry& g, const float* image, float* col);
 /// quantized conv's lowering cost proportional to its kernel speedup.
 void im2col_u8(const ConvGeometry& g, const std::uint8_t* image,
                std::uint8_t* col, std::uint8_t pad);
-
-/// Accumulates col back into image-gradient (C,H,W). The caller must
-/// zero-initialise `image` (contributions from overlapping windows add).
-void col2im(const ConvGeometry& g, const float* col, float* image);
 
 }  // namespace wm

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/threadpool.hpp"
 #include "wafermap/synth/generator.hpp"
 
 namespace wm::augment {
@@ -125,6 +126,32 @@ TEST(AugmentorTest, DeterministicGivenSeed) {
   ASSERT_EQ(oa.size(), ob.size());
   for (std::size_t i = 0; i < oa.size(); ++i) {
     EXPECT_EQ(oa[i].map, ob[i].map);
+  }
+}
+
+TEST(AugmentorTest, SameOutputAtEveryPoolSize) {
+  Rng rng_data(10);
+  synth::DatasetSpec spec;
+  spec.map_size = 16;
+  spec.class_counts[static_cast<std::size_t>(DefectType::kDonut)] = 3;
+  spec.class_counts[static_cast<std::size_t>(DefectType::kScratch)] = 4;
+  spec.class_counts[static_cast<std::size_t>(DefectType::kNone)] = 6;
+  const Dataset train = synth::generate_dataset(spec, rng_data);
+  const auto augment = [&](std::size_t threads) {
+    ThreadPool::configure_global(threads);
+    Rng rng(77);
+    Dataset out = Augmentor(fast_options(9)).augment_dataset(train, rng);
+    ThreadPool::configure_global(0);
+    return out;
+  };
+  const Dataset serial = augment(1);
+  const Dataset pooled = augment(4);
+  ASSERT_GT(serial.size(), train.size());
+  ASSERT_EQ(serial.size(), pooled.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].map, pooled[i].map) << "sample " << i;
+    EXPECT_EQ(serial[i].label, pooled[i].label) << "sample " << i;
+    EXPECT_EQ(serial[i].weight, pooled[i].weight) << "sample " << i;
   }
 }
 

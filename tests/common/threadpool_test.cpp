@@ -16,7 +16,9 @@ namespace {
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   ThreadPool pool(0);  // explicitly serial: every index runs on the caller
   EXPECT_EQ(pool.worker_count(), 0u);
-  EXPECT_EQ(pool.max_chunks(), 1u);
+  int chunks = 0;
+  pool.parallel_chunks(0, 100, [&](std::size_t, std::size_t) { ++chunks; });
+  EXPECT_EQ(chunks, 1);
   std::vector<int> hits(100, 0);  // plain ints: inline execution, no races
   pool.parallel_for(0, 100, [&](std::size_t i) { hits[i]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
@@ -99,31 +101,28 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
 
 TEST(ThreadPoolTest, ParallelChunksPartitionsRange) {
   ThreadPool pool(3);
-  EXPECT_EQ(pool.max_chunks(), 4u);
-  EXPECT_EQ(pool.chunk_count(2), 2u);   // never more chunks than items
-  EXPECT_EQ(pool.chunk_count(100), 4u);
+  const auto chunks_for = [&](std::size_t n) {
+    std::atomic<int> chunks{0};
+    pool.parallel_chunks(0, n, [&](std::size_t, std::size_t) { chunks++; });
+    return chunks.load();
+  };
+  EXPECT_EQ(chunks_for(2), 2);    // never more chunks than items
+  EXPECT_EQ(chunks_for(100), 4);  // one per thread: 3 workers + the caller
   std::vector<std::atomic<int>> hits(100);
-  std::vector<std::atomic<int>> slot_used(pool.max_chunks());
-  pool.parallel_chunks(0, 100,
-                       [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-                         ASSERT_LT(slot, pool.max_chunks());
-                         slot_used[slot]++;
-                         for (std::size_t i = lo; i < hi; ++i) hits[i]++;
-                       });
+  pool.parallel_chunks(0, 100, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  for (auto& s : slot_used) EXPECT_LE(s.load(), 1);  // slots never shared
 }
 
 TEST(ThreadPoolTest, ParallelChunksSerialIsSingleChunk) {
   ThreadPool pool(0);
   int calls = 0;
-  pool.parallel_chunks(3, 40,
-                       [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-                         ++calls;
-                         EXPECT_EQ(lo, 3u);
-                         EXPECT_EQ(hi, 40u);
-                         EXPECT_EQ(slot, 0u);
-                       });
+  pool.parallel_chunks(3, 40, [&](std::size_t lo, std::size_t hi) {
+    ++calls;
+    EXPECT_EQ(lo, 3u);
+    EXPECT_EQ(hi, 40u);
+  });
   EXPECT_EQ(calls, 1);
 }
 

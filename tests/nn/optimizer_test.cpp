@@ -16,45 +16,6 @@ void quadratic_grad(Parameter& p, const Tensor& target) {
   }
 }
 
-TEST(SgdTest, ConvergesOnQuadraticBowl) {
-  Parameter p("w", Tensor(Shape{3}, {10.0f, -5.0f, 2.0f}));
-  const Tensor target(Shape{3}, {1.0f, 2.0f, 3.0f});
-  Sgd opt({&p}, {.lr = 0.1});
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    quadratic_grad(p, target);
-    opt.step();
-  }
-  for (std::int64_t i = 0; i < 3; ++i) EXPECT_NEAR(p.value[i], target[i], 1e-4f);
-}
-
-TEST(SgdTest, SingleStepIsLrTimesGrad) {
-  Parameter p("w", Tensor(Shape{1}, {1.0f}));
-  Sgd opt({&p}, {.lr = 0.5});
-  p.grad[0] = 2.0f;
-  opt.step();
-  EXPECT_FLOAT_EQ(p.value[0], 0.0f);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-  Parameter p("w", Tensor(Shape{1}, {0.0f}));
-  Sgd opt({&p}, {.lr = 1.0, .momentum = 0.5});
-  p.grad[0] = 1.0f;
-  opt.step();  // v=1, w=-1
-  opt.step();  // v=1.5, w=-2.5
-  EXPECT_FLOAT_EQ(p.value[0], -2.5f);
-}
-
-TEST(SgdTest, WeightDecayPullsTowardZero) {
-  Parameter p("w", Tensor(Shape{1}, {10.0f}));
-  Sgd opt({&p}, {.lr = 0.1, .weight_decay = 1.0});
-  for (int i = 0; i < 100; ++i) {
-    opt.zero_grad();  // pure decay, no data gradient
-    opt.step();
-  }
-  EXPECT_LT(std::fabs(p.value[0]), 1e-3f);
-}
-
 TEST(AdamTest, ConvergesOnQuadraticBowl) {
   Parameter p("w", Tensor(Shape{4}, {50.0f, -50.0f, 10.0f, 0.0f}));
   const Tensor target(Shape{4}, {1.0f, -1.0f, 0.5f, 2.0f});
@@ -107,7 +68,7 @@ TEST(OptimizerTest, ZeroGradClearsAll) {
   Parameter b("b", Tensor(Shape{3}));
   a.grad.fill(5.0f);
   b.grad.fill(-1.0f);
-  Sgd opt({&a, &b}, {.lr = 0.1});
+  Adam opt({&a, &b}, {.lr = 0.1});
   opt.zero_grad();
   for (std::int64_t i = 0; i < 2; ++i) EXPECT_EQ(a.grad[i], 0.0f);
   for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(b.grad[i], 0.0f);
@@ -115,8 +76,7 @@ TEST(OptimizerTest, ZeroGradClearsAll) {
 
 TEST(OptimizerTest, RejectsBadHyperparameters) {
   Parameter p("w", Tensor(Shape{1}));
-  EXPECT_THROW(Sgd({&p}, {.lr = 0.0}), InvalidArgument);
-  EXPECT_THROW(Sgd({&p}, {.lr = 0.1, .momentum = 1.0}), InvalidArgument);
+  EXPECT_THROW(Adam({&p}, {.lr = 0.0}), InvalidArgument);
   EXPECT_THROW(Adam({&p}, {.lr = -1.0}), InvalidArgument);
   EXPECT_THROW(Adam({&p}, {.lr = 0.1, .beta1 = 1.0}), InvalidArgument);
   EXPECT_THROW(Adam({&p}, {.lr = 0.1, .eps = 0.0}), InvalidArgument);

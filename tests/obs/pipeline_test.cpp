@@ -69,7 +69,7 @@ TEST(ObsPipelineTest, TrainAndServeLeaveEverySpanCounterAndMetric) {
     }
   }
   for (const char* name :
-       {"gemm", "conv2d.fwd", "train.epoch", "serve.flush"}) {
+       {"gemm", "conv_stage.fwd", "train.epoch", "serve.flush"}) {
     EXPECT_TRUE(spans.contains(name)) << "trace has no " << name << " span";
   }
   for (const char* name : {"monitor.coverage", "monitor.abstention_ewma",

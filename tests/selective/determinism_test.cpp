@@ -1,13 +1,20 @@
-// Thread-count determinism: training must not depend on the pool size
-// beyond float reduction tolerance, and the serial path (WM_THREADS=1)
-// must be exactly reproducible run-to-run.
+// Thread-count determinism: training must not depend on the pool size at
+// all (every reduction runs in an order fixed by the data, never by the
+// pool), and the serial path (WM_THREADS=1) must be exactly reproducible
+// run-to-run.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "selective/model_file.hpp"
 #include "selective/trainer.hpp"
 #include "wafermap/synth/generator.hpp"
 
@@ -48,17 +55,50 @@ TEST(DeterminismTest, SerialPathIsExactlyReproducible) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
-TEST(DeterminismTest, ThreadedTrainingMatchesSerialWithinTolerance) {
+TEST(DeterminismTest, ThreadedTrainingMatchesSerialExactly) {
   const auto serial = train_losses(1);
-  const auto threaded = train_losses(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    // GEMM/batchnorm/pool splits are bit-exact; the only thread-dependent
-    // reductions are the conv dW/db slot sums, so trajectories agree to
-    // float reduction tolerance.
-    EXPECT_NEAR(serial[i], threaded[i],
-                1e-4f * (1.0f + std::abs(serial[i])))
-        << "epoch " << i;
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    const auto threaded = train_losses(threads);
+    ASSERT_EQ(serial.size(), threaded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i], threaded[i])
+          << "epoch " << i << " at pool size " << threads;
+    }
+  }
+}
+
+/// The bytes save_model writes for a small BatchNorm net trained on a pool
+/// of `total_threads`.
+std::string trained_model_bytes(std::size_t total_threads) {
+  ThreadPool::configure_global(total_threads);
+  Rng rng(43);
+  SelectiveNet net({.map_size = 16, .num_classes = 9, .conv1_filters = 8,
+                    .conv2_filters = 8, .conv3_filters = 8, .fc_units = 32,
+                    .use_batchnorm = true},
+                   rng);
+  Dataset train = tiny_dataset(9);
+  train.shuffle(rng);
+  SelectiveTrainer trainer({.epochs = 2, .batch_size = 12,
+                            .learning_rate = 1e-3, .target_coverage = 0.8});
+  trainer.train(net, train, nullptr, rng);
+  ThreadPool::configure_global(0);
+  const std::string path = "/tmp/wm_determinism_test_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(total_threads) + ".wsn";
+  save_model(path, net);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(DeterminismTest, ModelFileBytesMatchAtEveryPoolSize) {
+  const std::string serial = trained_model_bytes(1);
+  ASSERT_FALSE(serial.empty());
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    EXPECT_TRUE(trained_model_bytes(threads) == serial)
+        << "WSN1 bytes differ at pool size " << threads;
   }
 }
 

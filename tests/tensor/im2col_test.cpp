@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "tensor/tensor.hpp"
 
 namespace wm {
 namespace {
@@ -80,34 +78,6 @@ TEST(Im2ColTest, MultiChannelRowOrdering) {
   EXPECT_EQ(col[3], 4.0f);
   EXPECT_EQ(col[4], 10.0f);
   EXPECT_EQ(col[7], 40.0f);
-}
-
-TEST(Col2ImTest, InverseOfIm2ColForNonOverlappingWindows) {
-  // stride == kernel -> each input pixel used exactly once, so col2im(im2col(x)) == x.
-  ConvGeometry g{.channels = 2, .height = 4, .width = 4, .kernel_h = 2,
-                 .kernel_w = 2, .stride = 2, .pad = 0};
-  Rng rng(8);
-  const Tensor img = Tensor::normal(Shape{2, 4, 4}, rng);
-  std::vector<float> col(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2col(g, img.data(), col.data());
-  Tensor back(Shape{2, 4, 4});
-  col2im(g, col.data(), back.data());
-  for (std::int64_t i = 0; i < img.numel(); ++i) EXPECT_FLOAT_EQ(back[i], img[i]);
-}
-
-TEST(Col2ImTest, OverlapAccumulates) {
-  // 1x1x3 image (as 1x3x1? use 1-row): kernel 1x2, stride 1 -> middle pixel
-  // belongs to two windows and must accumulate twice.
-  ConvGeometry g{.channels = 1, .height = 1, .width = 3, .kernel_h = 1,
-                 .kernel_w = 2, .stride = 1, .pad = 0};
-  const std::vector<float> img = {1, 2, 3};
-  std::vector<float> col(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2col(g, img.data(), col.data());
-  std::vector<float> back(3, 0.0f);
-  col2im(g, col.data(), back.data());
-  EXPECT_FLOAT_EQ(back[0], 1.0f);
-  EXPECT_FLOAT_EQ(back[1], 4.0f);  // appears in both windows
-  EXPECT_FLOAT_EQ(back[2], 3.0f);
 }
 
 }  // namespace
