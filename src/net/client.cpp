@@ -48,10 +48,12 @@ std::future<CallResult> Client::predict_async(const WaferMap& map,
 
 std::future<CallResult> Client::predict_async(const WaferMap& map,
                                               std::uint32_t deadline_ms,
-                                              obs::TraceContext trace) {
+                                              obs::TraceContext trace,
+                                              std::function<void()> on_done) {
   PendingCall pc;
   pc.enqueue_ns = obs::trace_clock_ns();
   pc.trace = trace;
+  pc.on_done = std::move(on_done);
   std::future<CallResult> fut = pc.promise.get_future();
 
   RequestFrame req;
@@ -311,6 +313,7 @@ void Client::complete_call(PendingCall& pc, CallResult result) {
     }
   }
   pc.promise.set_value(result);
+  if (pc.on_done) pc.on_done();
 }
 
 bool Client::backoff_sleep(int ms) {

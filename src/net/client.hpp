@@ -47,6 +47,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
@@ -113,11 +114,18 @@ class Client {
   /// (measured from server receipt); 0 = no deadline. The traced overload
   /// attaches a distributed-trace context carried to the server on the
   /// wire (see the header comment).
+  ///
+  /// `on_done`, when set, runs right after the returned future becomes
+  /// ready, on every completion path. It runs while this client holds its
+  /// internal mutex — on the IO thread, or inside predict_async itself once
+  /// the client is closed — so it must not throw, block, or take a lock
+  /// that is held around calls into this client.
   std::future<CallResult> predict_async(const WaferMap& map,
                                         std::uint32_t deadline_ms = 0);
   std::future<CallResult> predict_async(const WaferMap& map,
                                         std::uint32_t deadline_ms,
-                                        obs::TraceContext trace);
+                                        obs::TraceContext trace,
+                                        std::function<void()> on_done = {});
 
   /// Blocking convenience: predict_async + wait.
   CallResult predict(const WaferMap& map, std::uint32_t deadline_ms = 0);
@@ -151,11 +159,12 @@ class Client {
   };
 
   /// One call awaiting its result: the promise plus what the completion
-  /// paths need to close the call's span.
+  /// paths need to close the call's span and run its hook.
   struct PendingCall {
     std::promise<CallResult> promise;
     std::int64_t enqueue_ns = 0;  // obs::trace_clock_ns() at predict_async
     obs::TraceContext trace{};
+    std::function<void()> on_done;
   };
 
   void io_loop();
@@ -164,7 +173,7 @@ class Client {
   bool connect_with_backoff();
   void disconnect_locked();  // caller holds mutex_
   void fail_all_locked(Status status);
-  /// Fulfils one call: span + flow + stage histogram + promise.
+  /// Fulfils one call: span + flow + stage histogram + promise + hook.
   void complete_call(PendingCall& pc, CallResult result);
   /// Interruptible sleep; returns false when woken by close().
   bool backoff_sleep(int ms);

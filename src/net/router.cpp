@@ -13,16 +13,6 @@
 
 namespace wm::net {
 
-namespace {
-
-/// Dispatcher/prober tick. The dispatcher polls its in-flight client
-/// futures (std::future has no completion callback) at the same cadence the
-/// server-side poll loop already uses; 1 ms bounds the added latency well
-/// below the engine's batching delay.
-constexpr int kTickMs = 1;
-
-}  // namespace
-
 bool probe_healthz(const std::string& host, int port, int timeout_ms) {
   int fd = -1;
   try {
@@ -130,7 +120,7 @@ std::future<CallResult> Router::predict_async(const WaferMap& map,
     requests_total_.inc();
     queue_.push_back(std::move(call));
   }
-  cv_.notify_all();
+  wake_dispatcher();
   return fut;
 }
 
@@ -145,7 +135,8 @@ void Router::close() {
     if (stopping_) return;
     stopping_ = true;
   }
-  cv_.notify_all();
+  prober_cv_.notify_all();
+  wake_dispatcher();
   if (dispatcher_.joinable()) dispatcher_.join();
   if (prober_.joinable()) prober_.join();
   // The dispatcher exits with queue_/inflight_ already failed; closing the
@@ -194,9 +185,18 @@ void Router::dispatch_locked(std::unique_ptr<Call> call) {
   Inflight inf;
   inf.replica = idx;
   inf.dispatched = Clock::now();
-  inf.future = r.client->predict_async(call->map, call->deadline_ms, fwd);
+  inf.future = r.client->predict_async(call->map, call->deadline_ms, fwd,
+                                       [this] { wake_dispatcher(); });
   inf.call = std::move(call);
   inflight_.push_back(std::move(inf));
+}
+
+void Router::wake_dispatcher() {
+  {
+    const std::lock_guard<std::mutex> lock(wake_mutex_);
+    wake_pending_ = true;
+  }
+  dispatch_cv_.notify_one();
 }
 
 void Router::finish_call(Call& call, CallResult result) {
@@ -291,13 +291,16 @@ void Router::dispatcher_loop() {
       }
     }
     if (stopping_) break;
-    if (queue_.empty()) {
-      if (inflight_.empty()) {
-        cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      } else {
-        cv_.wait_for(lock, std::chrono::milliseconds(kTickMs));
-      }
+    // Sleep until the next submission, completion or close(). The flag is
+    // cleared before the next scan, so an event that lands after the clear,
+    // even between that scan and this wait, finds it set again.
+    lock.unlock();
+    {
+      std::unique_lock<std::mutex> wake_lock(wake_mutex_);
+      dispatch_cv_.wait(wake_lock, [this] { return wake_pending_; });
+      wake_pending_ = false;
     }
+    lock.lock();
   }
   // Stopping: fail everything still queued or in flight.
   for (auto& call : queue_) {
@@ -358,8 +361,9 @@ void Router::prober_loop() {
       log_info("router: replica ", i, " (", r.endpoint.host, ":",
                     r.endpoint.port, ") passed /healthz, rejoining");
     }
-    cv_.wait_for(lock, std::chrono::milliseconds(opts_.health_interval_ms),
-                 [this] { return stopping_; });
+    prober_cv_.wait_for(lock,
+                        std::chrono::milliseconds(opts_.health_interval_ms),
+                        [this] { return stopping_; });
   }
 }
 

@@ -13,7 +13,10 @@
 //
 //   * the dispatcher assigns calls to replicas and harvests completions.
 //     Replica selection is least-outstanding: the healthy replica with the
-//     fewest in-flight calls, ties broken by index;
+//     fewest in-flight calls, ties broken by index. It sleeps on its own
+//     condition variable until a submission, close(), or the completion of
+//     a replica call (the hook it passes to Client::predict_async) wakes
+//     it — there is no polling tick;
 //   * the prober drives the health/eject state machine. A replica is
 //     HEALTHY until eject_threshold consecutive transport failures eject
 //     it; an EJECTED replica receives no traffic and rejoins only when its
@@ -188,6 +191,8 @@ class Router {
 
   void dispatcher_loop();
   void prober_loop();
+  /// Sets wake_pending_ and notifies dispatch_cv_; takes only wake_mutex_.
+  void wake_dispatcher();
   /// Picks the healthy replica with the fewest calls in flight; returns
   /// replicas_.size() when none is healthy. Caller holds mutex_.
   std::size_t pick_replica_locked();
@@ -216,8 +221,17 @@ class Router {
   obs::Gauge& healthy_gauge_;
   obs::Histogram& dispatch_hist_;
 
+  /// Wakes the dispatcher on every submission, replica completion and
+  /// close(). It has its own mutex, never mutex_: clients run completion
+  /// hooks under their own lock, and a closed client runs them inside
+  /// predict_async, on the dispatcher thread with mutex_ held. Declared
+  /// before replicas_ so it outlives every client's last hook.
+  std::mutex wake_mutex_;
+  std::condition_variable dispatch_cv_;
+  bool wake_pending_ = false;  // guarded by wake_mutex_
+
   mutable std::mutex mutex_;
-  std::condition_variable cv_;  // wakes dispatcher (new call / close)
+  std::condition_variable prober_cv_;  // wakes the prober on close()
   std::deque<std::unique_ptr<Call>> queue_;
   std::vector<Inflight> inflight_;
   std::vector<Replica> replicas_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <utility>
 
@@ -19,10 +20,6 @@ namespace wm::net {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Poll tick while engine futures are outstanding: bounds how late a ready
-/// result or an expired deadline is noticed.
-constexpr int kPendingPollMs = 1;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -89,7 +86,7 @@ Server::~Server() { stop(); }
 void Server::stop() {
   stopping_.store(true);
   accept_wake_.wake();
-  for (auto& w : workers_) w->wake.wake();
+  for (auto& w : workers_) w->wake->wake();
   const std::lock_guard<std::mutex> lock(join_mutex_);
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& w : workers_) {
@@ -137,13 +134,17 @@ void Server::accept_loop() {
       const std::lock_guard<std::mutex> lock(w.inbox_mutex);
       w.inbox.push_back(conn);
     }
-    w.wake.wake();
+    w.wake->wake();
   }
 }
 
 void Server::worker_loop(Worker& w) {
   obs::set_trace_thread_label(opts_.name + ".worker" +
                               std::to_string(w.index));
+  // The engine runs this after fulfilling each request the worker submits,
+  // also one a TIMEOUT abandoned, when this server may be gone: the hook
+  // shares ownership of the pipe it wakes.
+  const std::function<void()> on_done = [wake = w.wake] { wake->wake(); };
   std::vector<pollfd> fds;
   for (;;) {
     const bool draining = stopping_.load();
@@ -172,23 +173,36 @@ void Server::worker_loop(Worker& w) {
       return;
     }
 
-    bool any_pending = false;
+    // Sleep until a socket is readable, the engine completes one of this
+    // worker's requests (its hook writes the wake pipe), or the earliest
+    // pending deadline passes.
+    std::optional<Clock::time_point> next_deadline;
     fds.clear();
-    fds.push_back({w.wake.read_fd(), POLLIN, 0});
+    fds.push_back({w.wake->read_fd(), POLLIN, 0});
     for (const Conn& c : w.conns) {
       fds.push_back({c.fd, POLLIN, 0});
-      any_pending = any_pending || !c.pending.empty();
+      for (const Pending& p : c.pending) {
+        if (p.has_deadline && (!next_deadline || p.deadline < *next_deadline)) {
+          next_deadline = p.deadline;
+        }
+      }
     }
-    const int timeout = any_pending ? kPendingPollMs : -1;
+    int timeout = -1;
+    if (next_deadline) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          *next_deadline - Clock::now());
+      timeout = static_cast<int>(
+          std::clamp<std::int64_t>(left.count(), 0, INT32_MAX));
+    }
     const int rc = ::poll(fds.data(), fds.size(), timeout);
     if (rc < 0 && errno != EINTR) return;
-    w.wake.drain();
+    w.wake->drain();
 
     for (std::size_t i = 0; i < w.conns.size(); ++i) {
       Conn& c = w.conns[i];
       const short revents = fds[i + 1].revents;
       if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        if (!handle_input(c)) c.dead = true;
+        if (!handle_input(c, on_done)) c.dead = true;
       }
       if (!c.dead && !flush_pending(c, /*drain=*/false)) c.dead = true;
     }
@@ -209,7 +223,7 @@ void Server::worker_loop(Worker& w) {
   }
 }
 
-bool Server::handle_input(Conn& c) {
+bool Server::handle_input(Conn& c, const std::function<void()>& on_done) {
   std::uint8_t buf[kReadChunk];
   const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
   if (n == 0) return false;  // peer closed
@@ -273,7 +287,8 @@ bool Server::handle_input(Conn& c) {
     p.timing = std::make_shared<serve::RequestTiming>();
     std::optional<std::future<SelectivePrediction>> fut;
     try {
-      fut = engine_.try_submit(std::move(req.map), req.trace, p.timing);
+      fut = engine_.try_submit(std::move(req.map), req.trace, p.timing,
+                               on_done);
     } catch (const Error&) {
       // Engine already shut down under us: answer rather than drop.
       if (!send_response(c, p, Status::kShuttingDown, {})) return false;

@@ -5,7 +5,12 @@
 // Thread model: one accept thread (poll on {listen fd, wake pipe}) hands
 // each new connection to a worker chosen round-robin; every worker runs a
 // poll loop over its own connections, so a stalled or malicious client
-// only ever occupies its socket, never a thread. Workers parse frames
+// only ever occupies its socket, never a thread. A worker sleeps until a
+// socket is readable, the engine completes one of its requests, or the
+// earliest pending deadline passes — no fixed tick: each request goes to
+// try_submit() with a completion hook that writes the worker's wake pipe.
+// The hook shares ownership of that pipe, because a request abandoned on
+// TIMEOUT can complete after the server is destroyed. Workers parse frames
 // incrementally, answer pipelined requests out of order (responses carry
 // the request id), and never block on the engine:
 //
@@ -52,6 +57,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -154,7 +160,8 @@ class Server {
   struct Worker {
     int index = 0;  // for the trace thread label
     std::thread thread;
-    WakePipe wake;
+    /// Shared with every completion hook still queued in the engine.
+    std::shared_ptr<WakePipe> wake = std::make_shared<WakePipe>();
     std::mutex inbox_mutex;
     std::vector<int> inbox;  // fds accepted but not yet adopted
     std::deque<Conn> conns;  // deque: grows without relocating live Conns
@@ -162,9 +169,10 @@ class Server {
 
   void accept_loop();
   void worker_loop(Worker& w);
-  /// Parses and handles every complete frame in c.in; returns false when
-  /// the connection must be closed (framing violation or write failure).
-  bool handle_input(Conn& c);
+  /// Parses and handles every complete frame in c.in, submitting requests
+  /// with the worker's completion hook `on_done`; returns false when the
+  /// connection must be closed (framing violation or write failure).
+  bool handle_input(Conn& c, const std::function<void()>& on_done);
   /// Answers ready/expired pending requests; `drain` waits for every
   /// future. Returns false on write failure.
   bool flush_pending(Conn& c, bool drain);

@@ -110,9 +110,11 @@ int connect_tcp(const std::string& host, int port, int timeout_ms) {
 }
 
 WakePipe::WakePipe() {
-  if (::pipe(fds_) != 0) throw IoError("WakePipe: pipe() failed");
-  // Non-blocking read end: drain() must stop at "pipe empty", not block.
-  (void)::fcntl(fds_[0], F_SETFL, O_NONBLOCK);
+  // Both ends non-blocking: drain() must stop at "pipe empty", and wake()
+  // into a full pipe must return at once (a full pipe already wakes).
+  if (::pipe2(fds_, O_NONBLOCK) != 0) {
+    throw IoError("WakePipe: pipe2() failed");
+  }
 }
 
 WakePipe::~WakePipe() { close(); }

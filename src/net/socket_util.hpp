@@ -48,15 +48,16 @@ int connect_tcp(const std::string& host, int port, int timeout_ms);
 /// or via the destructor; wake() after close() is a no-op.
 class WakePipe {
  public:
-  /// Throws wm::IoError when pipe() fails.
+  /// Throws wm::IoError when pipe2() fails.
   WakePipe();
   ~WakePipe();
 
   WakePipe(const WakePipe&) = delete;
   WakePipe& operator=(const WakePipe&) = delete;
 
-  /// Writes one byte into the pipe (async-signal-safe, never blocks the
-  /// caller meaningfully: the pipe buffer absorbs redundant wakes).
+  /// Writes one byte into the pipe (async-signal-safe, never blocks: when
+  /// the pipe is full the write is dropped, and the pending bytes already
+  /// wake the reader).
   void wake();
 
   /// Consumes every pending wake byte so a level-triggered poll stops

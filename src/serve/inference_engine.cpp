@@ -53,7 +53,9 @@ InferenceEngine::InferenceEngine(const Classifier& classifier,
       full_flushes_total_(metrics_.counter("wm_serve_full_flushes_total",
                                            "batches flushed at max_batch")),
       timer_flushes_total_(metrics_.counter(
-          "wm_serve_timer_flushes_total", "batches flushed by timer / drain")),
+          "wm_serve_timer_flushes_total",
+          "batches flushed below max_batch (every partial batch when "
+          "max_delay_us is 0)")),
       shed_total_(metrics_.counter("wm_serve_shed_total",
                                    "try_submit() rejections (queue full)")),
       queue_depth_gauge_(metrics_.gauge("wm_serve_queue_depth",
@@ -94,16 +96,7 @@ std::future<SelectivePrediction> InferenceEngine::submit(
     return stopping_ || queue_.size() < opts_.queue_capacity;
   });
   WM_CHECK(!stopping_, "submit() on a shut-down engine");
-  const Clock::time_point now = Clock::now();
-  if (timing) timing->enqueue_ns = to_ns(now);
-  queue_.push_back(
-      Request{std::move(map), {}, now, trace, std::move(timing)});
-  std::future<SelectivePrediction> fut = queue_.back().promise.get_future();
-  queue_depth_gauge_.set(static_cast<double>(queue_.size()));
-  obs::trace_counter("serve.queue_depth", static_cast<double>(queue_.size()));
-  lock.unlock();
-  queue_cv_.notify_one();
-  return fut;
+  return enqueue(lock, std::move(map), trace, std::move(timing), {});
 }
 
 std::optional<std::future<SelectivePrediction>> InferenceEngine::try_submit(
@@ -113,17 +106,24 @@ std::optional<std::future<SelectivePrediction>> InferenceEngine::try_submit(
 
 std::optional<std::future<SelectivePrediction>> InferenceEngine::try_submit(
     WaferMap map, obs::TraceContext trace,
-    std::shared_ptr<RequestTiming> timing) {
+    std::shared_ptr<RequestTiming> timing, std::function<void()> on_done) {
   std::unique_lock<std::mutex> lock(mutex_);
   WM_CHECK(!stopping_, "try_submit() on a shut-down engine");
   if (queue_.size() >= opts_.queue_capacity) {
     shed_total_.inc();
     return std::nullopt;
   }
+  return enqueue(lock, std::move(map), trace, std::move(timing),
+                 std::move(on_done));
+}
+
+std::future<SelectivePrediction> InferenceEngine::enqueue(
+    std::unique_lock<std::mutex>& lock, WaferMap map, obs::TraceContext trace,
+    std::shared_ptr<RequestTiming> timing, std::function<void()> on_done) {
   const Clock::time_point now = Clock::now();
   if (timing) timing->enqueue_ns = to_ns(now);
-  queue_.push_back(
-      Request{std::move(map), {}, now, trace, std::move(timing)});
+  queue_.push_back(Request{std::move(map), {}, now, trace, std::move(timing),
+                           std::move(on_done)});
   std::future<SelectivePrediction> fut = queue_.back().promise.get_future();
   queue_depth_gauge_.set(static_cast<double>(queue_.size()));
   obs::trace_counter("serve.queue_depth", static_cast<double>(queue_.size()));
@@ -298,6 +298,7 @@ void InferenceEngine::batcher_loop() {
       } else {
         batch[i].promise.set_value(preds[i]);
       }
+      if (batch[i].on_done) batch[i].on_done();
     }
   }
 }

@@ -4,13 +4,15 @@
 // Many client threads submit() single wafer maps; requests land in a bounded
 // FIFO queue (submit blocks when the queue is full — backpressure instead of
 // unbounded memory growth) and a dedicated batcher thread flushes a
-// micro-batch to Classifier::predict_batch when either
+// micro-batch to Classifier::predict_batch as soon as it is free. By default
+// (max_delay_us = 0) the batch is whatever queued while the previous
+// predict_batch ran, up to max_batch. A positive max_delay_us instead holds
+// a partial batch open until max_batch requests wait or the *oldest* has
+// waited that long.
 //
-//   * max_batch requests are waiting (throughput path), or
-//   * max_delay_us has elapsed since the *oldest* queued request arrived
-//     (latency bound for trickle traffic).
-//
-// Results come back through std::future<SelectivePrediction>. Because the
+// Results come back through std::future<SelectivePrediction>; try_submit()
+// also takes a completion hook the batcher runs right after it fulfils the
+// future, so an event loop can sleep until its results land. Because the
 // Classifier contract guarantees per-sample results independent of batch
 // composition, engine results are bit-identical to calling predict_batch
 // directly on the same wafers.
@@ -33,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -54,10 +57,10 @@ class SampleTap;
 struct EngineOptions {
   /// Flush as soon as this many requests are waiting.
   int max_batch = 32;
-  /// Flush a partial batch once its oldest request has waited this long.
-  /// 0 flushes immediately (every batch is whatever had accumulated while
-  /// the previous forward ran).
-  std::int64_t max_delay_us = 2000;
+  /// Hold a partial batch open until its oldest request has waited this
+  /// long. 0 (the default) flushes at once: every batch is whatever had
+  /// accumulated while the previous forward ran.
+  std::int64_t max_delay_us = 0;
   /// submit() blocks while this many requests are already queued.
   std::size_t queue_capacity = 256;
   /// Where the wm_serve_* instruments live. nullptr = an engine-private
@@ -95,7 +98,7 @@ struct EngineStats {
   std::uint64_t batches = 0;           // predict_batch calls issued
   std::uint64_t abstained = 0;         // results with selected == false
   std::uint64_t full_flushes = 0;      // batches flushed at max_batch
-  std::uint64_t timer_flushes = 0;     // flushed by the delay timer / drain
+  std::uint64_t timer_flushes = 0;     // flushed below max_batch
   std::uint64_t shed = 0;              // try_submit() rejections (queue full)
   obs::HistogramSnapshot latency;      // per-request enqueue -> result, us
 
@@ -139,10 +142,16 @@ class InferenceEngine {
   /// the queue is at capacity this returns std::nullopt immediately —
   /// bumping wm_serve_shed_total — instead of blocking the producer.
   /// Otherwise identical to submit(), including the throw after shutdown().
+  ///
+  /// `on_done`, when set, runs on the batcher thread right after this
+  /// request's future becomes ready (value or exception), also when the
+  /// caller has abandoned the future. It must not throw or block, and it
+  /// must own whatever it touches: it can run after its submitter is gone.
   std::optional<std::future<SelectivePrediction>> try_submit(WaferMap map);
   std::optional<std::future<SelectivePrediction>> try_submit(
       WaferMap map, obs::TraceContext trace,
-      std::shared_ptr<RequestTiming> timing = nullptr);
+      std::shared_ptr<RequestTiming> timing = nullptr,
+      std::function<void()> on_done = {});
 
   /// Blocking convenience: submit + wait.
   SelectivePrediction predict(const WaferMap& map);
@@ -179,8 +188,15 @@ class InferenceEngine {
     Clock::time_point enqueued;
     obs::TraceContext trace{};
     std::shared_ptr<RequestTiming> timing;  // usually null (in-process path)
+    std::function<void()> on_done;          // try_submit's completion hook
   };
 
+  /// Queues one request under `lock` (capacity already checked), then
+  /// releases it and wakes the batcher.
+  std::future<SelectivePrediction> enqueue(
+      std::unique_lock<std::mutex>& lock, WaferMap map,
+      obs::TraceContext trace, std::shared_ptr<RequestTiming> timing,
+      std::function<void()> on_done);
   void batcher_loop();
 
   const Classifier& classifier_;

@@ -24,7 +24,7 @@ ServerConfig::Resolved ServerConfig::resolve() const {
   r.workers = pick(workers, "WM_SERVE_WORKERS", 1, 256, 2);
   r.max_batch = pick(max_batch, "WM_SERVE_MAX_BATCH", 1, 4096, 32);
   r.max_delay_us = pick<std::int64_t>(max_delay_us, "WM_SERVE_MAX_DELAY_US", 0,
-                                      10'000'000, 2000);
+                                      10'000'000, 0);
   r.queue_capacity = pick<std::size_t>(queue_capacity,
                                        "WM_SERVE_QUEUE_CAPACITY", 1,
                                        1'000'000, 256);

@@ -126,6 +126,23 @@ TEST(RouterTest, SpreadsLoadAcrossHealthyReplicas) {
   EXPECT_EQ(router.healthy_count(), 3u);
 }
 
+TEST(RouterTest, BackToBackCallsNeverWaitForATick) {
+  // One call at a time, so each completion is the only event that can wake
+  // the dispatcher. A completion lost between its harvest scan and its
+  // wait would stall that call for good: there is no polling tick.
+  Replica a;
+  Replica b(0.5f);
+  RouterOptions opts;
+  opts.replicas = {{.port = a.server.port()}, {.port = b.server.port()}};
+  Router router(opts);
+  const WaferMap map = test_map();
+  for (int i = 0; i < 1000; ++i) {
+    std::future<CallResult> fut = router.predict_async(map);
+    ASSERT_EQ(fut.wait_for(5s), std::future_status::ready) << "call " << i;
+    ASSERT_EQ(fut.get().status, Status::kOk) << "call " << i;
+  }
+}
+
 TEST(RouterTest, FailsOverFromDeadReplicaTransparently) {
   Replica live(/*marker=*/0.25f);
   Router router({.replicas = {{.port = dead_port()},

@@ -3,6 +3,8 @@
 // graceful drain and client reconnect.
 #include "net/server.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -190,6 +192,25 @@ TEST(NetServerTest, ExpiredDeadlineAnsweredTimeout) {
   EXPECT_EQ(ok.status, Status::kOk);
 }
 
+TEST(NetServerTest, AbandonedRequestCompletesAfterServerIsGone) {
+  // A request answered TIMEOUT stays in the engine. Its completion hook
+  // runs once the classifier lets go, after the server that submitted it
+  // is destroyed, so the hook must own what it wakes.
+  FakeClassifier clf(/*gated=*/true);
+  serve::InferenceEngine engine(clf, {.max_batch = 1});
+  {
+    Server server(engine, {.workers = 1});
+    Client client({.port = server.port()});
+    const CallResult r = client.predict(test_maps(1)[0], /*deadline_ms=*/30);
+    ASSERT_EQ(r.status, Status::kTimeout);
+    clf.wait_entered(1);
+    server.stop();
+  }
+  clf.release();
+  engine.shutdown();  // the abandoned request's hook has run by now
+  EXPECT_EQ(engine.stats().requests, 1u);
+}
+
 TEST(NetServerTest, QueueFullAnsweredOverloaded) {
   FakeClassifier clf(/*gated=*/true);
   serve::InferenceEngine engine(clf, {.max_batch = 1,
@@ -366,6 +387,47 @@ TEST(NetClientTest, CallsAfterCloseFailImmediately) {
   client.close();  // idempotent
 }
 
+TEST(NetClientTest, CompletionHookRunsOnEveryPath) {
+  FakeClassifier clf;
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
+  Server server(engine, {.workers = 1});
+  std::atomic<int> runs{0};
+  const auto hook = [&] { ++runs; };
+  const auto map = test_maps(1)[0];
+
+  // A response.
+  Client client({.port = server.port()});
+  EXPECT_EQ(client.predict_async(map, 0, {}, hook).get().status,
+            Status::kOk);
+  wait_until([&] { return runs.load() == 1; });
+  EXPECT_EQ(runs.load(), 1);
+
+  // A transport failure: nothing listens on the port.
+  int port = 0;
+  ::close(listen_tcp("127.0.0.1", 0, 4, &port));
+  Client dead({.port = port,
+               .max_connect_attempts = 1,
+               .backoff_initial_ms = 1,
+               .backoff_max_ms = 2});
+  EXPECT_EQ(dead.predict_async(map, 0, {}, hook).get().status,
+            Status::kConnectionError);
+  wait_until([&] { return runs.load() == 2; });
+  EXPECT_EQ(runs.load(), 2);
+
+  // A closed client fails the call inside predict_async, running the hook
+  // on the caller's thread before it returns.
+  client.close();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  auto fut = client.predict_async(map, 0, {}, [&] {
+    ran_on = std::this_thread::get_id();
+    ++runs;
+  });
+  EXPECT_EQ(runs.load(), 3);
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_EQ(fut.get().status, Status::kConnectionError);
+}
+
 TEST(NetServerTest, MetricsLandInTheEngineRegistry) {
   FakeClassifier clf;
   serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
@@ -390,6 +452,18 @@ TEST(NetSocketUtilTest, WakePipeWakesAndDrains) {
   pipe.drain();  // must not block even after multiple wakes
   pipe.drain();  // or when already empty
   EXPECT_GE(pipe.read_fd(), 0);
+
+  // More wakes than the pipe holds, none drained: wake() must drop the
+  // overflow instead of blocking its caller, and one drain empties it.
+  const int capacity = ::fcntl(pipe.read_fd(), F_GETPIPE_SZ);
+  ASSERT_GT(capacity, 0);
+  for (int i = 0; i <= capacity; ++i) pipe.wake();
+  pollfd pfd{pipe.read_fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 1);
+  pipe.drain();
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0);
+  pipe.wake();  // an overflow leaves the pipe working
+  EXPECT_EQ(::poll(&pfd, 1, 0), 1);
 }
 
 /// Scoped tracer enable + clean slate; the tracer is process-global state

@@ -383,6 +383,41 @@ TEST(InferenceEngineTest, TrySubmitShedsInsteadOfBlocking) {
   EXPECT_EQ(engine.stats().requests, 3u);
 }
 
+TEST(InferenceEngineTest, TrySubmitHookRunsOnceItsFutureIsReady) {
+  FakeClassifier clf(/*gated=*/true);
+  InferenceEngine engine(clf, {.max_batch = 2});
+  const auto maps = test_maps(5);
+  std::vector<std::shared_future<SelectivePrediction>> futures;
+  futures.reserve(maps.size());
+  std::vector<int> runs(maps.size(), 0);  // written by the batcher only
+  int ready_at_run = 0;
+  for (std::size_t i = 0; i < maps.size(); ++i) {
+    futures.push_back(engine
+                          .try_submit(maps[i], {}, nullptr,
+                                      [&, i] {
+                                        ++runs[i];
+                                        ready_at_run +=
+                                            futures[i].wait_for(0s) ==
+                                            std::future_status::ready;
+                                      })
+                          ->share());
+  }
+  clf.release();      // no batch completes before every future is stored
+  engine.shutdown();  // drains and joins: every hook has run
+  EXPECT_EQ(ready_at_run, 5);
+  EXPECT_EQ(runs, std::vector<int>(maps.size(), 1));
+
+  // A failed batch runs its hooks too, after setting the exception.
+  ThrowingClassifier bad;
+  InferenceEngine failing(bad, {.max_batch = 2});
+  std::atomic<int> failed_runs{0};
+  auto f = failing.try_submit(maps[0], {}, nullptr, [&] { ++failed_runs; });
+  ASSERT_TRUE(f.has_value());
+  EXPECT_THROW(f->get(), InvalidArgument);
+  failing.shutdown();
+  EXPECT_EQ(failed_runs.load(), 1);
+}
+
 TEST(InferenceEngineTest, TrySubmitThrowsAfterShutdown) {
   FakeClassifier clf;
   InferenceEngine engine(clf, {.max_batch = 1});

@@ -29,7 +29,7 @@ TEST(ServerConfigTest, DefaultsWhenNothingIsSet) {
   EXPECT_EQ(r.workers, 2);
   EXPECT_FALSE(r.http_port.has_value());
   EXPECT_EQ(r.max_batch, 32);
-  EXPECT_EQ(r.max_delay_us, 2000);
+  EXPECT_EQ(r.max_delay_us, 0);
   EXPECT_EQ(r.queue_capacity, 256u);
   EXPECT_EQ(r.io_timeout_ms, 5000);
   EXPECT_EQ(r.bind_address, "127.0.0.1");
@@ -76,7 +76,7 @@ TEST(ServerConfigTest, MalformedEnvFallsThroughToDefault) {
   EXPECT_EQ(r.port, 0);
   EXPECT_EQ(r.backlog, 64);
   EXPECT_EQ(r.workers, 2);
-  EXPECT_EQ(r.max_delay_us, 2000);
+  EXPECT_EQ(r.max_delay_us, 0);
   EXPECT_FALSE(r.http_port.has_value());
   clear_env();
 }

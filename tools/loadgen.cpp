@@ -342,7 +342,6 @@ int main(int argc, char** argv) {
           *classifier,
           serve::EngineOptions{
               .max_batch = std::max(8, connections * window),
-              .max_delay_us = 1000,
               .queue_capacity =
                   static_cast<std::size_t>(4 * connections * window)});
       server = std::make_unique<net::Server>(

@@ -65,8 +65,11 @@
 //       rule — explicit flag > WM_SERVE_* env var > default — so --port
 //       falls back to WM_SERVE_PORT then an ephemeral port, the backlog to
 //       WM_SERVE_BACKLOG, batching to WM_SERVE_MAX_BATCH /
-//       WM_SERVE_MAX_DELAY_US / WM_SERVE_QUEUE_CAPACITY. Runs until
-//       SIGINT/SIGTERM, or exits on its own after --seconds S.
+//       WM_SERVE_MAX_DELAY_US / WM_SERVE_QUEUE_CAPACITY. --max-delay-us
+//       holds a partial batch open up to U microseconds; the default 0
+//       flushes at once, so a batch is whatever queued during the previous
+//       forward. Runs until SIGINT/SIGTERM, or exits on its own after
+//       --seconds S.
 //
 //       --model-watch polls the model file's mtime (every MS milliseconds,
 //       default 2000) and hot-swaps new weights in with zero downtime: the
@@ -372,7 +375,7 @@ int cmd_serve(const Args& args) {
   if (args.has("workers")) cfg.workers = args.get_int("workers", 2);
   if (args.has("max-batch")) cfg.max_batch = args.get_int("max-batch", 32);
   if (args.has("max-delay-us")) {
-    cfg.max_delay_us = args.get_int("max-delay-us", 2000);
+    cfg.max_delay_us = args.get_int("max-delay-us", 0);
   }
   if (args.has("queue-capacity")) {
     cfg.queue_capacity =
