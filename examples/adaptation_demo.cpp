@@ -188,7 +188,6 @@ int main() {
 
     serve::InferenceEngine engine(swappable,
                                   {.max_batch = 16,
-                                   .max_delay_us = 500,
                                    .registry = &reg,
                                    .monitor = &monitor,
                                    .sample_tap = &controller.buffer()});
@@ -280,7 +279,6 @@ int main() {
 
     serve::InferenceEngine engine(swappable,
                                   {.max_batch = 16,
-                                   .max_delay_us = 500,
                                    .registry = &reg,
                                    .monitor = &monitor,
                                    .sample_tap = &controller.buffer()});

@@ -137,8 +137,7 @@ class Replica {
 
   void up() {
     engine_ = std::make_unique<serve::InferenceEngine>(
-        swap_, serve::EngineOptions{.max_batch = 16, .max_delay_us = 500,
-                                    .queue_capacity = 256,
+        swap_, serve::EngineOptions{.max_batch = 16, .queue_capacity = 256,
                                     .registry = &registry_});
     server_ = std::make_unique<net::Server>(
         *engine_, net::ServerOptions{.port = wire_port_, .workers = 1,

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -93,8 +94,11 @@ double bench_scale() {
 
 int scaled(int n, double scale, int min_value) {
   WM_CHECK(scale > 0.0, "non-positive scale: ", scale);
-  const int v = static_cast<int>(std::lround(n * scale));
-  return std::max(min_value, v);
+  const double v = std::round(n * scale);
+  WM_CHECK(v >= std::numeric_limits<int>::min() &&
+               v <= std::numeric_limits<int>::max(),
+           "scaled count ", n, " * ", scale, " does not fit an int");
+  return std::max(min_value, static_cast<int>(v));
 }
 
 }  // namespace wm

@@ -48,7 +48,9 @@ class Config {
 /// whole finite number > 0 logs a warning and yields 1.0.
 double bench_scale();
 
-/// Rounds scale * n to an integer, clamped to at least min_value.
+/// Rounds scale * n to an integer, clamped to at least min_value. Throws
+/// InvalidArgument when scale is not > 0 or the rounded product does not
+/// fit an int.
 int scaled(int n, double scale, int min_value = 1);
 
 }  // namespace wm

@@ -16,9 +16,8 @@ ExperimentConfig ExperimentConfig::from_env() {
   Config env;
   config.map_size = env.get_int("map_size", config.map_size);
   config.data_scale = env.get_double("data_scale", config.data_scale * scale);
-  config.augment_target =
-      env.get_int("augment_target",
-                  std::max(20, static_cast<int>(config.augment_target * scale)));
+  config.augment_target = env.get_int(
+      "augment_target", scaled(config.augment_target, scale, /*min_value=*/20));
   config.trainer.epochs = env.get_int("epochs", 12);
   config.trainer.lambda = env.get_double("lambda", config.trainer.lambda);
   config.trainer.batch_size = env.get_int("batch_size", config.trainer.batch_size);

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -46,10 +45,9 @@ std::future<CallResult> Client::predict_async(const WaferMap& map,
   return predict_async(map, deadline_ms, obs::TraceContext{});
 }
 
-std::future<CallResult> Client::predict_async(const WaferMap& map,
-                                              std::uint32_t deadline_ms,
-                                              obs::TraceContext trace,
-                                              std::function<void()> on_done) {
+std::future<CallResult> Client::predict_async(
+    const WaferMap& map, std::uint32_t deadline_ms, obs::TraceContext trace,
+    std::function<void(const CallResult&)> on_done) {
   PendingCall pc;
   pc.enqueue_ns = obs::trace_clock_ns();
   pc.trace = trace;
@@ -60,15 +58,19 @@ std::future<CallResult> Client::predict_async(const WaferMap& map,
   req.deadline_ms = deadline_ms;
   req.trace = trace;
   req.map = map;
+  bool closed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      complete_call(pc, CallResult{Status::kConnectionError, {}, {}, 1});
-      return fut;
+    closed = stopping_;
+    if (!closed) {
+      req.request_id = next_id_++;
+      unsent_.push_back(Unsent{req.request_id, encode_request(req)});
+      promises_.emplace(req.request_id, std::move(pc));
     }
-    req.request_id = next_id_++;
-    unsent_.push_back(Unsent{req.request_id, encode_request(req)});
-    promises_.emplace(req.request_id, std::move(pc));
+  }
+  if (closed) {
+    complete_call(pc, CallResult{Status::kConnectionError, {}, {}, 1});
+    return fut;
   }
   wake_.wake();
   return fut;
@@ -100,15 +102,7 @@ void Client::io_loop() {
     bool have_unsent = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) {
-        fail_all_locked(Status::kConnectionError);
-        if (fd_ >= 0) {
-          ::close(fd_);
-          fd_ = -1;
-        }
-        connected_.store(false);
-        return;
-      }
+      if (stopping_) break;
       have_unsent = !unsent_.empty();
     }
 
@@ -134,8 +128,7 @@ void Client::io_loop() {
         unsent_.pop_front();
       }
       if (!write_all(fd_, u.bytes.data(), u.bytes.size())) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        disconnect_locked();
+        disconnect();
         break;
       }
     }
@@ -147,8 +140,7 @@ void Client::io_loop() {
     const int rc = ::poll(fds, 2, -1);
     wake_.drain();
     if (rc < 0 && errno != EINTR) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      disconnect_locked();
+      disconnect();
       continue;
     }
     if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
@@ -157,8 +149,7 @@ void Client::io_loop() {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      std::lock_guard<std::mutex> lock(mutex_);
-      disconnect_locked();
+      disconnect();
       continue;
     }
     in_.insert(in_.end(), buf, buf + n);
@@ -186,24 +177,31 @@ void Client::io_loop() {
         broken = true;
         break;
       }
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = promises_.find(resp.request_id);
-      if (it != promises_.end()) {
-        complete_call(it->second,
-                      CallResult{resp.status, resp.prediction, resp.timing, 1});
-        promises_.erase(it);
-        // A completed round-trip is the real health signal (not a bare
-        // accept): only now does the reconnect escalation reset.
-        conn_productive_ = true;
-        backoff_delay_ms_.store(opts_.backoff_initial_ms);
-      }  // unknown id: a response to a call that already failed — ignore
+      PendingCalls::node_type call;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        call = promises_.extract(resp.request_id);
+      }
+      // Unknown id: a response to a call that already failed — ignore.
+      if (call.empty()) continue;
+      // A completed round-trip is the real health signal (not a bare
+      // accept): only now does the reconnect escalation reset.
+      conn_productive_ = true;
+      backoff_delay_ms_.store(opts_.backoff_initial_ms);
+      complete_call(call.mapped(),
+                    CallResult{resp.status, resp.prediction, resp.timing, 1});
     }
     in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(offset));
-    if (broken) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      disconnect_locked();
-    }
+    if (broken) disconnect();
   }
+  // Stopping: predict_async queues nothing more, so every call still here
+  // fails now.
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  connected_.store(false);
+  fail_all();
 }
 
 bool Client::connect_with_backoff() {
@@ -240,8 +238,7 @@ bool Client::connect_with_backoff() {
         // Reset before failing the calls: a caller woken by its failed
         // future must already see the next cycle's initial delay.
         backoff_delay_ms_.store(opts_.backoff_initial_ms);
-        std::lock_guard<std::mutex> lock(mutex_);
-        fail_all_locked(Status::kConnectionError);
+        fail_all();
         return false;
       }
     }
@@ -262,7 +259,7 @@ int Client::jittered_ms(int delay_ms) {
   return std::max(1, static_cast<int>(static_cast<double>(delay_ms) * factor));
 }
 
-void Client::disconnect_locked() {
+void Client::disconnect() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -271,27 +268,33 @@ void Client::disconnect_locked() {
   in_.clear();
   // Calls already on the wire can never be answered now; calls still queued
   // locally survive and go out after the next successful (re)connect.
-  std::set<std::uint64_t> unsent_ids;
-  for (const Unsent& u : unsent_) unsent_ids.insert(u.id);
-  for (auto it = promises_.begin(); it != promises_.end();) {
-    if (unsent_ids.count(it->first) != 0) {
-      ++it;
-    } else {
-      complete_call(it->second, CallResult{Status::kConnectionError, {}, {}, 1});
-      it = promises_.erase(it);
-    }
+  PendingCalls failed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    PendingCalls queued;
+    for (const Unsent& u : unsent_) queued.insert(promises_.extract(u.id));
+    failed = std::exchange(promises_, std::move(queued));
+  }
+  fail_calls(failed);
+}
+
+void Client::fail_all() {
+  PendingCalls failed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    unsent_.clear();
+    failed = std::exchange(promises_, {});
+  }
+  fail_calls(failed);
+}
+
+void Client::fail_calls(PendingCalls& calls) {
+  for (auto& [id, pc] : calls) {
+    complete_call(pc, CallResult{Status::kConnectionError, {}, {}, 1});
   }
 }
 
-void Client::fail_all_locked(Status status) {
-  for (auto& [id, pc] : promises_) {
-    complete_call(pc, CallResult{status, {}, {}, 1});
-  }
-  promises_.clear();
-  unsent_.clear();
-}
-
-void Client::complete_call(PendingCall& pc, CallResult result) {
+void Client::complete_call(PendingCall& pc, const CallResult& result) {
   const std::int64_t done_ns = obs::trace_clock_ns();
   if (e2e_hist_ != nullptr) {
     e2e_hist_->record(std::max<std::int64_t>(0, done_ns - pc.enqueue_ns) /
@@ -313,7 +316,7 @@ void Client::complete_call(PendingCall& pc, CallResult result) {
     }
   }
   pc.promise.set_value(result);
-  if (pc.on_done) pc.on_done();
+  if (pc.on_done) pc.on_done(result);
 }
 
 bool Client::backoff_sleep(int ms) {

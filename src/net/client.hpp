@@ -65,7 +65,7 @@ namespace wm::net {
 struct ClientOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // required
-  int connect_timeout_ms = 2000;
+  /// Connect and socket IO budget.
   int io_timeout_ms = 5000;
   /// Consecutive failed connect attempts before queued calls fail.
   int max_connect_attempts = 5;
@@ -116,16 +116,15 @@ class Client {
   /// wire (see the header comment).
   ///
   /// `on_done`, when set, runs right after the returned future becomes
-  /// ready, on every completion path. It runs while this client holds its
-  /// internal mutex — on the IO thread, or inside predict_async itself once
-  /// the client is closed — so it must not throw, block, or take a lock
-  /// that is held around calls into this client.
+  /// ready, on every completion path, with the result the future holds. It
+  /// runs without this client's mutex held — on the IO thread, or inside
+  /// predict_async itself once the client is closed — so it may call back
+  /// into this client or into another one; it must not throw or block.
   std::future<CallResult> predict_async(const WaferMap& map,
                                         std::uint32_t deadline_ms = 0);
-  std::future<CallResult> predict_async(const WaferMap& map,
-                                        std::uint32_t deadline_ms,
-                                        obs::TraceContext trace,
-                                        std::function<void()> on_done = {});
+  std::future<CallResult> predict_async(
+      const WaferMap& map, std::uint32_t deadline_ms, obs::TraceContext trace,
+      std::function<void(const CallResult&)> on_done = {});
 
   /// Blocking convenience: predict_async + wait.
   CallResult predict(const WaferMap& map, std::uint32_t deadline_ms = 0);
@@ -164,17 +163,23 @@ class Client {
     std::promise<CallResult> promise;
     std::int64_t enqueue_ns = 0;  // obs::trace_clock_ns() at predict_async
     obs::TraceContext trace{};
-    std::function<void()> on_done;
+    std::function<void(const CallResult&)> on_done;
   };
+  using PendingCalls = std::map<std::uint64_t, PendingCall>;  // by id
 
   void io_loop();
   /// Establishes a connection with backoff; returns false when the client
   /// is stopping or every attempt failed (queued calls were failed).
   bool connect_with_backoff();
-  void disconnect_locked();  // caller holds mutex_
-  void fail_all_locked(Status status);
+  // The failure paths take calls off promises_ under mutex_ and complete
+  // them after releasing it, so no hook ever runs under the lock.
+  /// Drops the connection and fails the calls already written to it.
+  void disconnect();
+  /// Fails every call, queued or on the wire.
+  void fail_all();
+  void fail_calls(PendingCalls& calls);  // with kConnectionError
   /// Fulfils one call: span + flow + stage histogram + promise + hook.
-  void complete_call(PendingCall& pc, CallResult result);
+  void complete_call(PendingCall& pc, const CallResult& result);
   /// Interruptible sleep; returns false when woken by close().
   bool backoff_sleep(int ms);
   /// Applies the multiplicative jitter draw to a base delay (IO thread).
@@ -185,7 +190,7 @@ class Client {
   mutable std::mutex mutex_;
   std::condition_variable cv_;  // close() interrupts backoff sleeps
   std::deque<Unsent> unsent_;
-  std::map<std::uint64_t, PendingCall> promises_;  // by id
+  PendingCalls promises_;
   std::uint64_t next_id_ = 1;
   bool stopping_ = false;
 

@@ -13,6 +13,13 @@
 
 namespace wm::net {
 
+namespace {
+
+/// Per-probe connect/read budget.
+constexpr int kHealthTimeoutMs = 500;
+
+}  // namespace
+
 bool probe_healthz(const std::string& host, int port, int timeout_ms) {
   int fd = -1;
   try {
@@ -43,10 +50,6 @@ bool probe_healthz(const std::string& host, int port, int timeout_ms) {
 
 Router::Router(const RouterOptions& opts)
     : opts_(opts),
-      max_attempts_(opts.max_attempts > 0
-                        ? opts.max_attempts
-                        : std::max<int>(1, static_cast<int>(
-                                               opts.replicas.size()))),
       metrics_(opts.registry != nullptr ? *opts.registry : own_metrics_),
       requests_total_(metrics_.counter("wm_router_requests_total",
                                        "calls accepted by the router")),
@@ -69,7 +72,6 @@ Router::Router(const RouterOptions& opts)
           "wm_stage_router_dispatch_us", obs::Histogram::latency_bounds_us(),
           "us", "router accept to first replica dispatch")) {
   WM_CHECK(!opts_.replicas.empty(), "router: no replicas configured");
-  WM_CHECK(opts_.eject_threshold >= 1, "router: eject_threshold must be >= 1");
   replicas_.reserve(opts_.replicas.size());
   for (std::size_t i = 0; i < opts_.replicas.size(); ++i) {
     const ReplicaEndpoint& ep = opts_.replicas[i];
@@ -92,7 +94,6 @@ Router::Router(const RouterOptions& opts)
   }
   healthy_gauge_.set(static_cast<double>(replicas_.size()));
   prober_ = std::thread([this] { prober_loop(); });
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Router::~Router() { close(); }
@@ -105,22 +106,13 @@ std::future<CallResult> Router::predict_async(const WaferMap& map,
 std::future<CallResult> Router::predict_async(const WaferMap& map,
                                               std::uint32_t deadline_ms,
                                               obs::TraceContext trace) {
-  auto call = std::make_unique<Call>();
+  auto call = std::make_shared<Call>();
   call->map = map;
   call->deadline_ms = deadline_ms;
   call->trace = trace;
   call->submit_ns = obs::trace_clock_ns();
   std::future<CallResult> fut = call->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      finish_call(*call, {.status = Status::kConnectionError});
-      return fut;
-    }
-    requests_total_.inc();
-    queue_.push_back(std::move(call));
-  }
-  wake_dispatcher();
+  dispatch(std::move(call));
   return fut;
 }
 
@@ -136,11 +128,9 @@ void Router::close() {
     stopping_ = true;
   }
   prober_cv_.notify_all();
-  wake_dispatcher();
-  if (dispatcher_.joinable()) dispatcher_.join();
   if (prober_.joinable()) prober_.join();
-  // The dispatcher exits with queue_/inflight_ already failed; closing the
-  // clients after it is gone needs no lock.
+  // Each close() joins the client's IO thread after failing every call on
+  // it; the hooks see stopping_ and fulfil those calls without failover.
   for (Replica& r : replicas_) r.client->close();
 }
 
@@ -158,23 +148,37 @@ std::size_t Router::pick_replica_locked() {
   return best;
 }
 
-void Router::dispatch_locked(std::unique_ptr<Call> call) {
-  const std::size_t idx = pick_replica_locked();
-  if (idx == replicas_.size()) {
-    no_replica_total_.inc();
-    finish_call(*call, {.status = Status::kNoReplica});
+void Router::dispatch(std::shared_ptr<Call> call) {
+  std::size_t idx = replicas_.size();
+  Status failed = Status::kOk;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) {
+      failed = Status::kConnectionError;
+    } else {
+      if (call->attempts == 0) requests_total_.inc();
+      idx = pick_replica_locked();
+      if (idx == replicas_.size()) {
+        no_replica_total_.inc();
+        failed = Status::kNoReplica;
+      } else {
+        Replica& r = replicas_[idx];
+        r.outstanding += 1;
+        r.dispatched += 1;
+        if (call->attempts > 0) retries_total_.inc();
+        call->attempts += 1;
+      }
+    }
+  }
+  if (failed != Status::kOk) {
+    finish_call(*call, {.status = failed});
     return;
   }
-  Replica& r = replicas_[idx];
-  if (call->attempts > 0) retries_total_.inc();
-  call->attempts += 1;
   if (call->attempts == 1) {
     dispatch_hist_.record(
         std::max<std::int64_t>(0, obs::trace_clock_ns() - call->submit_ns) /
         1000);
   }
-  r.outstanding += 1;
-  r.dispatched += 1;
   // The router is a hop, not the origin: stamping its own hop id into
   // parent_span tells the replica client to emit a 't' flow step instead
   // of a second 's'/'f' pair (the origin keeps the only s/f).
@@ -182,21 +186,43 @@ void Router::dispatch_locked(std::unique_ptr<Call> call) {
   if (fwd.trace_id != 0 && fwd.parent_span == 0) {
     fwd.parent_span = obs::new_trace_id();
   }
-  Inflight inf;
-  inf.replica = idx;
-  inf.dispatched = Clock::now();
-  inf.future = r.client->predict_async(call->map, call->deadline_ms, fwd,
-                                       [this] { wake_dispatcher(); });
-  inf.call = std::move(call);
-  inflight_.push_back(std::move(inf));
+  const Clock::time_point dispatched = Clock::now();
+  replicas_[idx].client->predict_async(
+      call->map, call->deadline_ms, fwd,
+      [this, call, idx, dispatched](const CallResult& result) {
+        on_replica_result(call, idx, dispatched, result);
+      });
 }
 
-void Router::wake_dispatcher() {
+void Router::on_replica_result(const std::shared_ptr<Call>& call,
+                               std::size_t idx, Clock::time_point dispatched,
+                               const CallResult& result) {
+  bool failover = false;
   {
-    const std::lock_guard<std::mutex> lock(wake_mutex_);
-    wake_pending_ = true;
+    std::lock_guard<std::mutex> lock(mutex_);
+    Replica& r = replicas_[idx];
+    r.outstanding -= 1;
+    // Once closing, a CONNECTION_ERROR is close() failing the call: it says
+    // nothing about the replica, so it is neither timed nor held against it.
+    const bool failed_by_close =
+        stopping_ && result.status == Status::kConnectionError;
+    if (!failed_by_close) {
+      r.latency->record(std::chrono::duration_cast<std::chrono::microseconds>(
+                            Clock::now() - dispatched)
+                            .count());
+      if (result.status == Status::kConnectionError) {
+        note_error_locked(idx);
+        failover = call->attempts < static_cast<int>(replicas_.size());
+      } else {
+        r.ok += 1;
+      }
+    }
   }
-  dispatch_cv_.notify_one();
+  if (failover) {
+    dispatch(call);  // transparent failover
+  } else {
+    finish_call(*call, result);
+  }
 }
 
 void Router::finish_call(Call& call, CallResult result) {
@@ -206,8 +232,8 @@ void Router::finish_call(Call& call, CallResult result) {
     // close-time failures all close the span too. A router handed a fresh
     // context (parent_span == 0) is the outermost hop and brackets the
     // flow chain with the unique 's'/'f' pair; behind another hop it
-    // contributes a 't' step. (dispatch_locked stamps the forwarded copy,
-    // never call.trace, so this discrimination survives failover.)
+    // contributes a 't' step. (dispatch stamps the forwarded copy, never
+    // call.trace, so this discrimination survives failover.)
     const std::int64_t done_ns = obs::trace_clock_ns();
     obs::trace_span_at("router.request", call.submit_ns, done_ns,
                        call.trace.trace_id);
@@ -225,23 +251,15 @@ void Router::finish_call(Call& call, CallResult result) {
 void Router::note_error_locked(std::size_t idx) {
   Replica& r = replicas_[idx];
   r.transport_errors += 1;
-  r.consecutive_errors += 1;
-  if (r.healthy && r.consecutive_errors >= opts_.eject_threshold) {
-    r.healthy = false;
-    r.ejected_at = Clock::now();
-    r.ejects += 1;
-    ejects_total_.inc();
-    healthy_gauge_.set(static_cast<double>(healthy_count_locked()));
-    log_warn("router: ejected replica ", idx, " (", r.endpoint.host, ":",
-                  r.endpoint.port, ") after ", r.consecutive_errors,
-                  " consecutive transport errors");
-  }
-}
-
-void Router::note_ok_locked(std::size_t idx) {
-  Replica& r = replicas_[idx];
-  r.ok += 1;
-  r.consecutive_errors = 0;
+  if (!r.healthy) return;
+  // One transport failure is strong evidence: eject at once.
+  r.healthy = false;
+  r.ejected_at = Clock::now();
+  r.ejects += 1;
+  ejects_total_.inc();
+  healthy_gauge_.set(static_cast<double>(healthy_count_locked()));
+  log_warn("router: ejected replica ", idx, " (", r.endpoint.host, ":",
+           r.endpoint.port, ") after a transport error");
 }
 
 std::size_t Router::healthy_count_locked() const {
@@ -250,75 +268,11 @@ std::size_t Router::healthy_count_locked() const {
   return n;
 }
 
-void Router::dispatcher_loop() {
-  obs::set_trace_thread_label(opts_.name + ".dispatch");
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    // Drain new submissions.
-    while (!queue_.empty()) {
-      std::unique_ptr<Call> call = std::move(queue_.front());
-      queue_.pop_front();
-      dispatch_locked(std::move(call));
-    }
-    // Harvest completed client futures.
-    for (std::size_t i = 0; i < inflight_.size();) {
-      Inflight& inf = inflight_[i];
-      if (inf.future.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        ++i;
-        continue;
-      }
-      const CallResult result = inf.future.get();
-      const std::size_t idx = inf.replica;
-      Replica& r = replicas_[idx];
-      r.outstanding -= 1;
-      r.latency->record(std::chrono::duration_cast<std::chrono::microseconds>(
-                            Clock::now() - inf.dispatched)
-                            .count());
-      std::unique_ptr<Call> call = std::move(inf.call);
-      inflight_[i] = std::move(inflight_.back());
-      inflight_.pop_back();
-      if (result.status == Status::kConnectionError) {
-        note_error_locked(idx);
-        if (!stopping_ && call->attempts < max_attempts_) {
-          dispatch_locked(std::move(call));  // transparent failover
-        } else {
-          finish_call(*call, result);
-        }
-      } else {
-        note_ok_locked(idx);
-        finish_call(*call, result);
-      }
-    }
-    if (stopping_) break;
-    // Sleep until the next submission, completion or close(). The flag is
-    // cleared before the next scan, so an event that lands after the clear,
-    // even between that scan and this wait, finds it set again.
-    lock.unlock();
-    {
-      std::unique_lock<std::mutex> wake_lock(wake_mutex_);
-      dispatch_cv_.wait(wake_lock, [this] { return wake_pending_; });
-      wake_pending_ = false;
-    }
-    lock.lock();
-  }
-  // Stopping: fail everything still queued or in flight.
-  for (auto& call : queue_) {
-    finish_call(*call, {.status = Status::kConnectionError});
-  }
-  queue_.clear();
-  for (Inflight& inf : inflight_) {
-    replicas_[inf.replica].outstanding -= 1;
-    finish_call(*inf.call, {.status = Status::kConnectionError});
-  }
-  inflight_.clear();
-}
-
 void Router::prober_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_) {
     // Collect ejected replicas due for a probe (work outside the lock: a
-    // probe blocks up to health_timeout_ms and must not stall dispatch).
+    // probe blocks up to kHealthTimeoutMs and must not stall dispatch).
     std::vector<std::size_t> to_probe;
     const auto now = Clock::now();
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
@@ -330,7 +284,6 @@ void Router::prober_loop() {
                  std::chrono::milliseconds(opts_.blind_rejoin_ms)) {
         // No health endpoint: rejoin on a timer and let traffic re-probe.
         r.healthy = true;
-        r.consecutive_errors = 0;
         r.rejoins += 1;
         rejoins_total_.inc();
         healthy_gauge_.set(static_cast<double>(healthy_count_locked()));
@@ -343,7 +296,7 @@ void Router::prober_loop() {
     for (const std::size_t i : to_probe) {
       const ReplicaEndpoint ep = replicas_[i].endpoint;  // endpoint is const
       probe_total_.inc();
-      if (probe_healthz(ep.host, ep.health_port, opts_.health_timeout_ms)) {
+      if (probe_healthz(ep.host, ep.health_port, kHealthTimeoutMs)) {
         passed.push_back(i);
       } else {
         probe_fail_total_.inc();
@@ -354,7 +307,6 @@ void Router::prober_loop() {
       Replica& r = replicas_[i];
       if (r.healthy || stopping_) continue;
       r.healthy = true;
-      r.consecutive_errors = 0;
       r.rejoins += 1;
       rejoins_total_.inc();
       healthy_gauge_.set(static_cast<double>(healthy_count_locked()));

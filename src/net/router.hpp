@@ -8,25 +8,25 @@
 //   auto fut = router.predict_async(map, 50);      // async, deadline 50 ms
 //
 // One Router owns one net::Client per replica (each with its own IO thread,
-// pipelining and seeded-jitter backoff reconnect) plus two threads of its
-// own:
+// pipelining and seeded-jitter backoff reconnect) plus one thread of its
+// own, the prober.
 //
-//   * the dispatcher assigns calls to replicas and harvests completions.
-//     Replica selection is least-outstanding: the healthy replica with the
-//     fewest in-flight calls, ties broken by index. It sleeps on its own
-//     condition variable until a submission, close(), or the completion of
-//     a replica call (the hook it passes to Client::predict_async) wakes
-//     it — there is no polling tick;
-//   * the prober drives the health/eject state machine. A replica is
-//     HEALTHY until eject_threshold consecutive transport failures eject
-//     it; an EJECTED replica receives no traffic and rejoins only when its
-//     /healthz endpoint (the PR 4 HTTP exporter, RouterOptions::health_port)
+//   * Routing runs on the caller's thread. predict_async picks the healthy
+//     replica with the fewest in-flight calls (ties broken by index) and
+//     hands the call to its client with a completion hook. The hook runs on
+//     that client's IO thread (inside predict_async once the client is
+//     closed): it books the result, then fails the call over or fulfils the
+//     router's promise.
+//   * The prober drives the health/eject state machine. A replica is
+//     HEALTHY until its first transport failure ejects it; an EJECTED
+//     replica receives no traffic and rejoins only when its /healthz
+//     endpoint (an obs::HttpExporter, ReplicaEndpoint::health_port)
 //     answers 200 again. Replicas without a health port fall back to a
 //     timed rejoin after blind_rejoin_ms (optimistic re-probe by traffic).
 //
 // Failover: a call that fails with CONNECTION_ERROR is re-dispatched to
 // another healthy replica (inference is idempotent; requests never written
-// survive inside the Client anyway) up to max_attempts times, so a replica
+// survive inside the Client anyway), one try per replica, so a replica
 // crash mid-run costs retries, not errors. When every replica is ejected,
 // calls resolve immediately with the typed Status::kNoReplica — never a
 // hang — and the prober keeps watching for a replica to come back.
@@ -50,10 +50,8 @@
 // CallResult::attempts reports the failover dispatches the call consumed.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -77,22 +75,13 @@ struct ReplicaEndpoint {
 struct RouterOptions {
   std::vector<ReplicaEndpoint> replicas;  // at least one
 
-  /// Consecutive transport errors before a replica is ejected.
-  int eject_threshold = 1;
-  /// Transparent re-dispatches of a CONNECTION_ERROR call; <= 0 defaults
-  /// to replicas.size() - 1 (one try per other replica).
-  int max_attempts = 0;
   /// /healthz probe period for ejected replicas.
   int health_interval_ms = 100;
-  /// Per-probe connect/read budget.
-  int health_timeout_ms = 500;
   /// Rejoin delay for replicas without a health_port.
   int blind_rejoin_ms = 1000;
   /// Where the wm_router_* instruments live. nullptr = a router-private
   /// registry.
   obs::Registry* registry = nullptr;
-  /// Trace track label for the dispatcher thread ("<name>.dispatch").
-  std::string name = "router";
   /// Template for the per-replica clients (host/port are overwritten; the
   /// backoff knobs and timeouts apply to every replica connection).
   ClientOptions client;
@@ -108,11 +97,11 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Routes one request. Resolves with the replica's response, with
-  /// kConnectionError after max_attempts transport failures, or with
-  /// kNoReplica when no healthy replica exists at dispatch time. The traced
-  /// overload forwards the context to the chosen replica (see the header
-  /// comment).
+  /// Routes one request on the caller's thread. Resolves with the
+  /// replica's response, with kConnectionError once every replica it tried
+  /// failed in transport, or with kNoReplica when no healthy replica exists
+  /// at dispatch time. The traced overload forwards the context to the
+  /// chosen replica (see the header comment).
   std::future<CallResult> predict_async(const WaferMap& map,
                                         std::uint32_t deadline_ms = 0);
   std::future<CallResult> predict_async(const WaferMap& map,
@@ -122,8 +111,9 @@ class Router {
   /// Blocking convenience: predict_async + wait.
   CallResult predict(const WaferMap& map, std::uint32_t deadline_ms = 0);
 
-  /// Fails outstanding calls, stops the dispatcher/prober, closes every
-  /// client. Idempotent.
+  /// Stops the prober and closes every client, which fails the calls still
+  /// on it with kConnectionError; their hooks fulfil them, with no failover
+  /// and no eject. Idempotent.
   void close();
 
   /// Point-in-time view of one replica's health and counters.
@@ -143,7 +133,6 @@ class Router {
   std::vector<ReplicaStats> stats() const;
 
   std::size_t healthy_count() const;
-  std::size_t replica_count() const { return replicas_.size(); }
 
   /// Calls answered kNoReplica so far.
   std::uint64_t no_replica() const { return no_replica_total_.value(); }
@@ -156,7 +145,8 @@ class Router {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One routed call, from submission to promise fulfilment.
+  /// One routed call, from submission to promise fulfilment. Shared by the
+  /// completion hook of whichever replica call carries it.
   struct Call {
     WaferMap map{3};
     std::uint32_t deadline_ms = 0;
@@ -166,19 +156,10 @@ class Router {
     std::promise<CallResult> promise;
   };
 
-  /// A call currently waiting on some replica's client future.
-  struct Inflight {
-    std::unique_ptr<Call> call;
-    std::size_t replica = 0;
-    Clock::time_point dispatched;
-    std::future<CallResult> future;
-  };
-
   struct Replica {
     ReplicaEndpoint endpoint;
     std::unique_ptr<Client> client;
     bool healthy = true;
-    int consecutive_errors = 0;
     std::size_t outstanding = 0;
     std::uint64_t dispatched = 0;
     std::uint64_t ok = 0;
@@ -189,25 +170,25 @@ class Router {
     obs::Histogram* latency = nullptr;  // owned by the registry
   };
 
-  void dispatcher_loop();
   void prober_loop();
-  /// Sets wake_pending_ and notifies dispatch_cv_; takes only wake_mutex_.
-  void wake_dispatcher();
   /// Picks the healthy replica with the fewest calls in flight; returns
   /// replicas_.size() when none is healthy. Caller holds mutex_.
   std::size_t pick_replica_locked();
-  /// Sends `call` to a replica or fails its promise (kNoReplica). Caller
-  /// holds mutex_.
-  void dispatch_locked(std::unique_ptr<Call> call);
+  /// Sends `call` to a replica, or fails it (kNoReplica, or
+  /// kConnectionError once closing). Takes mutex_ only to pick and book.
+  void dispatch(std::shared_ptr<Call> call);
+  /// The replica client's completion hook: books the result under mutex_,
+  /// then fails the call over or fulfils it without the lock.
+  void on_replica_result(const std::shared_ptr<Call>& call, std::size_t idx,
+                         Clock::time_point dispatched,
+                         const CallResult& result);
   void note_error_locked(std::size_t idx);
-  void note_ok_locked(std::size_t idx);
   std::size_t healthy_count_locked() const;
   /// Fulfils a call's promise: stamps CallResult::attempts, closes the
   /// "router.request" span (every status), sets the value.
   void finish_call(Call& call, CallResult result);
 
   const RouterOptions opts_;
-  const int max_attempts_;
 
   mutable obs::Registry own_metrics_;
   obs::Registry& metrics_;
@@ -221,25 +202,14 @@ class Router {
   obs::Gauge& healthy_gauge_;
   obs::Histogram& dispatch_hist_;
 
-  /// Wakes the dispatcher on every submission, replica completion and
-  /// close(). It has its own mutex, never mutex_: clients run completion
-  /// hooks under their own lock, and a closed client runs them inside
-  /// predict_async, on the dispatcher thread with mutex_ held. Declared
-  /// before replicas_ so it outlives every client's last hook.
-  std::mutex wake_mutex_;
-  std::condition_variable dispatch_cv_;
-  bool wake_pending_ = false;  // guarded by wake_mutex_
-
   mutable std::mutex mutex_;
   std::condition_variable prober_cv_;  // wakes the prober on close()
-  std::deque<std::unique_ptr<Call>> queue_;
-  std::vector<Inflight> inflight_;
+  /// Fixed at construction; the per-replica state is guarded by mutex_.
   std::vector<Replica> replicas_;
   bool stopping_ = false;
 
   std::mutex join_mutex_;  // serialises close()
-  std::thread prober_;
-  std::thread dispatcher_;  // started last
+  std::thread prober_;     // started last
 };
 
 /// Blocking GET /healthz against host:port; true only for an HTTP 200.

@@ -95,7 +95,7 @@ const char* to_string(Status s);
 /// unless the request reached compute.
 struct StageTiming {
   std::uint32_t queue_us = 0;    // engine queue wait
-  std::uint32_t batch_us = 0;    // batch-formation (window) wait
+  std::uint32_t batch_us = 0;    // batcher forming the batch
   std::uint32_t compute_us = 0;  // predict_batch share
   std::uint32_t total_us = 0;    // server receipt -> response write
 };

@@ -53,9 +53,7 @@ InferenceEngine::InferenceEngine(const Classifier& classifier,
       full_flushes_total_(metrics_.counter("wm_serve_full_flushes_total",
                                            "batches flushed at max_batch")),
       timer_flushes_total_(metrics_.counter(
-          "wm_serve_timer_flushes_total",
-          "batches flushed below max_batch (every partial batch when "
-          "max_delay_us is 0)")),
+          "wm_serve_timer_flushes_total", "batches flushed below max_batch")),
       shed_total_(metrics_.counter("wm_serve_shed_total",
                                    "try_submit() rejections (queue full)")),
       queue_depth_gauge_(metrics_.gauge("wm_serve_queue_depth",
@@ -72,12 +70,11 @@ InferenceEngine::InferenceEngine(const Classifier& classifier,
           "engine stage: enqueue to batcher pickup")),
       stage_batch_hist_(metrics_.histogram(
           "wm_stage_batch_wait_us", obs::Histogram::latency_bounds_us(), "us",
-          "engine stage: batch-formation window wait")),
+          "engine stage: batcher forming the batch")),
       stage_compute_hist_(metrics_.histogram(
           "wm_stage_compute_us", obs::Histogram::latency_bounds_us(), "us",
           "engine stage: predict_batch compute")) {
   WM_CHECK(opts.max_batch > 0, "max_batch must be positive");
-  WM_CHECK(opts.max_delay_us >= 0, "max_delay_us must be non-negative");
   WM_CHECK(opts.queue_capacity > 0, "queue_capacity must be positive");
   batcher_ = std::thread([this] { batcher_loop(); });
 }
@@ -189,18 +186,9 @@ void InferenceEngine::batcher_loop() {
       std::unique_lock<std::mutex> lock(mutex_);
       queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and fully drained
+      // enqueue() stamps under mutex_ too, so every request in this batch
+      // was enqueued at or before wake_ns.
       wake_ns = to_ns(Clock::now());
-      if (!stopping_ && queue_.size() < max_batch && opts_.max_delay_us > 0) {
-        // Hold the window open for more requests, but no longer than
-        // max_delay_us past the oldest one already waiting.
-        const auto deadline =
-            queue_.front().enqueued +
-            std::chrono::microseconds(opts_.max_delay_us);
-        queue_cv_.wait_until(lock, deadline, [&] {
-          return stopping_ || queue_.size() >= max_batch;
-        });
-      }
-      formed_ns = to_ns(Clock::now());
       const std::size_t take = std::min(queue_.size(), max_batch);
       full_flush = take == max_batch;
       batch.reserve(take);
@@ -208,6 +196,7 @@ void InferenceEngine::batcher_loop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
+      formed_ns = to_ns(Clock::now());
       queue_depth_gauge_.set(static_cast<double>(queue_.size()));
       obs::trace_counter("serve.queue_depth",
                          static_cast<double>(queue_.size()));
@@ -243,14 +232,8 @@ void InferenceEngine::batcher_loop() {
             std::chrono::duration_cast<std::chrono::microseconds>(
                 done - batch[i].enqueued)
                 .count());
-        // Per-stage attribution. A request that arrived during the window
-        // wait has enqueue > wake: its queue wait is 0 and its batch wait
-        // starts at its own enqueue.
-        const std::int64_t enq_ns = to_ns(batch[i].enqueued);
-        const std::int64_t picked_ns = std::max(wake_ns, enq_ns);
-        stage_queue_hist_.record((picked_ns - enq_ns) / 1000);
-        stage_batch_hist_.record(
-            std::max<std::int64_t>(formed_ns - picked_ns, 0) / 1000);
+        stage_queue_hist_.record((wake_ns - to_ns(batch[i].enqueued)) / 1000);
+        stage_batch_hist_.record((formed_ns - wake_ns) / 1000);
         stage_compute_hist_.record((done_ns - formed_ns) / 1000);
       }
     }
@@ -278,18 +261,16 @@ void InferenceEngine::batcher_loop() {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       // Publish stage timestamps before set_value: the future's readiness
       // is the release/acquire edge a remote front-end reads them through.
-      const std::int64_t enq_ns = to_ns(batch[i].enqueued);
-      const std::int64_t picked_ns = std::max(wake_ns, enq_ns);
       if (batch[i].timing) {
-        batch[i].timing->wake_ns = picked_ns;
-        batch[i].timing->formed_ns = std::max(formed_ns, picked_ns);
+        batch[i].timing->wake_ns = wake_ns;
+        batch[i].timing->formed_ns = formed_ns;
         batch[i].timing->done_ns = done_ns;
       }
       if (batch[i].trace.active()) {
         const std::uint64_t id = batch[i].trace.trace_id;
-        obs::trace_span_at("engine.queue", enq_ns, picked_ns, id);
-        obs::trace_span_at("engine.batch", picked_ns,
-                           std::max(formed_ns, picked_ns), id);
+        obs::trace_span_at("engine.queue", to_ns(batch[i].enqueued), wake_ns,
+                           id);
+        obs::trace_span_at("engine.batch", wake_ns, formed_ns, id);
         obs::trace_span_at("engine.compute", formed_ns, done_ns, id);
         obs::trace_flow('t', id, (formed_ns + done_ns) / 2);
       }

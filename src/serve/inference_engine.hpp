@@ -4,11 +4,9 @@
 // Many client threads submit() single wafer maps; requests land in a bounded
 // FIFO queue (submit blocks when the queue is full — backpressure instead of
 // unbounded memory growth) and a dedicated batcher thread flushes a
-// micro-batch to Classifier::predict_batch as soon as it is free. By default
-// (max_delay_us = 0) the batch is whatever queued while the previous
-// predict_batch ran, up to max_batch. A positive max_delay_us instead holds
-// a partial batch open until max_batch requests wait or the *oldest* has
-// waited that long.
+// micro-batch to Classifier::predict_batch as soon as it is free. Batching
+// is work-conserving: each batch is whatever queued while the previous
+// predict_batch ran, up to max_batch, and nothing holds a batch open.
 //
 // Results come back through std::future<SelectivePrediction>; try_submit()
 // also takes a completion hook the batcher runs right after it fulfils the
@@ -55,12 +53,8 @@ class SelectiveMonitor;
 class SampleTap;
 
 struct EngineOptions {
-  /// Flush as soon as this many requests are waiting.
+  /// Largest batch one predict_batch call takes.
   int max_batch = 32;
-  /// Hold a partial batch open until its oldest request has waited this
-  /// long. 0 (the default) flushes at once: every batch is whatever had
-  /// accumulated while the previous forward ran.
-  std::int64_t max_delay_us = 0;
   /// submit() blocks while this many requests are already queued.
   std::size_t queue_capacity = 256;
   /// Where the wm_serve_* instruments live. nullptr = an engine-private
@@ -87,7 +81,7 @@ struct EngineOptions {
 struct RequestTiming {
   std::int64_t enqueue_ns = 0;  // set at submit
   std::int64_t wake_ns = 0;     // batcher cycle that took the request began
-  std::int64_t formed_ns = 0;   // batch closed; compute started
+  std::int64_t formed_ns = 0;   // batch formed; compute started
   std::int64_t done_ns = 0;     // predict_batch returned
 };
 

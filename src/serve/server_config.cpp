@@ -23,8 +23,6 @@ ServerConfig::Resolved ServerConfig::resolve() const {
   r.backlog = pick(backlog, "WM_SERVE_BACKLOG", 1, 4096, 64);
   r.workers = pick(workers, "WM_SERVE_WORKERS", 1, 256, 2);
   r.max_batch = pick(max_batch, "WM_SERVE_MAX_BATCH", 1, 4096, 32);
-  r.max_delay_us = pick<std::int64_t>(max_delay_us, "WM_SERVE_MAX_DELAY_US", 0,
-                                      10'000'000, 0);
   r.queue_capacity = pick<std::size_t>(queue_capacity,
                                        "WM_SERVE_QUEUE_CAPACITY", 1,
                                        1'000'000, 256);
@@ -41,7 +39,6 @@ EngineOptions ServerConfig::engine_options(obs::Registry* registry,
   const Resolved r = resolve();
   EngineOptions o;
   o.max_batch = r.max_batch;
-  o.max_delay_us = r.max_delay_us;
   o.queue_capacity = r.queue_capacity;
   o.registry = registry;
   o.monitor = monitor;

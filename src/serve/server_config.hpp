@@ -24,12 +24,10 @@
 //   WM_SERVE_BACKLOG         kernel accept backlog     [1, 4096]
 //   WM_SERVE_WORKERS         connection worker threads [1, 256]
 //   WM_SERVE_MAX_BATCH       engine micro-batch size   [1, 4096]
-//   WM_SERVE_MAX_DELAY_US    engine batch window       [0, 10^7]
 //   WM_SERVE_QUEUE_CAPACITY  engine queue bound        [1, 10^6]
 //   WM_HTTP_PORT             /metrics + /healthz port  [1, 65535]
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -51,9 +49,6 @@ struct ServerConfig {
   std::optional<int> http_port;
   /// Engine micro-batch size. Env: WM_SERVE_MAX_BATCH, default 32.
   std::optional<int> max_batch;
-  /// Engine batch window (EngineOptions::max_delay_us). Env:
-  /// WM_SERVE_MAX_DELAY_US, default 0 (flush at once).
-  std::optional<std::int64_t> max_delay_us;
   /// Engine queue bound. Env: WM_SERVE_QUEUE_CAPACITY, default 256.
   std::optional<std::size_t> queue_capacity;
   /// Per-socket IO timeout (no env knob), default 5000.
@@ -68,7 +63,6 @@ struct ServerConfig {
     int workers = 2;
     std::optional<int> http_port;  // still optional: unset = no exporter
     int max_batch = 32;
-    std::int64_t max_delay_us = 0;
     std::size_t queue_capacity = 256;
     int io_timeout_ms = 5000;
     std::string bind_address = "127.0.0.1";

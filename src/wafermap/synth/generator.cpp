@@ -1,7 +1,6 @@
 #include "wafermap/synth/generator.hpp"
 
-#include <cmath>
-
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -26,12 +25,10 @@ std::array<int, kNumDefectTypes> table2_testing_counts() {
 std::array<int, kNumDefectTypes> scale_counts(
     const std::array<int, kNumDefectTypes>& counts, double scale,
     int min_per_class) {
-  WM_CHECK(scale > 0.0, "non-positive scale");
   WM_CHECK(min_per_class >= 0, "negative min_per_class");
   std::array<int, kNumDefectTypes> out{};
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    out[i] = std::max(min_per_class,
-                      static_cast<int>(std::lround(counts[i] * scale)));
+    out[i] = scaled(counts[i], scale, min_per_class);
   }
   return out;
 }

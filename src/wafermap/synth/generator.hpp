@@ -22,8 +22,9 @@ std::array<int, kNumDefectTypes> table2_training_counts();
 /// The paper's Table II "Testing" column (10,871 wafers total).
 std::array<int, kNumDefectTypes> table2_testing_counts();
 
-/// Scales a count vector by `scale` (each class rounded, at least
-/// min_per_class so rare classes such as Near-Full never disappear).
+/// Scales a count vector by `scale` (each class through wm::scaled, so
+/// rounded, at least min_per_class so rare classes such as Near-Full never
+/// disappear, and InvalidArgument when a count does not fit an int).
 std::array<int, kNumDefectTypes> scale_counts(
     const std::array<int, kNumDefectTypes>& counts, double scale,
     int min_per_class = 3);

@@ -94,6 +94,9 @@ TEST(ScaledTest, RoundsAndClamps) {
   EXPECT_EQ(scaled(3, 0.1, 2), 2);  // custom clamp
   EXPECT_EQ(scaled(10, 2.0), 20);
   EXPECT_THROW(scaled(10, 0.0), InvalidArgument);
+  // A finite scale whose product leaves int's range is an error, not a
+  // conversion with an unspecified result.
+  EXPECT_THROW(scaled(10, 1e300), InvalidArgument);
 }
 
 TEST(BenchScaleTest, DefaultsToOneAndReadsEnv) {

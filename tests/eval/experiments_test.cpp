@@ -98,5 +98,13 @@ TEST(ExperimentsTest, FromEnvRespectsOverrides) {
   ::unsetenv("WM_EPOCHS");
 }
 
+TEST(ExperimentsTest, FromEnvRejectsAScaleBeyondIntCounts) {
+  // 1e300 is finite and > 0, so bench_scale() accepts it; the counts it
+  // scales must then fail loudly instead of overflowing an int.
+  ::setenv("WM_BENCH_SCALE", "1e300", 1);
+  EXPECT_THROW(ExperimentConfig::from_env(), InvalidArgument);
+  ::unsetenv("WM_BENCH_SCALE");
+}
+
 }  // namespace
 }  // namespace wm::eval

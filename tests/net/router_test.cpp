@@ -61,7 +61,7 @@ class MarkerClassifier final : public Classifier {
 struct Replica {
   explicit Replica(float marker = 0.75f, int port = 0)
       : clf(marker),
-        engine(clf, {.max_batch = 8, .max_delay_us = 200}),
+        engine(clf, {.max_batch = 8}),
         server(engine, {.port = port, .workers = 1}) {}
 
   MarkerClassifier clf;
@@ -91,8 +91,7 @@ int dead_port() {
 
 /// Client template with fast failure for dead endpoints.
 ClientOptions fast_client() {
-  return {.connect_timeout_ms = 500,
-          .max_connect_attempts = 2,
+  return {.max_connect_attempts = 2,
           .backoff_initial_ms = 1,
           .backoff_max_ms = 4};
 }
@@ -265,6 +264,61 @@ TEST(RouterTest, CloseFailsOutstandingAndIsIdempotent) {
   router.close();
   EXPECT_EQ(router.predict(test_map()).status, Status::kConnectionError);
   router.close();  // idempotent
+}
+
+TEST(RouterTest, CallersFailoverAndCloseRace) {
+  // Caller threads route while one replica dies mid-burst (its calls fail
+  // over in client completion hooks) and close() then runs with calls
+  // still outstanding. Every call must resolve, typed, and close() must
+  // leave nothing booked against any replica and eject none.
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 200;
+  const WaferMap map = test_map();
+  for (int round = 0; round < 5; ++round) {
+    auto doomed = std::make_unique<Replica>();
+    Replica survivor(0.5f);
+    Router router({.replicas = {{.port = doomed->server.port()},
+                                {.port = survivor.server.port()}},
+                   .client = fast_client()});
+
+    std::vector<std::vector<std::future<CallResult>>> futures(kCallers);
+    std::atomic<int> submitted{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        for (int i = 0; i < kCalls; ++i) {
+          futures[t].push_back(router.predict_async(map));
+          submitted.fetch_add(1);
+        }
+      });
+    }
+    while (submitted.load() < kCallers * kCalls / 4) {
+      std::this_thread::yield();
+    }
+    doomed.reset();
+    for (std::thread& th : callers) th.join();
+    router.close();
+
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    for (auto& per_caller : futures) {
+      for (auto& f : per_caller) {
+        ASSERT_EQ(f.wait_until(deadline), std::future_status::ready)
+            << "round " << round;
+        const Status s = f.get().status;
+        EXPECT_TRUE(s == Status::kOk || s == Status::kOverloaded ||
+                    s == Status::kConnectionError || s == Status::kNoReplica)
+            << "round " << round << ": " << to_string(s);
+      }
+    }
+    const auto stats = router.stats();
+    for (const auto& s : stats) {
+      EXPECT_EQ(s.outstanding, 0u) << "round " << round << " replica "
+                                   << s.index;
+    }
+    // close() failing the survivor's calls is no evidence against it.
+    EXPECT_EQ(stats[1].transport_errors, 0u) << "round " << round;
+    EXPECT_TRUE(stats[1].healthy) << "round " << round;
+  }
 }
 
 TEST(RouterTest, RejectsEmptyFleet) {
@@ -444,7 +498,6 @@ TEST(NetClientBackoffTest, CompletedCallResetsEscalation) {
   // Phase 1: escalate against a dead endpoint (connect refused).
   const int port = dead_port();
   Client client({.port = port,
-                 .connect_timeout_ms = 500,
                  .max_connect_attempts = 3,
                  .backoff_initial_ms = 4,
                  .backoff_max_ms = 256,
@@ -456,7 +509,7 @@ TEST(NetClientBackoffTest, CompletedCallResetsEscalation) {
   // Phase 2: a real server appears on that port; a completed round trip must
   // leave the escalation at the initial value afterwards.
   MarkerClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.port = port, .workers = 1});
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   CallResult r;

@@ -27,6 +27,7 @@
 #include "obs/json_check.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
+#include "serve/hot_swap.hpp"
 #include "serve/inference_engine.hpp"
 
 namespace wm::net {
@@ -111,7 +112,7 @@ void wait_until(Pred done) {
 
 TEST(NetServerTest, RoundTripMatchesClassifier) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 8, .max_delay_us = 500});
+  serve::InferenceEngine engine(clf, {.max_batch = 8});
   Server server(engine, {.workers = 2});
   Client client({.port = server.port()});
 
@@ -131,8 +132,7 @@ TEST(NetServerTest, RoundTripMatchesClassifier) {
 
 TEST(NetServerTest, PipelinedRequestsAllAnswered) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 16, .max_delay_us = 500,
-                                      .queue_capacity = 256});
+  serve::InferenceEngine engine(clf, {.max_batch = 16, .queue_capacity = 256});
   Server server(engine, {.workers = 2});
   Client client({.port = server.port()});
 
@@ -149,8 +149,7 @@ TEST(NetServerTest, PipelinedRequestsAllAnswered) {
 
 TEST(NetServerTest, ManyConnectionsConcurrently) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 16, .max_delay_us = 500,
-                                      .queue_capacity = 256});
+  serve::InferenceEngine engine(clf, {.max_batch = 16, .queue_capacity = 256});
   Server server(engine, {.workers = 3});
   const auto maps = test_maps(8);
 
@@ -176,7 +175,7 @@ TEST(NetServerTest, ManyConnectionsConcurrently) {
 
 TEST(NetServerTest, ExpiredDeadlineAnsweredTimeout) {
   FakeClassifier clf(/*gated=*/true);
-  serve::InferenceEngine engine(clf, {.max_batch = 1, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 1});
   Server server(engine, {.workers = 1});
   Client client({.port = server.port()});
 
@@ -213,9 +212,7 @@ TEST(NetServerTest, AbandonedRequestCompletesAfterServerIsGone) {
 
 TEST(NetServerTest, QueueFullAnsweredOverloaded) {
   FakeClassifier clf(/*gated=*/true);
-  serve::InferenceEngine engine(clf, {.max_batch = 1,
-                                      .max_delay_us = 0,
-                                      .queue_capacity = 2});
+  serve::InferenceEngine engine(clf, {.max_batch = 1, .queue_capacity = 2});
   Server server(engine, {.workers = 1});
   Client client({.port = server.port()});
   const auto maps = test_maps(1);
@@ -241,7 +238,7 @@ TEST(NetServerTest, QueueFullAnsweredOverloaded) {
 
 TEST(NetServerTest, GarbageBytesCloseTheConnection) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1});
 
   const int fd = connect_tcp("127.0.0.1", server.port(), 2000);
@@ -258,7 +255,7 @@ TEST(NetServerTest, GarbageBytesCloseTheConnection) {
 
 TEST(NetServerTest, CorruptBodyAnsweredMalformedConnectionSurvives) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1});
 
   const int fd = connect_tcp("127.0.0.1", server.port(), 2000);
@@ -307,9 +304,8 @@ TEST(NetServerTest, CorruptBodyAnsweredMalformedConnectionSurvives) {
 }
 
 TEST(NetServerTest, StopDrainsEveryAcceptedRequest) {
-  FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 8, .max_delay_us = 2000,
-                                      .queue_capacity = 256});
+  FakeClassifier clf(/*gated=*/true);
+  serve::InferenceEngine engine(clf, {.max_batch = 8, .queue_capacity = 256});
   Server server(engine, {.workers = 2});
   Client client({.port = server.port()});
 
@@ -322,7 +318,13 @@ TEST(NetServerTest, StopDrainsEveryAcceptedRequest) {
   wait_until([&] { return server.requests_received() >= burst; });
   ASSERT_EQ(server.requests_received(), burst);
 
-  server.stop();  // drain-then-stop: every accepted request is answered
+  // The gate holds every request unanswered until stop() has begun, so
+  // stop() must drain all of them: drain-then-stop.
+  std::thread stopper([&] { server.stop(); });
+  while (server.running()) std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(server.responses_sent(), 0u);
+  clf.release();
+  stopper.join();
   std::size_t ok = 0;
   for (auto& f : futures) ok += f.get().status == Status::kOk;
   EXPECT_EQ(ok, burst);
@@ -333,7 +335,7 @@ TEST(NetServerTest, StopDrainsEveryAcceptedRequest) {
 
 TEST(NetClientTest, ReconnectsWithBackoffAfterServerRestart) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   auto server = std::make_unique<Server>(engine, ServerOptions{.workers = 1});
   const int port = server->port();
 
@@ -377,7 +379,7 @@ TEST(NetClientTest, NoListenerFailsWithConnectionError) {
 
 TEST(NetClientTest, CallsAfterCloseFailImmediately) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1});
   Client client({.port = server.port()});
   EXPECT_EQ(client.predict(test_maps(1)[0]).status, Status::kOk);
@@ -388,19 +390,52 @@ TEST(NetClientTest, CallsAfterCloseFailImmediately) {
 }
 
 TEST(NetClientTest, CompletionHookRunsOnEveryPath) {
-  FakeClassifier clf;
+  FakeClassifier clf(/*gated=*/true);
   serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1});
-  std::atomic<int> runs{0};
-  const auto hook = [&] { ++runs; };
   const auto map = test_maps(1)[0];
+
+  // The hook keeps what it was handed and calls back into its client,
+  // which it may: hooks run without the client's lock held.
+  std::atomic<int> runs{0};
+  CallResult seen;
+  std::size_t seen_inflight = 0;
+  std::thread::id ran_on;
+  const auto hook = [&](Client* c) {
+    return [&, c](const CallResult& r) {
+      seen = r;
+      seen_inflight = c->inflight();
+      ran_on = std::this_thread::get_id();
+      ++runs;
+    };
+  };
+  // Waits for hook run `n` and checks it saw what the future holds.
+  const auto expect_hook = [&](int n, const CallResult& want) {
+    wait_until([&] { return runs.load() == n; });
+    ASSERT_EQ(runs.load(), n);
+    EXPECT_EQ(seen.status, want.status);
+    EXPECT_TRUE(serve::bit_equal(seen.prediction, want.prediction));
+    EXPECT_EQ(seen.server.total_us, want.server.total_us);
+    EXPECT_EQ(seen.attempts, want.attempts);
+    EXPECT_EQ(seen_inflight, 0u);
+  };
+
+  // close() with a call on the wire: the IO thread fails it.
+  Client closing({.port = server.port()});
+  auto on_wire = closing.predict_async(map, 0, {}, hook(&closing));
+  clf.wait_entered(1);
+  closing.close();
+  const CallResult closed_result = on_wire.get();
+  EXPECT_EQ(closed_result.status, Status::kConnectionError);
+  expect_hook(1, closed_result);
+  clf.release();
 
   // A response.
   Client client({.port = server.port()});
-  EXPECT_EQ(client.predict_async(map, 0, {}, hook).get().status,
-            Status::kOk);
-  wait_until([&] { return runs.load() == 1; });
-  EXPECT_EQ(runs.load(), 1);
+  const CallResult answered =
+      client.predict_async(map, 0, {}, hook(&client)).get();
+  EXPECT_EQ(answered.status, Status::kOk);
+  expect_hook(2, answered);
 
   // A transport failure: nothing listens on the port.
   int port = 0;
@@ -409,28 +444,24 @@ TEST(NetClientTest, CompletionHookRunsOnEveryPath) {
                .max_connect_attempts = 1,
                .backoff_initial_ms = 1,
                .backoff_max_ms = 2});
-  EXPECT_EQ(dead.predict_async(map, 0, {}, hook).get().status,
-            Status::kConnectionError);
-  wait_until([&] { return runs.load() == 2; });
-  EXPECT_EQ(runs.load(), 2);
+  const CallResult refused = dead.predict_async(map, 0, {}, hook(&dead)).get();
+  EXPECT_EQ(refused.status, Status::kConnectionError);
+  expect_hook(3, refused);
 
   // A closed client fails the call inside predict_async, running the hook
   // on the caller's thread before it returns.
   client.close();
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  auto fut = client.predict_async(map, 0, {}, [&] {
-    ran_on = std::this_thread::get_id();
-    ++runs;
-  });
-  EXPECT_EQ(runs.load(), 3);
-  EXPECT_EQ(ran_on, caller);
-  EXPECT_EQ(fut.get().status, Status::kConnectionError);
+  auto fut = client.predict_async(map, 0, {}, hook(&client));
+  EXPECT_EQ(runs.load(), 4);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  const CallResult after_close = fut.get();
+  EXPECT_EQ(after_close.status, Status::kConnectionError);
+  expect_hook(4, after_close);
 }
 
 TEST(NetServerTest, MetricsLandInTheEngineRegistry) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1});
   Client client({.port = server.port()});
   (void)client.predict(test_maps(1)[0]);
@@ -521,7 +552,7 @@ class NetTracingTest : public ::testing::Test {
 
 TEST_F(NetTracingTest, SampledRoundTripLinksClientServerEngineSpans) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1, .name = "srv"});
   Client client({.port = server.port(), .name = "cli"});
 
@@ -546,8 +577,7 @@ TEST_F(NetTracingTest, SampledRoundTripLinksClientServerEngineSpans) {
 
 TEST_F(NetTracingTest, ConcurrentSampledCallsKeepDistinctTraceIds) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 8, .max_delay_us = 500,
-                                      .queue_capacity = 64});
+  serve::InferenceEngine engine(clf, {.max_batch = 8, .queue_capacity = 64});
   Server server(engine, {.workers = 2});
   Client client({.port = server.port()});
 
@@ -575,7 +605,7 @@ TEST_F(NetTracingTest, ConcurrentSampledCallsKeepDistinctTraceIds) {
 
 TEST_F(NetTracingTest, MalformedRequestStillClosesItsSpan) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1});
 
   // Hand-corrupt a traced request's wafer payload: the body fails decode,
@@ -615,7 +645,7 @@ TEST_F(NetTracingTest, MalformedRequestStillClosesItsSpan) {
 
 TEST_F(NetTracingTest, TimedOutRequestStillClosesBothSpans) {
   FakeClassifier clf(/*gated=*/true);
-  serve::InferenceEngine engine(clf, {.max_batch = 1, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 1});
   Server server(engine, {.workers = 1});
   Client client({.port = server.port()});
 
@@ -636,7 +666,7 @@ TEST_F(NetTracingTest, TimedOutRequestStillClosesBothSpans) {
 
 TEST_F(NetTracingTest, UnsampledContextEmitsNoSpans) {
   FakeClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
   Server server(engine, {.workers = 1});
   Client client({.port = server.port()});
 

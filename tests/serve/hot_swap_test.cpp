@@ -210,8 +210,7 @@ TEST(HotSwapTest, InFlightBatchKeepsItsPinnedVersion) {
 
 TEST(HotSwapTest, MidTrafficSwapThroughEngineLosesNothing) {
   SwappableClassifier swap(std::make_shared<MarkerClassifier>(1.0f));
-  InferenceEngine engine(swap, {.max_batch = 4, .max_delay_us = 200,
-                                .queue_capacity = 512});
+  InferenceEngine engine(swap, {.max_batch = 4, .queue_capacity = 512});
   const auto maps = canary_maps(1);
 
   std::vector<std::future<SelectivePrediction>> futures;

@@ -102,72 +102,57 @@ std::vector<WaferMap> test_maps(int n, int size = 12) {
 }
 
 TEST(InferenceEngineTest, FlushesWhenBatchFills) {
-  FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 4,
-                               .max_delay_us = 1'000'000,
-                               .queue_capacity = 64});
-  const auto maps = test_maps(8);
+  FakeClassifier clf(/*gated=*/true);
+  InferenceEngine engine(clf, {.max_batch = 4, .queue_capacity = 64});
+  const auto maps = test_maps(9);
   std::vector<std::future<SelectivePrediction>> futures;
-  for (const auto& m : maps) futures.push_back(engine.submit(m));
+  futures.push_back(engine.submit(maps[0]));
+  clf.wait_entered(1);  // the batcher holds a batch of one in the gate
+  for (std::size_t i = 1; i < maps.size(); ++i) {
+    futures.push_back(engine.submit(maps[i]));
+  }
+  clf.release();  // eight wait behind it: two full batches
   for (std::size_t i = 0; i < futures.size(); ++i) {
     EXPECT_EQ(futures[i].get().label, maps[i].fail_count());
   }
-  const auto sizes = clf.batch_sizes();
-  ASSERT_EQ(sizes.size(), 2u);
-  EXPECT_EQ(sizes[0], 4u);
-  EXPECT_EQ(sizes[1], 4u);
+  EXPECT_EQ(clf.batch_sizes(), (std::vector<std::size_t>{1, 4, 4}));
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.requests, 8u);
-  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.requests, 9u);
+  EXPECT_EQ(stats.batches, 3u);
   EXPECT_EQ(stats.full_flushes, 2u);
-  EXPECT_EQ(stats.timer_flushes, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size(), 4.0);
-}
-
-TEST(InferenceEngineTest, FlushesOnTimerForPartialBatch) {
-  FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 64,
-                               .max_delay_us = 20'000,
-                               .queue_capacity = 64});
-  const auto maps = test_maps(3);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<SelectivePrediction>> futures;
-  for (const auto& m : maps) futures.push_back(engine.submit(m));
-  for (auto& f : futures) f.get();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // The window held open for the full delay before a partial flush.
-  EXPECT_GE(elapsed, 10ms);
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.full_flushes, 0u);  // 64 was never reached
-  EXPECT_GE(stats.timer_flushes, 1u);
-  EXPECT_EQ(stats.latency.count, 3u);
+  EXPECT_EQ(stats.timer_flushes, 1u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size(), 3.0);
 }
 
 TEST(InferenceEngineTest, ShutdownDrainsQueuedRequests) {
-  FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 100,
-                               .max_delay_us = 10'000'000,
-                               .queue_capacity = 100});
-  const auto maps = test_maps(5);
+  FakeClassifier clf(/*gated=*/true);
+  InferenceEngine engine(clf, {.max_batch = 100, .queue_capacity = 100});
+  const auto maps = test_maps(6);
   std::vector<std::future<SelectivePrediction>> futures;
-  for (const auto& m : maps) futures.push_back(engine.submit(m));
-  engine.shutdown();  // must flush all 5 before stopping
-  EXPECT_FALSE(engine.accepting());
+  futures.push_back(engine.submit(maps[0]));
+  clf.wait_entered(1);  // the batcher holds maps[0] in the gate
+  for (std::size_t i = 1; i < maps.size(); ++i) {
+    futures.push_back(engine.submit(maps[i]));
+  }
+  // Shutdown begins with five requests queued: it must flush them all
+  // before it stops.
+  std::thread stopper([&] { engine.shutdown(); });
+  while (engine.accepting()) std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(engine.queue_depth(), 5u);
+  clf.release();
+  stopper.join();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready);
     EXPECT_EQ(futures[i].get().label, maps[i].fail_count());
   }
-  EXPECT_EQ(engine.stats().requests, 5u);
+  EXPECT_EQ(engine.stats().requests, 6u);
   EXPECT_THROW(engine.submit(maps[0]), Error);
   engine.shutdown();  // idempotent
 }
 
 TEST(InferenceEngineTest, SubmitBlocksWhenQueueFull) {
   FakeClassifier clf(/*gated=*/true);
-  InferenceEngine engine(clf, {.max_batch = 1,
-                               .max_delay_us = 0,
-                               .queue_capacity = 2});
+  InferenceEngine engine(clf, {.max_batch = 1, .queue_capacity = 2});
   const auto maps = test_maps(4);
   std::vector<std::future<SelectivePrediction>> futures;
   futures.push_back(engine.submit(maps[0]));
@@ -216,9 +201,7 @@ TEST(InferenceEngineTest, ResultsBitMatchDirectPredictBatch) {
 
   const auto direct = predictor->predict_batch(maps);
 
-  InferenceEngine engine(*predictor, {.max_batch = 4,
-                                      .max_delay_us = 500,
-                                      .queue_capacity = 8});
+  InferenceEngine engine(*predictor, {.max_batch = 4, .queue_capacity = 8});
   std::vector<std::future<SelectivePrediction>> futures;
   for (const auto& m : maps) futures.push_back(engine.submit(m));
   for (std::size_t i = 0; i < maps.size(); ++i) {
@@ -234,9 +217,7 @@ TEST(InferenceEngineTest, ResultsBitMatchDirectPredictBatch) {
 
 TEST(InferenceEngineTest, ManyProducersAllGetTheirOwnAnswer) {
   FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 8,
-                               .max_delay_us = 200,
-                               .queue_capacity = 16});
+  InferenceEngine engine(clf, {.max_batch = 8, .queue_capacity = 16});
   const auto maps = test_maps(48);
   constexpr int kProducers = 6;
   std::vector<std::thread> producers;
@@ -262,9 +243,7 @@ TEST(InferenceEngineTest, ManyProducersAllGetTheirOwnAnswer) {
 
 TEST(InferenceEngineTest, ClassifierExceptionPropagatesToFutures) {
   ThrowingClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 2,
-                               .max_delay_us = 100,
-                               .queue_capacity = 8});
+  InferenceEngine engine(clf, {.max_batch = 2, .queue_capacity = 8});
   auto f1 = engine.submit(test_maps(1)[0]);
   EXPECT_THROW(f1.get(), InvalidArgument);
   // The engine survives a failing batch and keeps serving.
@@ -276,9 +255,7 @@ TEST(InferenceEngineTest, ClassifierExceptionPropagatesToFutures) {
 
 TEST(InferenceEngineTest, StatsSnapshotAndTextDump) {
   FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 4,
-                               .max_delay_us = 100,
-                               .queue_capacity = 8});
+  InferenceEngine engine(clf, {.max_batch = 4, .queue_capacity = 8});
   for (const auto& m : test_maps(9)) engine.predict(m);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, 9u);
@@ -296,13 +273,12 @@ TEST(InferenceEngineTest, RejectsBadOptions) {
   FakeClassifier clf;
   EXPECT_THROW(InferenceEngine(clf, {.max_batch = 0}), InvalidArgument);
   EXPECT_THROW(InferenceEngine(clf, {.max_batch = -2}), InvalidArgument);
-  EXPECT_THROW(InferenceEngine(clf, {.max_delay_us = -1}), InvalidArgument);
   EXPECT_THROW(InferenceEngine(clf, {.queue_capacity = 0}), InvalidArgument);
 }
 
 TEST(InferenceEngineTest, StatsTextExposesPrometheusMetrics) {
   FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  InferenceEngine engine(clf, {.max_batch = 4});
   const WaferMap map = test_maps(1)[0];
   for (int i = 0; i < 8; ++i) (void)engine.predict(map);
   engine.shutdown();
@@ -319,7 +295,7 @@ TEST(InferenceEngineTest, StatsTextExposesPrometheusMetrics) {
 
 TEST(InferenceEngineTest, StatsMatchRegistryInstruments) {
   FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 2, .max_delay_us = 0});
+  InferenceEngine engine(clf, {.max_batch = 2});
   const WaferMap map = test_maps(1)[0];
   for (int i = 0; i < 6; ++i) (void)engine.predict(map);
   engine.shutdown();
@@ -349,9 +325,7 @@ TEST(InferenceEngineTest, SharedRegistryAggregatesAcrossEngines) {
 
 TEST(InferenceEngineTest, TrySubmitShedsInsteadOfBlocking) {
   FakeClassifier clf(/*gated=*/true);
-  InferenceEngine engine(clf, {.max_batch = 1,
-                               .max_delay_us = 0,
-                               .queue_capacity = 2});
+  InferenceEngine engine(clf, {.max_batch = 1, .queue_capacity = 2});
   const auto maps = test_maps(4);
   std::vector<std::future<SelectivePrediction>> futures;
   futures.push_back(engine.submit(maps[0]));
@@ -427,7 +401,7 @@ TEST(InferenceEngineTest, TrySubmitThrowsAfterShutdown) {
 
 TEST(InferenceEngineTest, RequestTimingStampsAreMonotonic) {
   FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 2, .max_delay_us = 200});
+  InferenceEngine engine(clf, {.max_batch = 2});
   const auto maps = test_maps(2);
   auto t0 = std::make_shared<RequestTiming>();
   auto t1 = std::make_shared<RequestTiming>();
@@ -448,8 +422,7 @@ TEST(InferenceEngineTest, RequestTimingStampsAreMonotonic) {
 TEST(InferenceEngineTest, StageHistogramsRecordPerRequest) {
   obs::Registry registry;
   FakeClassifier clf;
-  InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 200,
-                               .registry = &registry});
+  InferenceEngine engine(clf, {.max_batch = 4, .registry = &registry});
   const auto maps = test_maps(6);
   std::vector<std::future<SelectivePrediction>> futs;
   for (const auto& map : maps) futs.push_back(engine.submit(map));

@@ -314,7 +314,6 @@ TEST(SelectiveMonitorTest, EngineFeedsEveryFulfilledPrediction) {
 
   {
     InferenceEngine engine(clf, {.max_batch = 4,
-                                 .max_delay_us = 200,
                                  .queue_capacity = 64,
                                  .monitor = &monitor});
     WaferMap map(12);

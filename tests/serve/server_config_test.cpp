@@ -15,8 +15,7 @@ namespace {
 void clear_env() {
   for (const char* name :
        {"WM_SERVE_PORT", "WM_SERVE_BACKLOG", "WM_SERVE_WORKERS",
-        "WM_SERVE_MAX_BATCH", "WM_SERVE_MAX_DELAY_US",
-        "WM_SERVE_QUEUE_CAPACITY", "WM_HTTP_PORT"}) {
+        "WM_SERVE_MAX_BATCH", "WM_SERVE_QUEUE_CAPACITY", "WM_HTTP_PORT"}) {
     ::unsetenv(name);
   }
 }
@@ -29,7 +28,6 @@ TEST(ServerConfigTest, DefaultsWhenNothingIsSet) {
   EXPECT_EQ(r.workers, 2);
   EXPECT_FALSE(r.http_port.has_value());
   EXPECT_EQ(r.max_batch, 32);
-  EXPECT_EQ(r.max_delay_us, 0);
   EXPECT_EQ(r.queue_capacity, 256u);
   EXPECT_EQ(r.io_timeout_ms, 5000);
   EXPECT_EQ(r.bind_address, "127.0.0.1");
@@ -70,13 +68,11 @@ TEST(ServerConfigTest, MalformedEnvFallsThroughToDefault) {
   ::setenv("WM_SERVE_PORT", "70000", 1);  // out of [1, 65535]
   ::setenv("WM_SERVE_BACKLOG", "not-a-number", 1);
   ::setenv("WM_SERVE_WORKERS", "100000", 1);  // out of [1, 256]
-  ::setenv("WM_SERVE_MAX_DELAY_US", "-5", 1);
   ::setenv("WM_HTTP_PORT", "not-a-port", 1);
   const auto r = ServerConfig{}.resolve();
   EXPECT_EQ(r.port, 0);
   EXPECT_EQ(r.backlog, 64);
   EXPECT_EQ(r.workers, 2);
-  EXPECT_EQ(r.max_delay_us, 0);
   EXPECT_FALSE(r.http_port.has_value());
   clear_env();
 }
@@ -88,7 +84,6 @@ TEST(ServerConfigTest, AdaptersCarryTheResolvedValues) {
                          .workers = 4,
                          .http_port = 9301,
                          .max_batch = 16,
-                         .max_delay_us = 500,
                          .queue_capacity = 1024,
                          .io_timeout_ms = 1234,
                          .bind_address = "127.0.0.1"};
@@ -96,7 +91,6 @@ TEST(ServerConfigTest, AdaptersCarryTheResolvedValues) {
 
   const EngineOptions eo = cfg.engine_options(&registry);
   EXPECT_EQ(eo.max_batch, 16);
-  EXPECT_EQ(eo.max_delay_us, 500);
   EXPECT_EQ(eo.queue_capacity, 1024u);
   EXPECT_EQ(eo.registry, &registry);
 

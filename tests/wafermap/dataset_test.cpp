@@ -146,6 +146,8 @@ TEST(GeneratorTest, ScaleCountsClampsRareClasses) {
   const auto scaled = synth::scale_counts(synth::table2_training_counts(), 0.01, 3);
   EXPECT_GE(scaled[static_cast<std::size_t>(DefectType::kNearFull)], 3);
   EXPECT_EQ(scaled[static_cast<std::size_t>(DefectType::kNone)], 294);
+  EXPECT_THROW(synth::scale_counts(synth::table2_training_counts(), 1e300),
+               InvalidArgument);
 }
 
 TEST(GeneratorTest, GeneratedDatasetMatchesSpec) {

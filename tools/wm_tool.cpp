@@ -57,7 +57,7 @@
 //       per-second rate deltas for the counters and histogram counts.
 //
 //   wm_tool serve --model FILE [--port P] [--threshold T] [--max-batch N]
-//                 [--max-delay-us U] [--workers W] [--seconds S]
+//                 [--queue-capacity Q] [--workers W] [--seconds S]
 //                 [--model-watch [MS]]
 //       Serve a trained model over the wm_net TCP wire protocol through the
 //       micro-batching engine (drive it with tools/loadgen or net::Client).
@@ -65,11 +65,9 @@
 //       rule — explicit flag > WM_SERVE_* env var > default — so --port
 //       falls back to WM_SERVE_PORT then an ephemeral port, the backlog to
 //       WM_SERVE_BACKLOG, batching to WM_SERVE_MAX_BATCH /
-//       WM_SERVE_MAX_DELAY_US / WM_SERVE_QUEUE_CAPACITY. --max-delay-us
-//       holds a partial batch open up to U microseconds; the default 0
-//       flushes at once, so a batch is whatever queued during the previous
-//       forward. Runs until SIGINT/SIGTERM, or exits on its own after
-//       --seconds S.
+//       WM_SERVE_QUEUE_CAPACITY. A batch is whatever queued during the
+//       previous forward, up to --max-batch. Runs until SIGINT/SIGTERM, or
+//       exits on its own after --seconds S.
 //
 //       --model-watch polls the model file's mtime (every MS milliseconds,
 //       default 2000) and hot-swaps new weights in with zero downtime: the
@@ -374,9 +372,6 @@ int cmd_serve(const Args& args) {
   if (args.has("port")) cfg.port = args.get_int("port", 0);
   if (args.has("workers")) cfg.workers = args.get_int("workers", 2);
   if (args.has("max-batch")) cfg.max_batch = args.get_int("max-batch", 32);
-  if (args.has("max-delay-us")) {
-    cfg.max_delay_us = args.get_int("max-delay-us", 0);
-  }
   if (args.has("queue-capacity")) {
     cfg.queue_capacity =
         static_cast<std::size_t>(args.get_int("queue-capacity", 256));
