@@ -20,16 +20,9 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 
 }  // namespace
 
-Client::Client(const ClientOptions& opts)
-    : opts_(opts),
-      backoff_delay_ms_(opts.backoff_initial_ms),
-      jitter_state_(opts.backoff_seed ^ 0x9E3779B97F4A7C15ULL) {
+Client::Client(const ClientOptions& opts) : opts_(opts) {
   WM_CHECK(opts_.port > 0 && opts_.port <= 65535, "bad client port ",
            opts_.port);
-  WM_CHECK(opts_.max_connect_attempts > 0,
-           "max_connect_attempts must be positive");
-  WM_CHECK(opts_.backoff_jitter >= 0.0 && opts_.backoff_jitter < 1.0,
-           "backoff_jitter must be in [0, 1)");
   if (opts_.registry != nullptr) {
     e2e_hist_ = &opts_.registry->histogram(
         "wm_stage_client_e2e_us", obs::Histogram::latency_bounds_us(), "us",
@@ -85,7 +78,6 @@ void Client::close() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
   wake_.wake();
   const std::lock_guard<std::mutex> join_lock(join_mutex_);
   if (io_.joinable()) io_.join();
@@ -114,7 +106,7 @@ void Client::io_loop() {
         wake_.drain();
         continue;
       }
-      if (!connect_with_backoff()) continue;
+      if (!connect()) continue;
     }
 
     // Flush the unsent queue. A write failure breaks the connection; the
@@ -184,10 +176,6 @@ void Client::io_loop() {
       }
       // Unknown id: a response to a call that already failed — ignore.
       if (call.empty()) continue;
-      // A completed round-trip is the real health signal (not a bare
-      // accept): only now does the reconnect escalation reset.
-      conn_productive_ = true;
-      backoff_delay_ms_.store(opts_.backoff_initial_ms);
       complete_call(call.mapped(),
                     CallResult{resp.status, resp.prediction, resp.timing, 1});
     }
@@ -204,59 +192,20 @@ void Client::io_loop() {
   fail_all();
 }
 
-bool Client::connect_with_backoff() {
-  // The delay deliberately lives in backoff_delay_ms_, not a local: a
-  // successful connect does NOT reset it (a crash-looping server can accept
-  // and immediately drop — only a completed call proves health), so
-  // escalation carries across reconnect cycles until a response arrives.
-  if (ever_connected_ && !conn_productive_) {
-    // The previous connection died without completing a single call: pay the
-    // current delay BEFORE reconnecting, and escalate. Without this, a
-    // listener that accepts and immediately drops would be re-dialled in a
-    // tight loop (the handshake itself always succeeds).
-    const int delay_ms = backoff_delay_ms_.load();
-    if (!backoff_sleep(jittered_ms(delay_ms))) return false;
-    backoff_delay_ms_.store(std::min(delay_ms * 2, opts_.backoff_max_ms));
+bool Client::connect() {
+  try {
+    fd_ = connect_tcp(opts_.host, opts_.port, opts_.io_timeout_ms);
+  } catch (const IoError& e) {
+    log_warn("wm_net client: connect failed, failing queued calls: ",
+             e.what());
+    fail_all();
+    return false;
   }
-  for (int attempt = 1;; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return false;
-    }
-    try {
-      fd_ = connect_tcp(opts_.host, opts_.port, opts_.io_timeout_ms);
-      set_nodelay(fd_);
-      connected_.store(true);
-      if (ever_connected_) reconnects_.fetch_add(1);
-      ever_connected_ = true;
-      conn_productive_ = false;
-      return true;
-    } catch (const IoError& e) {
-      if (attempt >= opts_.max_connect_attempts) {
-        log_warn("wm_net client: giving up after ", attempt,
-                 " connect attempts: ", e.what());
-        // Reset before failing the calls: a caller woken by its failed
-        // future must already see the next cycle's initial delay.
-        backoff_delay_ms_.store(opts_.backoff_initial_ms);
-        fail_all();
-        return false;
-      }
-    }
-    const int delay_ms = backoff_delay_ms_.load();
-    if (!backoff_sleep(jittered_ms(delay_ms))) return false;
-    backoff_delay_ms_.store(std::min(delay_ms * 2, opts_.backoff_max_ms));
-  }
-}
-
-int Client::jittered_ms(int delay_ms) {
-  // Exponential backoff with multiplicative jitter so a fleet of clients
-  // does not hammer a recovering server in lockstep.
-  jitter_state_ =
-      jitter_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-  const double u =
-      static_cast<double>(jitter_state_ >> 11) / 9007199254740992.0;
-  const double factor = 1.0 + opts_.backoff_jitter * (2.0 * u - 1.0);
-  return std::max(1, static_cast<int>(static_cast<double>(delay_ms) * factor));
+  set_nodelay(fd_);
+  connected_.store(true);
+  if (ever_connected_) reconnects_.fetch_add(1);
+  ever_connected_ = true;
+  return true;
 }
 
 void Client::disconnect() {
@@ -267,7 +216,7 @@ void Client::disconnect() {
   connected_.store(false);
   in_.clear();
   // Calls already on the wire can never be answered now; calls still queued
-  // locally survive and go out after the next successful (re)connect.
+  // locally survive and go out on the next dial.
   PendingCalls failed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -302,7 +251,7 @@ void Client::complete_call(PendingCall& pc, const CallResult& result) {
   }
   if (pc.trace.active()) {
     // The span is emitted whole at completion, so every path — response,
-    // disconnect, give-up, close() — closes it. An origin client
+    // disconnect, failed connect, close() — closes it. An origin client
     // (parent_span == 0) brackets the whole flow chain with the unique
     // 's'/'f' pair; a mid-chain client (e.g. a router's per-replica
     // client) contributes a 't' step instead.
@@ -317,13 +266,6 @@ void Client::complete_call(PendingCall& pc, const CallResult& result) {
   }
   pc.promise.set_value(result);
   if (pc.on_done) pc.on_done(result);
-}
-
-bool Client::backoff_sleep(int ms) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait_for(lock, std::chrono::milliseconds(ms),
-               [&] { return stopping_; });
-  return !stopping_;
 }
 
 }  // namespace wm::net

@@ -14,24 +14,18 @@
 // or the client-side kConnectionError when the transport failed — never an
 // exception for remote-side conditions.
 //
-// Connection management: the IO thread connects lazily on the first call
-// and reconnects after a broken connection with exponential backoff plus
-// jitter (backoff_initial_ms doubling up to backoff_max_ms, multiplied by
-// a uniform 1 ± backoff_jitter factor, so a fleet of clients does not
-// reconnect in lockstep). Requests that were never written survive a
-// reconnect and are sent afterwards; requests already on the wire when the
-// connection broke fail with kConnectionError (the server may or may not
-// have processed them — inference is idempotent, callers can simply
-// retry). After max_connect_attempts consecutive failures everything
-// queued fails with kConnectionError and the backoff resets for the next
-// call.
-//
-// The escalation state survives across reconnect cycles: the delay resets
-// only once a call actually COMPLETES (a response frame arrives), not on a
-// bare successful connect. A crash-looping server whose listener accepts
-// and immediately drops connections therefore still sees escalating delays
-// instead of a tight accept-disconnect loop at backoff_initial_ms
-// (current_backoff_ms() exposes the live delay for tests).
+// Connection management: the IO thread connects lazily, when it holds
+// calls to send and has no connection, and dials once. A failed dial fails
+// every queued call with kConnectionError at once and leaves the client
+// idle; the next call dials again. Calls that were never written survive a
+// broken connection and go out on the next dial; calls already on the wire
+// when it broke fail with kConnectionError (the server may or may not have
+// processed them — inference is idempotent, callers can simply retry). The
+// client never re-dials on its own and never sleeps on a timer, so every
+// dial either fails the calls it holds or writes them: a listener that
+// accepts and drops at once costs one dial per call, never a loop. Retry
+// policy belongs to the caller; behind a net::Router it is the router's
+// failover and its /healthz-gated rejoin.
 //
 // Distributed tracing: predict_async() takes an optional obs::TraceContext
 // that rides the WMWP v2 request to the server. Sampled calls emit a
@@ -39,12 +33,11 @@
 // bracketing the whole round trip, plus the 's' flow event that starts the
 // request's cross-process arrow chain and the 'f' event that ends it. The
 // span is emitted on EVERY completion path — response, disconnect,
-// connect give-up, close() — so no sampled call ever leaves an open span.
+// failed connect, close() — so no sampled call ever leaves an open span.
 // Every CallResult carries the server's per-stage StageTiming verbatim.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -67,16 +60,6 @@ struct ClientOptions {
   int port = 0;  // required
   /// Connect and socket IO budget.
   int io_timeout_ms = 5000;
-  /// Consecutive failed connect attempts before queued calls fail.
-  int max_connect_attempts = 5;
-  /// First retry delay; doubles per attempt up to backoff_max_ms.
-  int backoff_initial_ms = 50;
-  int backoff_max_ms = 2000;
-  /// Uniform multiplicative jitter: each delay is scaled by a factor drawn
-  /// from [1 - jitter, 1 + jitter]. In [0, 1).
-  double backoff_jitter = 0.2;
-  /// Seed for the jitter stream (deterministic backoff in tests).
-  std::uint64_t backoff_seed = 1;
   /// Optional home for the wm_stage_client_e2e_us histogram (enqueue to
   /// completion, all statuses). nullptr = no client-side stage metric.
   obs::Registry* registry = nullptr;
@@ -140,12 +123,6 @@ class Client {
   /// Successful connections beyond the first (i.e. reconnects).
   std::uint64_t reconnects() const { return reconnects_.load(); }
 
-  /// The delay the next failed connect attempt would sleep (pre-jitter).
-  /// Starts at backoff_initial_ms, doubles per failed attempt up to
-  /// backoff_max_ms, and resets only when a call completes or after a
-  /// give-up — connecting alone does not reset it.
-  int current_backoff_ms() const { return backoff_delay_ms_.load(); }
-
   /// Calls written to the wire and still awaiting a response.
   std::size_t inflight() const;
 
@@ -168,9 +145,8 @@ class Client {
   using PendingCalls = std::map<std::uint64_t, PendingCall>;  // by id
 
   void io_loop();
-  /// Establishes a connection with backoff; returns false when the client
-  /// is stopping or every attempt failed (queued calls were failed).
-  bool connect_with_backoff();
+  /// Dials once; on failure fails every queued call and returns false.
+  bool connect();
   // The failure paths take calls off promises_ under mutex_ and complete
   // them after releasing it, so no hook ever runs under the lock.
   /// Drops the connection and fails the calls already written to it.
@@ -180,15 +156,10 @@ class Client {
   void fail_calls(PendingCalls& calls);  // with kConnectionError
   /// Fulfils one call: span + flow + stage histogram + promise + hook.
   void complete_call(PendingCall& pc, const CallResult& result);
-  /// Interruptible sleep; returns false when woken by close().
-  bool backoff_sleep(int ms);
-  /// Applies the multiplicative jitter draw to a base delay (IO thread).
-  int jittered_ms(int delay_ms);
 
   const ClientOptions opts_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;  // close() interrupts backoff sleeps
   std::deque<Unsent> unsent_;
   PendingCalls promises_;
   std::uint64_t next_id_ = 1;
@@ -198,14 +169,7 @@ class Client {
   std::vector<std::uint8_t> in_;
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> reconnects_{0};
-  /// Next pre-jitter reconnect delay; escalates across reconnect cycles,
-  /// reset by a completed call or a give-up (atomic: read by tests).
-  std::atomic<int> backoff_delay_ms_;
-  /// Did the current/last connection complete at least one call? Guards the
-  /// pre-reconnect penalty sleep (IO thread only).
-  bool conn_productive_ = true;
-  bool ever_connected_ = false;
-  std::uint64_t jitter_state_;
+  bool ever_connected_ = false;  // IO thread only
   obs::Histogram* e2e_hist_ = nullptr;  // set iff opts_.registry != nullptr
 
   WakePipe wake_;

@@ -7,9 +7,11 @@
 //   CallResult r = router.predict(map);            // sync
 //   auto fut = router.predict_async(map, 50);      // async, deadline 50 ms
 //
-// One Router owns one net::Client per replica (each with its own IO thread,
-// pipelining and seeded-jitter backoff reconnect) plus one thread of its
-// own, the prober.
+// One Router owns one net::Client per replica (each with its own IO thread
+// and pipelining; a client dials once when it has calls to send and fails
+// them at once when the dial fails) plus one thread of its own, the prober.
+// Every replica failure has one owner, the router: it ejects, fails over
+// and re-admits; the clients never retry on their own.
 //
 //   * Routing runs on the caller's thread. predict_async picks the healthy
 //     replica with the fewest in-flight calls (ties broken by index) and
@@ -21,15 +23,16 @@
 //     HEALTHY until its first transport failure ejects it; an EJECTED
 //     replica receives no traffic and rejoins only when its /healthz
 //     endpoint (an obs::HttpExporter, ReplicaEndpoint::health_port)
-//     answers 200 again. Replicas without a health port fall back to a
-//     timed rejoin after blind_rejoin_ms (optimistic re-probe by traffic).
+//     answers 200 again. A replica without a health port is never probed,
+//     so once ejected it stays ejected.
 //
 // Failover: a call that fails with CONNECTION_ERROR is re-dispatched to
 // another healthy replica (inference is idempotent; requests never written
 // survive inside the Client anyway), one try per replica, so a replica
-// crash mid-run costs retries, not errors. When every replica is ejected,
-// calls resolve immediately with the typed Status::kNoReplica — never a
-// hang — and the prober keeps watching for a replica to come back.
+// crash mid-run costs retries, not errors, and a dead replica costs one
+// refused dial, not a wait. When every replica is ejected, calls resolve
+// immediately with the typed Status::kNoReplica — never a hang — and the
+// prober keeps watching for a replica to come back.
 //
 // Observability (RouterOptions::registry): wm_router_requests_total,
 // wm_router_retries_total, wm_router_ejects_total, wm_router_rejoins_total,
@@ -67,8 +70,8 @@ namespace wm::net {
 struct ReplicaEndpoint {
   std::string host = "127.0.0.1";
   int port = 0;  // wm_net wire port (required)
-  /// HTTP exporter port whose /healthz gates rejoin; 0 = no probing
-  /// (ejected replicas rejoin after blind_rejoin_ms instead).
+  /// HTTP exporter port whose /healthz gates rejoin; 0 = never probed, so
+  /// an ejected replica stays ejected.
   int health_port = 0;
 };
 
@@ -77,14 +80,9 @@ struct RouterOptions {
 
   /// /healthz probe period for ejected replicas.
   int health_interval_ms = 100;
-  /// Rejoin delay for replicas without a health_port.
-  int blind_rejoin_ms = 1000;
   /// Where the wm_router_* instruments live. nullptr = a router-private
   /// registry.
   obs::Registry* registry = nullptr;
-  /// Template for the per-replica clients (host/port are overwritten; the
-  /// backoff knobs and timeouts apply to every replica connection).
-  ClientOptions client;
 };
 
 class Router {
@@ -166,7 +164,6 @@ class Router {
     std::uint64_t transport_errors = 0;
     std::uint64_t ejects = 0;
     std::uint64_t rejoins = 0;
-    Clock::time_point ejected_at{};
     obs::Histogram* latency = nullptr;  // owned by the registry
   };
 
@@ -211,9 +208,5 @@ class Router {
   std::mutex join_mutex_;  // serialises close()
   std::thread prober_;     // started last
 };
-
-/// Blocking GET /healthz against host:port; true only for an HTTP 200.
-/// False on connect/IO failure or any other status — never throws.
-bool probe_healthz(const std::string& host, int port, int timeout_ms);
 
 }  // namespace wm::net

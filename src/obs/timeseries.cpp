@@ -6,6 +6,13 @@
 
 namespace wm::obs {
 
+namespace {
+
+/// Samples kept per counter: rate() reads back across its trailing window.
+constexpr std::size_t kCounterRingCapacity = 512;
+
+}  // namespace
+
 SeriesRing::SeriesRing(std::size_t capacity) : buf_(std::max<std::size_t>(capacity, 1)) {}
 
 void SeriesRing::push(std::int64_t t_ms, double value) {
@@ -18,24 +25,9 @@ void SeriesRing::push(std::int64_t t_ms, double value) {
   }
 }
 
-void SeriesRing::clear() {
-  head_ = 0;
-  size_ = 0;
-}
-
 const SeriesRing::Sample& SeriesRing::at(std::size_t i) const {
   WM_CHECK(i < size_, "SeriesRing index ", i, " out of range ", size_);
   return buf_[(head_ + i) % buf_.size()];
-}
-
-const SeriesRing::Sample* SeriesRing::at_or_before(std::int64_t t_ms) const {
-  const Sample* best = nullptr;
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Sample& s = at(i);
-    if (s.t_ms > t_ms) break;  // samples are pushed in time order
-    best = &s;
-  }
-  return best;
 }
 
 void CounterSeries::observe(std::int64_t t_ms, std::uint64_t raw) {
@@ -70,25 +62,13 @@ double CounterSeries::rate(std::int64_t now_ms, std::int64_t window_ms) const {
   return dv / dt_s;
 }
 
-void HistogramSeries::observe(std::int64_t t_ms, const PromHistogram& h) {
-  if (seen && h.count < latest.count) {
-    ++resets;
-    count_ring.clear();  // pre-restart history is not comparable
-  }
+void HistogramSeries::observe(const PromHistogram& h) {
+  if (seen && h.count < latest.count) ++resets;
   latest = h;
   seen = true;
-  count_ring.push(t_ms, static_cast<double>(h.count));
 }
 
 TimeSeriesStore::TimeSeriesStore(TimeSeriesStoreOptions opts) : opts_(opts) {}
-
-TimeSeriesStore::Target& TimeSeriesStore::target(const std::string& name) {
-  auto it = targets_.find(name);
-  if (it == targets_.end()) {
-    it = targets_.emplace(name, Target(opts_.ring_capacity)).first;
-  }
-  return it->second;
-}
 
 void TimeSeriesStore::note_transition(Target& t, bool now_up,
                                       std::int64_t t_ms) {
@@ -101,51 +81,39 @@ void TimeSeriesStore::note_transition(Target& t, bool now_up,
   t.health.up = now_up;
   t.health.last_attempt_ms = t_ms;
   ++t.health.scrapes;
-  t.up_ring.push(t_ms, now_up ? 1.0 : 0.0);
 }
 
 void TimeSeriesStore::observe(const std::string& name, std::int64_t t_ms,
                               double scrape_duration_ms,
                               const PromDump& dump) {
-  Target& t = target(name);
+  Target& t = targets_[name];
   note_transition(t, /*now_up=*/true, t_ms);
   t.health.ever_scraped = true;
   t.health.last_success_ms = t_ms;
   t.health.last_scrape_duration_ms = scrape_duration_ms;
-  t.duration_ring.push(t_ms, scrape_duration_ms);
 
   for (const auto& [cname, sample] : dump.counters) {
-    auto it = t.counters.find(cname);
-    if (it == t.counters.end()) {
-      it = t.counters.emplace(cname, CounterSeries(opts_.ring_capacity)).first;
-    }
-    const std::uint64_t before = it->second.resets;
-    it->second.observe(t_ms, sample.value);
-    t.health.counter_resets += it->second.resets - before;
+    CounterSeries& series =
+        t.counters.try_emplace(cname, kCounterRingCapacity).first->second;
+    const std::uint64_t before = series.resets;
+    series.observe(t_ms, sample.value);
+    t.health.counter_resets += series.resets - before;
   }
   for (const auto& [gname, sample] : dump.gauges) {
-    auto it = t.gauges.find(gname);
-    if (it == t.gauges.end()) {
-      it = t.gauges.emplace(gname, SeriesRing(opts_.ring_capacity)).first;
-    }
-    it->second.push(t_ms, sample.value);
+    t.gauges[gname] = sample.value;
   }
   for (const auto& [hname, h] : dump.histograms) {
-    auto it = t.histograms.find(hname);
-    if (it == t.histograms.end()) {
-      it = t.histograms.emplace(hname, HistogramSeries(opts_.ring_capacity))
-               .first;
-    }
-    const std::uint64_t before = it->second.resets;
-    it->second.observe(t_ms, h);
-    t.health.counter_resets += it->second.resets - before;
+    HistogramSeries& series = t.histograms[hname];
+    const std::uint64_t before = series.resets;
+    series.observe(h);
+    t.health.counter_resets += series.resets - before;
   }
   t.latest = dump;
 }
 
 void TimeSeriesStore::observe_failure(const std::string& name,
                                       std::int64_t t_ms) {
-  Target& t = target(name);
+  Target& t = targets_[name];
   note_transition(t, /*now_up=*/false, t_ms);
   ++t.health.failures;
 }
@@ -153,22 +121,6 @@ void TimeSeriesStore::observe_failure(const std::string& name,
 const TargetHealth* TimeSeriesStore::health(const std::string& name) const {
   const auto it = targets_.find(name);
   return it == targets_.end() ? nullptr : &it->second.health;
-}
-
-const CounterSeries* TimeSeriesStore::counter_series(
-    const std::string& target_name, const std::string& name) const {
-  const auto it = targets_.find(target_name);
-  if (it == targets_.end()) return nullptr;
-  const auto sit = it->second.counters.find(name);
-  return sit == it->second.counters.end() ? nullptr : &sit->second;
-}
-
-const SeriesRing* TimeSeriesStore::gauge_series(const std::string& target_name,
-                                                const std::string& name) const {
-  const auto it = targets_.find(target_name);
-  if (it == targets_.end()) return nullptr;
-  const auto sit = it->second.gauges.find(name);
-  return sit == it->second.gauges.end() ? nullptr : &sit->second;
 }
 
 FleetAggregate TimeSeriesStore::aggregate(std::int64_t now_ms) const {
@@ -188,9 +140,7 @@ FleetAggregate TimeSeriesStore::aggregate(std::int64_t now_ms) const {
       agg.counters[cname] += series.latest();
       agg.counter_rates[cname] += series.rate(now_ms, opts_.rate_window_ms);
     }
-    for (const auto& [gname, series] : t.gauges) {
-      if (series.empty()) continue;
-      const double v = series.latest().value;
+    for (const auto& [gname, v] : t.gauges) {
       GaugeStats& s = agg.gauges[gname];
       if (s.n == 0) {
         s.min = s.max = v;

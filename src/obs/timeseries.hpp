@@ -1,23 +1,22 @@
 // wm::obs time-series store — fixed-capacity history for scraped samples.
 //
 // The collector feeds one PromDump per (target, scrape) into a
-// TimeSeriesStore. The store keeps, per target:
+// TimeSeriesStore. The store keeps, per target, what aggregate() reads:
 //
 //   * a SeriesRing per counter, holding *reset-corrected* cumulative values:
 //     a raw value lower than the previous one means the replica restarted,
 //     so the previous raw total is folded into a monotonic offset (the
 //     standard Prometheus counter-reset rule) and the corrected series keeps
-//     increasing across restarts;
-//   * a SeriesRing per gauge (raw values, newest wins for aggregation);
+//     increasing across restarts; the ring is what windowed rates need;
+//   * the latest value per gauge;
 //   * the latest histogram state per name, with count-regression treated as
-//     a restart (history ring cleared, reset counted);
-//   * synthetic health series: up (1/0 per scrape attempt) and scrape
-//     duration, plus scalar health — staleness, attempt/failure counts,
-//     up-transition and counter-reset totals.
+//     a restart (reset counted);
+//   * scalar health — up, last scrape duration, staleness, attempt/failure
+//     counts, up-transition and counter-reset totals.
 //
-// Rings have fixed capacity set at construction; pushing past capacity
-// drops the oldest sample. Nothing here allocates on the scrape path beyond
-// first sight of a new series name.
+// Counter rings have a fixed capacity; pushing past it drops the oldest
+// sample. Nothing here allocates on the scrape path beyond first sight of a
+// new series name.
 //
 // aggregate() folds the latest samples of every *live* target (up, and
 // scraped within the staleness horizon) into a FleetAggregate:
@@ -51,20 +50,15 @@ class SeriesRing {
     double value = 0.0;
   };
 
-  explicit SeriesRing(std::size_t capacity = 256);
+  explicit SeriesRing(std::size_t capacity);
 
   void push(std::int64_t t_ms, double value);
-  void clear();
 
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return buf_.size(); }
   bool empty() const { return size_ == 0; }
   /// i-th sample, oldest first; i must be < size().
   const Sample& at(std::size_t i) const;
   const Sample& latest() const { return at(size_ - 1); }
-
-  /// Latest sample at or before `t_ms`; nullptr if none that old.
-  const Sample* at_or_before(std::int64_t t_ms) const;
 
  private:
   std::vector<Sample> buf_;
@@ -92,12 +86,9 @@ struct CounterSeries {
 
 /// Latest histogram state; a count regression means the process restarted.
 struct HistogramSeries {
-  explicit HistogramSeries(std::size_t capacity) : count_ring(capacity) {}
-
-  void observe(std::int64_t t_ms, const PromHistogram& h);
+  void observe(const PromHistogram& h);
 
   PromHistogram latest;
-  SeriesRing count_ring;  // total count over time, for windowed rates
   std::uint64_t resets = 0;
   bool seen = false;
 };
@@ -142,7 +133,6 @@ struct FleetAggregate {
 };
 
 struct TimeSeriesStoreOptions {
-  std::size_t ring_capacity = 512;
   /// Targets with no successful scrape within this horizon are excluded
   /// from aggregation even if their last attempt succeeded.
   std::int64_t staleness_ms = 10'000;
@@ -165,26 +155,16 @@ class TimeSeriesStore {
   const TimeSeriesStoreOptions& options() const { return opts_; }
   /// Health for one target; nullptr if never seen.
   const TargetHealth* health(const std::string& target) const;
-  /// Corrected counter history for (target, name); nullptr if absent.
-  const CounterSeries* counter_series(const std::string& target,
-                                      const std::string& name) const;
-  const SeriesRing* gauge_series(const std::string& target,
-                                 const std::string& name) const;
 
  private:
   struct Target {
-    explicit Target(std::size_t capacity)
-        : up_ring(capacity), duration_ring(capacity) {}
     TargetHealth health;
-    SeriesRing up_ring;        // 1/0 per attempt
-    SeriesRing duration_ring;  // scrape duration ms per success
     std::map<std::string, CounterSeries> counters;
-    std::map<std::string, SeriesRing> gauges;
+    std::map<std::string, double> gauges;  // latest value
     std::map<std::string, HistogramSeries> histograms;
     PromDump latest;  // last successfully parsed dump
   };
 
-  Target& target(const std::string& name);
   void note_transition(Target& t, bool now_up, std::int64_t t_ms);
 
   TimeSeriesStoreOptions opts_;

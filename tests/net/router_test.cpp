@@ -1,10 +1,9 @@
 // Router behaviour over real loopback replicas: load spreading, transparent
-// failover, the health/eject/rejoin state machine, the typed NO_REPLICA
-// result when the whole fleet is down, and the client backoff regression
-// (escalation must survive a flaky accept-then-drop listener).
+// failover (a dead replica costs one refused dial, not a wait), the
+// health/eject/rejoin state machine, and the typed NO_REPLICA result when
+// the whole fleet is down.
 #include "net/router.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -89,13 +88,6 @@ int dead_port() {
   return port;
 }
 
-/// Client template with fast failure for dead endpoints.
-ClientOptions fast_client() {
-  return {.max_connect_attempts = 2,
-          .backoff_initial_ms = 1,
-          .backoff_max_ms = 4};
-}
-
 TEST(RouterTest, SpreadsLoadAcrossHealthyReplicas) {
   Replica a, b, c;
   Router router({.replicas = {{.port = a.server.port()},
@@ -126,9 +118,9 @@ TEST(RouterTest, SpreadsLoadAcrossHealthyReplicas) {
 }
 
 TEST(RouterTest, BackToBackCallsNeverWaitForATick) {
-  // One call at a time, so each completion is the only event that can wake
-  // the dispatcher. A completion lost between its harvest scan and its
-  // wait would stall that call for good: there is no polling tick.
+  // One call at a time, so each call's completion hook is the only event
+  // that fulfils it: nothing polls. A result the hook failed to hand back
+  // would stall that call for good.
   Replica a;
   Replica b(0.5f);
   RouterOptions opts;
@@ -145,8 +137,7 @@ TEST(RouterTest, BackToBackCallsNeverWaitForATick) {
 TEST(RouterTest, FailsOverFromDeadReplicaTransparently) {
   Replica live(/*marker=*/0.25f);
   Router router({.replicas = {{.port = dead_port()},
-                              {.port = live.server.port()}},
-                 .client = fast_client()});
+                              {.port = live.server.port()}}});
 
   // Every call must succeed even though half the fleet never existed; the
   // dead replica costs retries, not errors.
@@ -165,10 +156,28 @@ TEST(RouterTest, FailsOverFromDeadReplicaTransparently) {
   EXPECT_EQ(router.healthy_count(), 1u);
 }
 
+TEST(RouterTest, FailsOverFromADeadReplicaWithoutWaiting) {
+  // The dead replica comes first, so the lowest-index tie-break sends call
+  // 0 to it. Its client dials once and fails the call at once; the router
+  // ejects the replica and fails the call over with nothing in between.
+  Replica live;
+  Router router({.replicas = {{.port = dead_port()},
+                              {.port = live.server.port()}}});
+  const WaferMap map = test_map();
+  for (int i = 0; i < 4; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const CallResult r = router.predict(map);
+    const auto took = std::chrono::steady_clock::now() - t0;
+    ASSERT_EQ(r.status, Status::kOk) << "call " << i;
+    EXPECT_LT(took, 250ms)
+        << "call " << i << " took "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+        << " ms";
+  }
+}
+
 TEST(RouterTest, AllReplicasEjectedYieldsNoReplicaNotAHang) {
-  Router router({.replicas = {{.port = dead_port()}},
-                 .blind_rejoin_ms = 60'000,  // stays ejected for the test
-                 .client = fast_client()});
+  Router router({.replicas = {{.port = dead_port()}}});
 
   // First call: dispatched, fails with CONNECTION_ERROR, ejects the replica.
   const CallResult first = router.predict(test_map());
@@ -200,8 +209,7 @@ TEST(RouterTest, EjectedReplicaRejoinsViaHealthz) {
 
   Router router({.replicas = {{.port = port,
                                .health_port = exporter.port()}},
-                 .health_interval_ms = 10,
-                 .client = fast_client()});
+                 .health_interval_ms = 10});
   ASSERT_EQ(router.predict(test_map()).status, Status::kOk);
 
   // Take the replica down: the next call fails and ejects it, and /healthz
@@ -232,31 +240,6 @@ TEST(RouterTest, EjectedReplicaRejoinsViaHealthz) {
   EXPECT_GE(router.stats()[0].rejoins, 1u);
 }
 
-TEST(RouterTest, BlindRejoinWithoutHealthPort) {
-  auto replica = std::make_unique<Replica>();
-  const int port = replica->server.port();
-  Router router({.replicas = {{.port = port}},  // no health_port
-                 .health_interval_ms = 10,
-                 .blind_rejoin_ms = 50,
-                 .client = fast_client()});
-  ASSERT_EQ(router.predict(test_map()).status, Status::kOk);
-
-  replica.reset();
-  EXPECT_EQ(router.predict(test_map()).status, Status::kConnectionError);
-  EXPECT_EQ(router.healthy_count(), 0u);
-
-  // Restart; with no health endpoint the replica rejoins on the timer and
-  // traffic re-probes it.
-  replica = std::make_unique<Replica>(0.75f, port);
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  CallResult r;
-  do {
-    r = router.predict(test_map());
-  } while (r.status != Status::kOk &&
-           std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(r.status, Status::kOk);
-}
-
 TEST(RouterTest, CloseFailsOutstandingAndIsIdempotent) {
   Replica a;
   Router router({.replicas = {{.port = a.server.port()}}});
@@ -278,8 +261,7 @@ TEST(RouterTest, CallersFailoverAndCloseRace) {
     auto doomed = std::make_unique<Replica>();
     Replica survivor(0.5f);
     Router router({.replicas = {{.port = doomed->server.port()},
-                                {.port = survivor.server.port()}},
-                   .client = fast_client()});
+                                {.port = survivor.server.port()}}});
 
     std::vector<std::vector<std::future<CallResult>>> futures(kCallers);
     std::atomic<int> submitted{0};
@@ -338,8 +320,7 @@ TEST(RouterTest, ProbeCountersTrackHealthzTraffic) {
   Router router({.replicas = {{.port = port,
                                .health_port = exporter.port()}},
                  .health_interval_ms = 10,
-                 .registry = &registry,
-                 .client = fast_client()});
+                 .registry = &registry});
   ASSERT_EQ(router.predict(test_map()).status, Status::kOk);
 
   const auto probes = [&] {
@@ -381,8 +362,7 @@ TEST(RouterTest, ProbeCountersTrackHealthzTraffic) {
 TEST(RouterTest, AttemptsReportFailoverDispatches) {
   Replica live;
   Router router({.replicas = {{.port = dead_port()},
-                              {.port = live.server.port()}},
-                 .client = fast_client()});
+                              {.port = live.server.port()}}});
   // First call may land on the dead replica and fail over; attempts counts
   // every dispatch the call consumed.
   const CallResult r = router.predict_async(test_map(), 0).get();
@@ -437,88 +417,6 @@ TEST(RouterTest, RouterIsTheOriginHopWhenHandedAFreshContext) {
   EXPECT_EQ(flow_s, 1);
   EXPECT_EQ(flow_f, 1);
   EXPECT_GE(flow_t, 2);  // client + server (+ engine)
-}
-
-// --- client backoff regression -------------------------------------------
-//
-// A listener that completes TCP handshakes (connects "succeed") but drops
-// every connection without answering. Before the fix, each successful
-// connect reset the reconnect backoff, so the client re-dialled such a
-// server in a tight loop forever. Now the delay escalates until a call
-// actually completes.
-
-class AcceptDropListener {
- public:
-  AcceptDropListener() {
-    fd_ = listen_tcp("127.0.0.1", 0, 16, &port_);
-    thread_ = std::thread([this] {
-      for (;;) {
-        const int conn = ::accept(fd_, nullptr, nullptr);
-        if (conn < 0) return;  // listener closed
-        ::close(conn);         // drop immediately
-      }
-    });
-  }
-
-  ~AcceptDropListener() {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    if (thread_.joinable()) thread_.join();
-  }
-
-  int port() const { return port_; }
-
- private:
-  int fd_ = -1;
-  int port_ = 0;
-  std::thread thread_;
-};
-
-TEST(NetClientBackoffTest, EscalatesAcrossFlakyAcceptCycles) {
-  AcceptDropListener flaky;
-  Client client({.port = flaky.port(),
-                 .max_connect_attempts = 3,
-                 .backoff_initial_ms = 4,
-                 .backoff_max_ms = 256,
-                 .backoff_jitter = 0.0});
-  EXPECT_EQ(client.current_backoff_ms(), 4);
-
-  // Each failed call rides at least one connect-then-drop cycle; because no
-  // call ever completes, the escalation must persist across the successful
-  // handshakes instead of resetting.
-  int escalated = client.current_backoff_ms();
-  for (int i = 0; i < 4 && escalated <= 4; ++i) {
-    (void)client.predict(test_map());
-    escalated = client.current_backoff_ms();
-  }
-  EXPECT_GT(escalated, 4) << "backoff was reset by a bare successful connect";
-}
-
-TEST(NetClientBackoffTest, CompletedCallResetsEscalation) {
-  // Phase 1: escalate against a dead endpoint (connect refused).
-  const int port = dead_port();
-  Client client({.port = port,
-                 .max_connect_attempts = 3,
-                 .backoff_initial_ms = 4,
-                 .backoff_max_ms = 256,
-                 .backoff_jitter = 0.0});
-  EXPECT_EQ(client.predict(test_map()).status, Status::kConnectionError);
-  // Give-up resets the delay for the next call cycle (documented behaviour).
-  EXPECT_EQ(client.current_backoff_ms(), 4);
-
-  // Phase 2: a real server appears on that port; a completed round trip must
-  // leave the escalation at the initial value afterwards.
-  MarkerClassifier clf;
-  serve::InferenceEngine engine(clf, {.max_batch = 4});
-  Server server(engine, {.port = port, .workers = 1});
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  CallResult r;
-  do {
-    r = client.predict(test_map());
-  } while (r.status != Status::kOk &&
-           std::chrono::steady_clock::now() < deadline);
-  ASSERT_EQ(r.status, Status::kOk);
-  EXPECT_EQ(client.current_backoff_ms(), 4);
 }
 
 }  // namespace

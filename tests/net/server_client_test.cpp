@@ -1,6 +1,8 @@
 // End-to-end wm_net behaviour over real loopback TCP: round trips,
 // pipelining, deadline enforcement, load shedding, malformed-peer handling,
-// graceful drain and client reconnect.
+// graceful drain, and the client's one dial per call: reconnect after a
+// restart, an immediate failure once the server is gone, and no re-dial
+// loop against a listener that accepts and drops.
 #include "net/server.hpp"
 
 #include <fcntl.h>
@@ -333,16 +335,13 @@ TEST(NetServerTest, StopDrainsEveryAcceptedRequest) {
   server.stop();  // idempotent
 }
 
-TEST(NetClientTest, ReconnectsWithBackoffAfterServerRestart) {
+TEST(NetClientTest, ReconnectsAfterServerRestart) {
   FakeClassifier clf;
   serve::InferenceEngine engine(clf, {.max_batch = 4});
   auto server = std::make_unique<Server>(engine, ServerOptions{.workers = 1});
   const int port = server->port();
 
-  Client client({.port = port,
-                 .max_connect_attempts = 20,
-                 .backoff_initial_ms = 5,
-                 .backoff_max_ms = 50});
+  Client client({.port = port});
   const auto maps = test_maps(1);
   EXPECT_EQ(client.predict(maps[0]).status, Status::kOk);
   EXPECT_EQ(client.reconnects(), 0u);
@@ -368,13 +367,83 @@ TEST(NetClientTest, NoListenerFailsWithConnectionError) {
   const int fd = listen_tcp("127.0.0.1", 0, 4, &port);
   ::close(fd);
 
-  Client client({.port = port,
-                 .max_connect_attempts = 2,
-                 .backoff_initial_ms = 1,
-                 .backoff_max_ms = 2});
+  Client client({.port = port});
   const CallResult r = client.predict(test_maps(1)[0]);
   EXPECT_EQ(r.status, Status::kConnectionError);
   EXPECT_FALSE(client.connected());
+}
+
+TEST(NetClientTest, CallAfterTheServerDiedFailsAtOnce) {
+  FakeClassifier clf;
+  serve::InferenceEngine engine(clf, {.max_batch = 4});
+  auto server = std::make_unique<Server>(engine, ServerOptions{.workers = 1});
+  Client client({.port = server->port()});
+  const auto map = test_maps(1)[0];
+  ASSERT_EQ(client.predict(map).status, Status::kOk);
+
+  // The server goes away while the client is idle; the client sees its
+  // connection close.
+  server.reset();
+  wait_until([&] { return !client.connected(); });
+  ASSERT_FALSE(client.connected());
+
+  // The next call dials once, is refused and fails: no retry schedule.
+  const auto t0 = std::chrono::steady_clock::now();
+  const CallResult r = client.predict(map);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(r.status, Status::kConnectionError);
+  EXPECT_LT(took, 250ms)
+      << "took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+      << " ms";
+}
+
+/// A listener that completes TCP handshakes (connects succeed) but drops
+/// every connection at once without answering, counting what it accepts.
+class AcceptDropListener {
+ public:
+  AcceptDropListener() {
+    fd_ = listen_tcp("127.0.0.1", 0, 16, &port_);
+    thread_ = std::thread([this] {
+      for (;;) {
+        const int conn = ::accept(fd_, nullptr, nullptr);
+        if (conn < 0) return;  // listener closed
+        accepts_.fetch_add(1);
+        ::close(conn);  // drop immediately
+      }
+    });
+  }
+
+  ~AcceptDropListener() {
+    ::shutdown(fd_, SHUT_RDWR);
+    ::close(fd_);
+    if (thread_.joinable()) thread_.join();
+  }
+
+  int port() const { return port_; }
+  int accepts() const { return accepts_.load(); }
+
+ private:
+  int fd_ = -1;
+  int port_ = 0;
+  std::atomic<int> accepts_{0};
+  std::thread thread_;
+};
+
+TEST(NetClientTest, AcceptThenDropCostsOneDialPerCall) {
+  // Every dial succeeds and every connection dies unanswered. The client
+  // dials only for calls it holds, and each dial writes them or fails them,
+  // so such a listener costs one dial per call and never a re-dial loop.
+  AcceptDropListener flaky;
+  Client client({.port = flaky.port()});
+  const auto map = test_maps(1)[0];
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(client.predict(map).status, Status::kConnectionError)
+        << "call " << i;
+  }
+  // A client that re-dialled on its own would keep the listener accepting.
+  std::this_thread::sleep_for(50ms);
+  EXPECT_LE(flaky.accepts(), 5);
 }
 
 TEST(NetClientTest, CallsAfterCloseFailImmediately) {
@@ -440,10 +509,7 @@ TEST(NetClientTest, CompletionHookRunsOnEveryPath) {
   // A transport failure: nothing listens on the port.
   int port = 0;
   ::close(listen_tcp("127.0.0.1", 0, 4, &port));
-  Client dead({.port = port,
-               .max_connect_attempts = 1,
-               .backoff_initial_ms = 1,
-               .backoff_max_ms = 2});
+  Client dead({.port = port});
   const CallResult refused = dead.predict_async(map, 0, {}, hook(&dead)).get();
   EXPECT_EQ(refused.status, Status::kConnectionError);
   expect_hook(3, refused);

@@ -26,9 +26,6 @@ TEST(SeriesRingTest, FixedCapacityDropsOldest) {
   EXPECT_DOUBLE_EQ(ring.at(0).value, 2.0);  // 0 and 1 fell off
   EXPECT_DOUBLE_EQ(ring.at(2).value, 4.0);
   EXPECT_EQ(ring.latest().t_ms, 40);
-  ASSERT_NE(ring.at_or_before(35), nullptr);
-  EXPECT_DOUBLE_EQ(ring.at_or_before(35)->value, 3.0);
-  EXPECT_EQ(ring.at_or_before(5), nullptr);  // older than everything kept
 }
 
 TEST(CounterSeriesTest, ResetDetectionKeepsSeriesMonotone) {
