@@ -87,7 +87,7 @@ struct AdaptHooks {
   /// recalibrate-only loop and logs the skipped escalation.
   const selective::SelectiveNet* net = nullptr;
   /// Canary wafers for swap_to verification (may be empty: swap unverified).
-  std::vector<WaferMap> canaries;
+  std::vector<WaferMap> canaries{};
   /// Instruments registry. nullptr = controller-private.
   obs::Registry* registry = nullptr;
   /// adapt_* event sink. nullptr = obs::run_log_global().

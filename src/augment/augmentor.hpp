@@ -30,8 +30,8 @@ struct AugmentOptions {
   /// class is extremely rare relative to T).
   int max_rotations_per_sample = 256;
 
-  CaeOptions cae;
-  CaeTrainerOptions cae_training;
+  CaeOptions cae{};
+  CaeTrainerOptions cae_training{};
 };
 
 class Augmentor {

@@ -1,8 +1,9 @@
-// 2-D convolution over (N, C, H, W) batches, lowered to GEMM. Forward packs
-// each image's im2col columns straight into the GEMM panels (sgemm_conv);
+// 2-D convolution over (N, C, H, W) batches, lowered to GEMM. Forward runs
+// one sgemm_conv per image, whose kernel reads the im2col rows in place;
 // backward runs the kernels of conv_grad.hpp: dW as one GEMM over the batch
 // on implicit-im2col panels, dX as an implicit-col2im sgemm_conv per image.
-// No column buffer is built, and no gradient depends on the pool size.
+// Only a forward at stride > 1 builds a column buffer (sgemm_conv's
+// per-thread im2col), and no gradient depends on the pool size.
 //
 // The batch loop fans out across ThreadPool::global(); forward keeps no
 // state outside its call, so forward in eval mode is reentrant. The input

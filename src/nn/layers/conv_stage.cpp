@@ -27,12 +27,8 @@ typedef std::uint32_t v8u __attribute__((vector_size(32), aligned(4)));
 typedef std::uint8_t v8b __attribute__((vector_size(8), aligned(1)));
 
 /// BatchNorm's affine map as BatchNorm2d computes it, or the identity.
-struct Affine {
-  float mean, inv_std, gamma, beta;
-};
-
 template <bool kBatchNorm, typename V>
-V affine(V v, const Affine& a) {
+V affine(V v, const BnAffine& a) {
   if constexpr (kBatchNorm) {
     const V norm = (v - a.mean) * a.inv_std;
     return a.gamma * norm + a.beta;
@@ -56,15 +52,20 @@ inline v8i relu_bits(v8f v) {
 }
 
 /// The 2x2 max of ReLU(affine(conv)) over one (oh, ow) plane into
-/// (oh/2, ow/2), as MaxPool2d scans a window: the first tap holding the
-/// maximum wins, which the tournament below (each row's pair, then the
-/// rows) reproduces. With kIndex, window[] gets that tap (0-3, row-major),
-/// or kNoGrad when the maximum is ReLU's 0. Eight windows a step, the even
-/// and odd columns split by shuffles.
+/// (oh/2, ow/2). With kIndex, window[] gets the tap MaxPool2d's scan picks
+/// (0-3, row-major; the first tap holding the maximum, which the tournament
+/// below reproduces: each row's pair, then the rows), or kNoGrad when the
+/// maximum is ReLU's 0. Eight windows a step: BatchNorm and ReLU run on the
+/// rows as loaded, then shuffles split the even and odd columns. The
+/// maximum alone is one value in any order, so without kIndex the two rows
+/// are reduced first and two shuffles do instead of four.
 template <bool kBatchNorm, bool kIndex>
 void pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
-                const Affine& af, float* out, std::uint8_t* window) {
+                const BnAffine& af, float* out, std::uint8_t* window) {
   const std::int64_t pw = ow / 2;
+  const auto act = [&](const float* p) {
+    return relu_bits(affine<kBatchNorm>(*reinterpret_cast<const v8f*>(p), af));
+  };
   for (std::int64_t y = 0; y < oh / 2; ++y) {
     const float* r0 = conv + 2 * y * ow;
     const float* r1 = r0 + ow;
@@ -73,22 +74,28 @@ void pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
     for (; x + 8 <= pw; x += 8) {
       constexpr v8i even = {0, 2, 4, 6, 8, 10, 12, 14};
       constexpr v8i odd = {1, 3, 5, 7, 9, 11, 13, 15};
-      const v8f t0 = *reinterpret_cast<const v8f*>(r0 + 2 * x);
-      const v8f t1 = *reinterpret_cast<const v8f*>(r0 + 2 * x + 8);
-      const v8f u0 = *reinterpret_cast<const v8f*>(r1 + 2 * x);
-      const v8f u1 = *reinterpret_cast<const v8f*>(r1 + 2 * x + 8);
-      const v8i a = relu_bits(affine<kBatchNorm>(__builtin_shuffle(t0, t1, even), af));
-      const v8i b = relu_bits(affine<kBatchNorm>(__builtin_shuffle(t0, t1, odd), af));
-      const v8i c = relu_bits(affine<kBatchNorm>(__builtin_shuffle(u0, u1, even), af));
-      const v8i d = relu_bits(affine<kBatchNorm>(__builtin_shuffle(u0, u1, odd), af));
-      const v8i right = b > a;
-      const v8i lower_right = d > c;
-      const v8i top = (b & right) | (a & ~right);
-      const v8i bottom = (d & lower_right) | (c & ~lower_right);
-      const v8i lower = bottom > top;
-      const v8i best = (bottom & lower) | (top & ~lower);
-      *reinterpret_cast<v8f*>(o + x) = reinterpret_cast<v8f>(best);
-      if constexpr (kIndex) {
+      const v8i t0 = act(r0 + 2 * x);
+      const v8i t1 = act(r0 + 2 * x + 8);
+      const v8i u0 = act(r1 + 2 * x);
+      const v8i u1 = act(r1 + 2 * x + 8);
+      if constexpr (!kIndex) {
+        const v8i m0 = u0 > t0 ? u0 : t0;
+        const v8i m1 = u1 > t1 ? u1 : t1;
+        const v8i a = __builtin_shuffle(m0, m1, even);
+        const v8i b = __builtin_shuffle(m0, m1, odd);
+        *reinterpret_cast<v8f*>(o + x) = reinterpret_cast<v8f>(b > a ? b : a);
+      } else {
+        const v8i a = __builtin_shuffle(t0, t1, even);
+        const v8i b = __builtin_shuffle(t0, t1, odd);
+        const v8i c = __builtin_shuffle(u0, u1, even);
+        const v8i d = __builtin_shuffle(u0, u1, odd);
+        const v8i right = b > a;
+        const v8i lower_right = d > c;
+        const v8i top = (b & right) | (a & ~right);
+        const v8i bottom = (d & lower_right) | (c & ~lower_right);
+        const v8i lower = bottom > top;
+        const v8i best = (bottom & lower) | (top & ~lower);
+        *reinterpret_cast<v8f*>(o + x) = reinterpret_cast<v8f>(best);
         const v8i tap = ((2 + (lower_right & 1)) & lower) | ((right & 1) & ~lower);
         const v8i zero = best > 0;
         const v8i idx = (tap & zero) | (kNoGrad & ~zero);
@@ -165,6 +172,15 @@ float* plane_scratch(std::int64_t n) {
 
 }  // namespace
 
+void bn_relu_pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
+                        const BnAffine* bn, float* out) {
+  if (bn != nullptr) {
+    pool_plane<true, false>(conv, oh, ow, *bn, out, nullptr);
+  } else {
+    pool_plane<false, false>(conv, oh, ow, BnAffine{}, out, nullptr);
+  }
+}
+
 ConvStage::ConvStage(const ConvStageOptions& opts, Rng& rng)
     : opts_(opts),
       bn_{.channels = opts.out_channels},
@@ -223,15 +239,11 @@ Tensor ConvStage::forward(const Tensor& input, bool training) {
   }
   const float* z = conv.data();
   float* po = out.data();
-  const auto pool = [&](std::int64_t plane, const Affine& af) {
+  const auto pool = [&](std::int64_t plane, const BnAffine& af) {
     const float* zp = z + plane * spatial;
     float* op = po + plane * pooled;
     if (!training) {
-      if (opts_.batchnorm) {
-        pool_plane<true, false>(zp, oh, ow, af, op, nullptr);
-      } else {
-        pool_plane<false, false>(zp, oh, ow, af, op, nullptr);
-      }
+      bn_relu_pool_plane(zp, oh, ow, opts_.batchnorm ? &af : nullptr, op);
       return;
     }
     std::uint8_t* wp = window_.data() + plane * pooled;
@@ -247,7 +259,7 @@ Tensor ConvStage::forward(const Tensor& input, bool training) {
   const std::size_t planes = static_cast<std::size_t>(n * oc);
   if (!opts_.batchnorm) {
     pool_threads.parallel_for(0, planes, [&](std::size_t p) {
-      pool(static_cast<std::int64_t>(p), Affine{});
+      pool(static_cast<std::int64_t>(p), BnAffine{});
     });
   } else {
     // Every pass runs plane by plane through memory; each channel's
@@ -300,7 +312,7 @@ Tensor ConvStage::forward(const Tensor& input, bool training) {
       const std::int64_t ch = static_cast<std::int64_t>(p) % oc;
       const std::size_t c = static_cast<std::size_t>(ch);
       pool(static_cast<std::int64_t>(p),
-           Affine{mean[c], inv_std[c], gamma_.value[ch], beta_.value[ch]});
+           BnAffine{mean[c], inv_std[c], gamma_.value[ch], beta_.value[ch]});
     });
   }
   if (training) conv_ = std::move(conv);

@@ -38,6 +38,19 @@ class Rng;
 
 namespace wm::nn {
 
+/// BatchNorm2d's eval map of one channel: gamma * ((x - mean) * inv_std) +
+/// beta, with inv_std = bn_inv_std(var, eps).
+struct BnAffine {
+  float mean, inv_std, gamma, beta;
+};
+
+/// The eval tail of a conv block over one (oh, ow) plane of conv output,
+/// bias included: BatchNorm (none when bn is null), ReLU and the 2x2 max into
+/// (oh/2, ow/2), with the bits of that layer sequence. ConvStage's eval
+/// forward runs it, and so do InferencePlan's fp32 stages.
+void bn_relu_pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
+                        const BnAffine* bn, float* out);
+
 struct ConvStageOptions {
   std::int64_t in_channels = 0;
   std::int64_t out_channels = 0;

@@ -68,7 +68,7 @@ struct HttpExporterOptions {
   std::function<bool()> healthy = nullptr;
   /// Additional GET endpoints (the collector mounts /fleet and /dashboard
   /// this way).
-  std::vector<HttpRoute> routes;
+  std::vector<HttpRoute> routes{};
   /// Per-socket receive/send timeout.
   int io_timeout_ms = 2000;
 };

@@ -10,6 +10,7 @@
 #include "common/threadpool.hpp"
 #include "nn/layers/activations.hpp"
 #include "nn/layers/batchnorm2d.hpp"
+#include "nn/layers/conv_stage.hpp"
 #include "nn/quant/quantize.hpp"
 
 namespace wm::selective {
@@ -18,50 +19,6 @@ namespace {
 
 std::vector<float> to_vector(const Tensor& t) {
   return std::vector<float>(t.data(), t.data() + t.numel());
-}
-
-/// The fused epilogue of one conv block over its (OC, OH, OW) GEMM output:
-/// each value takes the arithmetic of the layers it replaces, in their order
-/// (the GEMM's bias add, BatchNorm2d's eval forward, ReLU), and each 2x2
-/// window keeps its maximum, as MaxPool2d does. ReLU leaves no NaN or -0, so
-/// the maximum is the one MaxPool2d's scan picks, in any order: rows are
-/// reduced first, in place in `conv` (the caller's scratch), so the inner
-/// loop runs over contiguous values.
-template <bool kBatchNorm>
-void bias_bn_relu_pool(float* conv, std::int64_t channels, std::int64_t oh,
-                       std::int64_t ow, const float* bias, const float* mean,
-                       const float* inv_std, const float* gamma,
-                       const float* beta, float* pooled) {
-  const std::int64_t ph = oh / 2;
-  const std::int64_t pw = ow / 2;
-  for (std::int64_t ch = 0; ch < channels; ++ch) {
-    const float b = bias[ch];
-    const float mu = kBatchNorm ? mean[ch] : 0.0f;
-    const float is = kBatchNorm ? inv_std[ch] : 0.0f;
-    const float g = kBatchNorm ? gamma[ch] : 0.0f;
-    const float be = kBatchNorm ? beta[ch] : 0.0f;
-    const auto act = [&](float v) {
-      v += b;
-      if constexpr (kBatchNorm) {
-        const float norm = (v - mu) * is;
-        v = g * norm + be;
-      }
-      return v > 0.0f ? v : 0.0f;
-    };
-    float* plane = conv + ch * oh * ow;
-    float* out = pooled + ch * ph * pw;
-    for (std::int64_t y = 0; y < ph; ++y) {
-      float* r0 = plane + 2 * y * ow;
-      const float* r1 = r0 + ow;
-      for (std::int64_t x = 0; x < ow; ++x) {
-        r0[x] = std::max(act(r0[x]), act(r1[x]));
-      }
-      float* o = out + y * pw;
-      for (std::int64_t x = 0; x < pw; ++x) {
-        o[x] = std::max(r0[2 * x], r0[2 * x + 1]);
-      }
-    }
-  }
 }
 
 /// MaxPool2d(2)'s eval forward over one image's (channels, oh, ow) planes:
@@ -137,13 +94,14 @@ InferencePlan::InferencePlan(const SelectiveNet& net) : opts_(net.options()) {
     st.weights = pack_weights_a(filters[i + 1], st.geom.col_rows(), w.data());
     st.bias = to_vector(take("conv.bias"));
     if (opts_.use_batchnorm) {
-      st.gamma = to_vector(take("bn.gamma"));
-      st.beta = to_vector(take("bn.beta"));
-      st.mean = to_vector(take_buffer());
+      const Tensor& gamma = take("bn.gamma");
+      const Tensor& beta = take("bn.beta");
+      const Tensor& mean = take_buffer();
       const Tensor& var = take_buffer();
-      const float eps = static_cast<float>(nn::BatchNorm2dOptions{}.eps);
       for (std::int64_t ch = 0; ch < var.numel(); ++ch) {
-        st.inv_std.push_back(1.0f / std::sqrt(var[ch] + eps));
+        st.bn.push_back(
+            {mean[ch], nn::bn_inv_std(var[ch], nn::BatchNorm2dOptions{}.eps),
+             gamma[ch], beta[ch]});
       }
     }
   }
@@ -218,15 +176,12 @@ void InferencePlan::size_scratch() {
 
 void InferencePlan::Fp32Conv::run(const float* image, const Scratch& s,
                                   float* pooled) const {
-  sgemm_conv(geom, weights, image, s.conv, /*bias=*/nullptr);
-  if (mean.empty()) {
-    bias_bn_relu_pool<false>(s.conv, weights.rows, geom.out_h(), geom.out_w(),
-                             bias.data(), nullptr, nullptr, nullptr, nullptr,
-                             pooled);
-  } else {
-    bias_bn_relu_pool<true>(s.conv, weights.rows, geom.out_h(), geom.out_w(),
-                            bias.data(), mean.data(), inv_std.data(),
-                            gamma.data(), beta.data(), pooled);
+  sgemm_conv(geom, weights, image, s.conv, bias.data());
+  const std::int64_t plane = geom.out_h() * geom.out_w();
+  for (std::int64_t ch = 0; ch < weights.rows; ++ch) {
+    nn::bn_relu_pool_plane(s.conv + ch * plane, geom.out_h(), geom.out_w(),
+                           bn.empty() ? nullptr : &bn[ch],
+                           pooled + ch * plane / 4);
   }
 }
 

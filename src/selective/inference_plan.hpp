@@ -15,9 +15,11 @@
 // fanning images over ThreadPool::global() as Conv2d::forward does. An fp32
 // stage is
 //
-//   sgemm_conv (im2col packed straight into the GEMM panels)
-//     -> one pass: + bias -> (x - mean) * inv_std -> gamma * norm + beta
-//                  -> ReLU -> 2x2 max into the next stage's input
+//   sgemm_conv + bias (the kernel reads im2col's rows in place from
+//   shifted copies of the image)
+//     -> one pass per plane, ConvStage's eval pass (bn_relu_pool_plane):
+//        (x - mean) * inv_std -> gamma * norm + beta -> ReLU -> 2x2 max
+//        into the next stage's input
 //
 // and an int8 stage is
 //
@@ -41,6 +43,7 @@
 #include <variant>
 #include <vector>
 
+#include "nn/layers/conv_stage.hpp"
 #include "selective/quant_net.hpp"
 #include "selective/selective_net.hpp"
 #include "tensor/gemm.hpp"
@@ -81,7 +84,7 @@ class InferencePlan {
     PackedPanels weights;
     std::vector<float> bias;
     // Per-channel BatchNorm constants; empty when the net has no BatchNorm.
-    std::vector<float> mean, inv_std, gamma, beta;
+    std::vector<nn::BnAffine> bn;
 
     /// Writes the image's pooled activations to `pooled`.
     void run(const float* image, const Scratch& s, float* pooled) const;

@@ -41,18 +41,18 @@ struct ServerConfig {
   /// TCP port for the wire protocol; 0 = ephemeral. Env: WM_SERVE_PORT.
   std::optional<int> port;
   /// Kernel accept backlog. Env: WM_SERVE_BACKLOG, default 64.
-  std::optional<int> backlog;
+  std::optional<int> backlog{};
   /// Connection worker threads. Env: WM_SERVE_WORKERS, default 2.
   std::optional<int> workers;
   /// HTTP exporter (/metrics, /healthz) port; unset everywhere = no
   /// exporter, 0 = ephemeral. Env: WM_HTTP_PORT.
   std::optional<int> http_port;
   /// Engine micro-batch size. Env: WM_SERVE_MAX_BATCH, default 32.
-  std::optional<int> max_batch;
+  std::optional<int> max_batch{};
   /// Engine queue bound. Env: WM_SERVE_QUEUE_CAPACITY, default 256.
-  std::optional<std::size_t> queue_capacity;
+  std::optional<std::size_t> queue_capacity{};
   /// Per-socket IO timeout (no env knob), default 5000.
-  std::optional<int> io_timeout_ms;
+  std::optional<int> io_timeout_ms{};
   /// Listen address (no env knob), default loopback.
   std::string bind_address = "127.0.0.1";
 

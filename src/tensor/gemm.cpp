@@ -1,6 +1,7 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -38,10 +39,12 @@ constexpr std::int64_t kNR = kNV * kVL;
 
 // Cache blocking: a kKC x kNR B micro-panel (24 KiB at kKC=192 on AVX-512)
 // stays L1-resident across the ir loop; the packed kMC x kKC A block
-// (192 KiB) and the kKC x kNC B block (384 KiB) share L2. Tuned on a
-// Cooperlake Xeon: ~73 GFLOP/s single-core at 512^3 vs ~21 for the seed
-// kernel.
-constexpr std::int64_t kKC = 192;
+// (192 KiB) and the kKC x kNC B block (384 KiB) share L2. On one core of a
+// 4-vCPU AVX-512 Xeon (48 KiB L1d, 2 MiB L2), whose FMA peak an asm loop of
+// independent zmm FMAs measures at 136-145 GFLOP/s: 64-75 GFLOP/s at 512^3
+// (BM_Gemm, WM_THREADS=1) against 14 for the seed kernel, and 97, 106 and
+// 85 GFLOP/s for the three Table-I convs through sgemm_conv, bias included.
+constexpr std::int64_t kKC = kGemmKBlock;
 constexpr std::int64_t kMC = kMR * 32;
 constexpr std::int64_t kNC = kNR * 16;
 
@@ -58,24 +61,47 @@ void scale_c(std::int64_t m, std::int64_t n, float beta, float* c) {
   }
 }
 
-/// C(i, p) of the kMR x kNR tile = sum over p of A-panel column * B-panel
-/// row. ap is kc steps of kMR alpha-scaled A values; bp is kc steps of kNR
-/// B values; both contiguous (packed). The accumulators live in registers
-/// for the whole loop; the finished tile is spilled to `tile`.
-void micro_kernel(std::int64_t kc, const float* __restrict__ ap,
-                  const float* __restrict__ bp, float* __restrict__ tile) {
+/// kVL copies of x. The brace list compiles to one broadcast load from
+/// memory (vbroadcastss m32), which the FMA can take as its operand.
+template <std::size_t... I>
+vf splat(float x, std::index_sequence<I...>) {
+  return vf{(static_cast<void>(I), x)...};
+}
+
+/// Rows of a packed B micro-panel, kNR floats apart.
+struct PackedRows {
+  const float* base;
+  const float* row(std::int64_t p) const { return base + p * kNR; }
+};
+
+/// Rows of a B micro-panel read in place: row p starts at rows[p] + j, and
+/// kNR floats from there are in bounds.
+struct TableRows {
+  const float* const* rows;
+  std::int64_t j;
+  const float* row(std::int64_t p) const { return rows[p] + j; }
+};
+
+/// C(i, j) of the kMR x kNR tile = sum over p of A-panel column * B row.
+/// ap is kc steps of kMR alpha-scaled A values (packed); b.row(p) holds kNR
+/// B values. Each output is one FMA chain from +0 in p order (s + a * b
+/// without FMA). The accumulators live in registers for the whole loop; the
+/// finished tile is spilled to `tile`.
+template <typename BRows>
+void micro_kernel(std::int64_t kc, const float* __restrict__ ap, BRows b,
+                  float* __restrict__ tile) {
   vf acc[kMR][kNV];
   for (std::int64_t i = 0; i < kMR; ++i)
     for (std::int64_t v = 0; v < kNV; ++v) acc[i][v] = vf{};
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict__ brow = bp + p * kNR;
+    const float* __restrict__ brow = b.row(p);
     const float* __restrict__ acol = ap + p * kMR;
     vf bv[kNV];
     for (std::int64_t v = 0; v < kNV; ++v)
       bv[v] = *reinterpret_cast<const vf*>(brow + v * kVL);
 #pragma GCC unroll 8
     for (std::int64_t i = 0; i < kMR; ++i) {
-      const vf av = vf{} + acol[i];
+      const vf av = splat(acol[i], std::make_index_sequence<kVL>{});
       for (std::int64_t v = 0; v < kNV; ++v) acc[i][v] += av * bv[v];
     }
   }
@@ -108,66 +134,17 @@ void pack_strided(std::int64_t rows, std::int64_t kc, float alpha,
   }
 }
 
-/// Packs the (kc x nc) block at (p0, j0) of im2col(image) into kNR-column
-/// micro-panels, reading the image directly. `g` has no padding (sgemm_conv
-/// hands over a zero-bordered copy), so every tap is in range. Row p of the
-/// column matrix is the tap (channel, kh, kw) in im2col's order; column j is
-/// output pixel (j / OW, j % OW); the panel tail is zero, exactly the values
-/// im2col followed by pack_strided would write.
-void pack_image(const ConvGeometry& g, const float* image, std::int64_t p0,
-                std::int64_t kc, std::int64_t j0, std::int64_t nc, float* dst) {
-  struct Run {
-    std::int64_t src, len, lane;  // image offset of tap (0, 0, 0), length, lane
-  };
-  Run runs[kNR];
-  const std::int64_t ow = g.out_w();
-  const std::int64_t s = g.stride;
-  const std::int64_t taps = g.kernel_h * g.kernel_w;
-  for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-    const std::int64_t cols = std::min(kNR, nc - jr);
-    // The panel's columns as runs within one output row each.
-    int nruns = 0;
-    for (std::int64_t lane = 0; lane < cols;) {
-      const std::int64_t j = j0 + jr + lane;
-      const std::int64_t len = std::min(ow - j % ow, cols - lane);
-      runs[nruns++] = {(j / ow) * s * g.width + (j % ow) * s, len, lane};
-      lane += len;
-    }
-    float* panel = dst + (jr / kNR) * kNR * kc;
-    std::int64_t c = p0 / taps;
-    std::int64_t kh = p0 % taps / g.kernel_w;
-    std::int64_t kw = p0 % g.kernel_w;
-    for (std::int64_t p = 0; p < kc; ++p) {
-      float* d = panel + p * kNR;
-      const float* tap = image + (c * g.height + kh) * g.width + kw;
-      for (int r = 0; r < nruns; ++r) {
-        const float* in = tap + runs[r].src;
-        float* out = d + runs[r].lane;
-        if (s == 1) {
-          for (std::int64_t i = 0; i < runs[r].len; ++i) out[i] = in[i];
-        } else {
-          for (std::int64_t i = 0; i < runs[r].len; ++i) out[i] = in[i * s];
-        }
-      }
-      for (std::int64_t i = cols; i < kNR; ++i) d[i] = 0.0f;
-      if (++kw == g.kernel_w) {
-        kw = 0;
-        if (++kh == g.kernel_h) {
-          kh = 0;
-          ++c;
-        }
-      }
-    }
-  }
-}
-
 // Panel sources. Each hands the macro-kernel the W-wide micro-panels of
 // rows [r0, r0 + rows) x depth [p0, p0 + kc) of its operand — r along M for
 // A, along N for B — as a base pointer and the stride between panels.
-// r0 is always a multiple of W.
+// r0 is always a multiple of W. A B source's block also names the rows of
+// the micro-panel at column offset jr (a multiple of kNR) of the block.
 struct Panels {
   const float* base;
   std::int64_t stride;
+  PackedRows b_panel(std::int64_t jr) const {
+    return {base + jr / kNR * stride};
+  }
 };
 
 /// A strided matrix, packed into per-thread scratch on every call.
@@ -196,15 +173,18 @@ struct PrepackedSource {
   }
 };
 
-/// The im2col matrix of one image, packed from the image on every call.
-struct ImageSource {
-  const ConvGeometry& g;
-  const float* image;
-  Panels panels(std::int64_t j0, std::int64_t cols, std::int64_t p0,
-                std::int64_t kc, std::vector<float>& scratch) const {
-    scratch.resize(static_cast<std::size_t>((cols + kNR - 1) / kNR * kNR * kc));
-    pack_image(g, image, p0, kc, j0, cols, scratch.data());
-    return {scratch.data(), kNR * kc};
+/// A B operand read in place: row p starts at rows[p], and kNR floats past
+/// the end of every row are in bounds. Nothing is packed.
+struct RowTableSource {
+  const float* const* rows;
+  struct Block {
+    const float* const* rows;
+    std::int64_t j0;
+    TableRows b_panel(std::int64_t jr) const { return {rows, j0 + jr}; }
+  };
+  Block panels(std::int64_t j0, std::int64_t /*cols*/, std::int64_t p0,
+               std::int64_t /*kc*/, std::vector<float>& /*scratch*/) const {
+    return {rows + p0, j0};
   }
 };
 
@@ -312,10 +292,13 @@ struct BatchColumnsSource {
 
 /// Serial macro-kernel over the C sub-range [m0, m1) x [n0, n1):
 /// C += A * B (C already beta-scaled), one += per kKC-deep K block, then the
-/// optional bias epilogues. With `zeroed`, C is taken as zero without being
-/// read: the first K block stores 0 + tile, the bits of zeroing C and then
-/// adding. Thread-safe: packing scratch is thread_local, and concurrent calls
-/// write disjoint C ranges.
+/// optional biases, rows' before columns'. With `zeroed`, C is taken as zero
+/// without being read: the first K block stores 0 + tile, the bits of
+/// zeroing C and then adding, which also stores a tile's -0 as +0. The last
+/// K block adds the biases to each value as it stores it: the bits of a
+/// bias pass after the product, without a second trip over C. Thread-safe:
+/// packing scratch is thread_local, and concurrent calls write disjoint C
+/// ranges.
 template <typename ASource, typename BSource>
 void gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
                 std::int64_t n1, std::int64_t k, const ASource& a,
@@ -329,24 +312,29 @@ void gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
     const std::int64_t nc = std::min(kNC, n1 - jc);
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
-      const Panels bp = b.panels(jc, nc, pc, kc, tb);
+      const bool first = zeroed && pc == 0;
+      const bool row_bias = pc + kc == k && bias_rows != nullptr;
+      const bool col_bias = pc + kc == k && bias_cols != nullptr;
+      const auto bp = b.panels(jc, nc, pc, kc, tb);
       for (std::int64_t ic = m0; ic < m1; ic += kMC) {
         const std::int64_t mc = std::min(kMC, m1 - ic);
         const Panels ap = a.panels(ic, mc, pc, kc, ta);
         for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-          const float* bpanel = bp.base + (jr / kNR) * bp.stride;
+          const auto brows = bp.b_panel(jr);
           const std::int64_t cols = std::min(kNR, nc - jr);
           for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-            micro_kernel(kc, ap.base + (ir / kMR) * ap.stride, bpanel, tile);
+            micro_kernel(kc, ap.base + (ir / kMR) * ap.stride, brows, tile);
             const std::int64_t rows = std::min(kMR, mc - ir);
             float* cblk = c + (ic + ir) * ldc + jc + jr;
             for (std::int64_t i = 0; i < rows; ++i) {
               float* crow = cblk + i * ldc;
               const float* trow = tile + i * kNR;
-              if (zeroed && pc == 0) {
-                for (std::int64_t j = 0; j < cols; ++j) crow[j] = 0.0f + trow[j];
-              } else {
-                for (std::int64_t j = 0; j < cols; ++j) crow[j] += trow[j];
+              const float bi = row_bias ? bias_rows[ic + ir + i] : 0.0f;
+              for (std::int64_t j = 0; j < cols; ++j) {
+                float v = first ? 0.0f + trow[j] : crow[j] + trow[j];
+                if (row_bias) v += bi;
+                if (col_bias) v += bias_cols[jc + jr + j];
+                crow[j] = v;
               }
             }
           }
@@ -354,18 +342,14 @@ void gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
       }
     }
   }
-
-  if (bias_rows != nullptr) {
+  // With no product, the biases are all there is.
+  if (k == 0) {
     for (std::int64_t i = m0; i < m1; ++i) {
       float* crow = c + i * ldc;
-      const float bi = bias_rows[i];
-      for (std::int64_t j = n0; j < n1; ++j) crow[j] += bi;
-    }
-  }
-  if (bias_cols != nullptr) {
-    for (std::int64_t i = m0; i < m1; ++i) {
-      float* crow = c + i * ldc;
-      for (std::int64_t j = n0; j < n1; ++j) crow[j] += bias_cols[j];
+      for (std::int64_t j = n0; j < n1; ++j) {
+        if (bias_rows != nullptr) crow[j] += bias_rows[i];
+        if (bias_cols != nullptr) crow[j] += bias_cols[j];
+      }
     }
   }
 }
@@ -495,27 +479,73 @@ void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
   WM_CHECK_SHAPE(w.panel == kMR && w.depth == g.col_rows(),
                  "sgemm_conv: weights packed as ", w.rows, "x", w.depth,
                  " (panel ", w.panel, ") for a conv of depth ", g.col_rows());
-  // Padding taps read the zero border of a per-thread copy, so the packer
-  // never bounds-checks. Pool workers that split the product only read it.
-  ConvGeometry bordered = g;
-  bordered.height += 2 * g.pad;
-  bordered.width += 2 * g.pad;
-  bordered.pad = 0;
-  thread_local std::vector<float> copy;
-  copy.assign(static_cast<std::size_t>(g.channels * bordered.height *
-                                       bordered.width),
-              0.0f);
-  for (std::int64_t ch = 0; ch < g.channels; ++ch) {
-    for (std::int64_t y = 0; y < g.height; ++y) {
-      const float* src = image + (ch * g.height + y) * g.width;
-      std::copy(src, src + g.width,
-                copy.data() +
-                    (ch * bordered.height + y + g.pad) * bordered.width +
-                    g.pad);
+  // B is read in place from per-thread buffers that pool workers splitting
+  // the product only read; each buffer ends with kNR spare floats, so the
+  // kernel's N tail stays in bounds.
+  const std::int64_t k = g.col_rows();
+  const std::int64_t n = g.col_cols();
+  thread_local std::vector<float> buffer;
+  thread_local std::vector<const float*> rows;
+  rows.resize(static_cast<std::size_t>(k));
+  if (g.stride == 1) {
+    // kernel_w shifted copies of the image, rows of OW floats, each with
+    // pad zero rows above and below every channel: column x of copy kw
+    // holds image column x + kw - pad, or 0 outside the image. Tap
+    // (ch, kh, kw) of output pixel j is then element j of the row starting
+    // at row ch * Hb + kh of copy kw, whatever OW is.
+    const std::int64_t ow = g.out_w();
+    const std::int64_t hb = g.height + 2 * g.pad;
+    const std::int64_t plane = hb * ow;
+    const std::int64_t copy = g.channels * plane;
+    buffer.resize(static_cast<std::size_t>(g.kernel_w * copy + kNR));
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+      const std::int64_t shift = kw - g.pad;
+      // Columns [lo, hi) of a copy's row come from the image.
+      const std::int64_t lo = std::clamp<std::int64_t>(-shift, 0, ow);
+      const std::int64_t hi = std::clamp<std::int64_t>(g.width - shift, lo, ow);
+      for (std::int64_t ch = 0; ch < g.channels; ++ch) {
+        float* dst = buffer.data() + kw * copy + ch * plane;
+        float* in = dst + g.pad * ow;
+        const float* src = image + ch * g.height * g.width;
+        std::fill(dst, in, 0.0f);
+        if (lo < hi) {
+          if (ow == g.width) {
+            // A "same" conv, as every conv of Table I is: all rows are one
+            // shifted copy of the plane. Copied row by row instead, conv2
+            // took 100 us instead of 89 and conv3 17.3 instead of 13.7 (one
+            // core of an AVX-512 Xeon, 16- and 8-float rows).
+            std::copy(src + lo + shift,
+                      src + (g.height - 1) * ow + hi + shift, in + lo);
+          } else {
+            for (std::int64_t y = 0; y < g.height; ++y) {
+              std::copy(src + y * g.width + lo + shift,
+                        src + y * g.width + hi + shift, in + y * ow + lo);
+            }
+          }
+        }
+        for (std::int64_t y = 0; y < g.height; ++y) {
+          float* row = in + y * ow;
+          for (std::int64_t x = 0; x < lo; ++x) row[x] = 0.0f;
+          for (std::int64_t x = hi; x < ow; ++x) row[x] = 0.0f;
+        }
+        std::fill(in + g.height * ow, dst + plane, 0.0f);
+      }
     }
+    std::int64_t p = 0;
+    for (std::int64_t ch = 0; ch < g.channels; ++ch)
+      for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw)
+          rows[static_cast<std::size_t>(p++)] =
+              buffer.data() + kw * copy + (ch * hb + kh) * ow;
+  } else {
+    buffer.resize(static_cast<std::size_t>(k * n + kNR));
+    im2col(g, image, buffer.data());
+    for (std::int64_t p = 0; p < k; ++p)
+      rows[static_cast<std::size_t>(p)] = buffer.data() + p * n;
   }
-  gemm_driver(w.rows, g.col_cols(), g.col_rows(), PrepackedSource{w},
-              ImageSource{bordered, copy.data()}, 0.0f, c, bias, nullptr);
+  std::fill(buffer.end() - kNR, buffer.end(), 0.0f);
+  gemm_driver(w.rows, n, k, PrepackedSource{w}, RowTableSource{rows.data()},
+              0.0f, c, bias, nullptr);
 }
 
 void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,

@@ -9,13 +9,14 @@
 //
 // Every entry point runs one macro-kernel whose A and B micro-panels come
 // packed from strided memory (the plain sgemm_* calls), pre-packed once
-// (PackedPanels: weights that stay fixed across calls), or packed straight
-// from images through a ConvGeometry (sgemm_conv: im2col without the column
-// buffer; sgemm_conv_dw: the transposed im2col of a whole batch). The source
-// of a panel never changes its values, and C is always accumulated the same
-// way — zeroed (beta = 0) or kept (beta = 1), one += per kKC-deep K block,
-// the bias added last — so every entry that computes the same product
-// returns the same bits.
+// (PackedPanels: weights that stay fixed across calls), packed straight
+// from a batch of images (sgemm_conv_dw: the transposed im2col of the
+// batch), or, for sgemm_conv's B, read in place from per-thread shifted
+// copies of the image through a table of row pointers (no column buffer,
+// no packing). The micro-kernel broadcasts each A value from memory. The
+// source of a panel never changes its values, and C is always accumulated
+// in the order kGemmKBlock states, so every entry that computes the same
+// product returns the same bits.
 //
 // Large products are split across ThreadPool::global() by row- or
 // column-panels. The split never changes the per-element accumulation order
@@ -32,6 +33,16 @@
 namespace wm {
 
 class Tensor;
+
+/// Every fp32 entry point sums C(i, j) over K in one order, the one a
+/// scalar loop gives: K splits into kGemmKBlock-deep blocks (the last may
+/// be shorter); each block is one chain from +0 in p order, s = fma(a, b, s)
+/// where the target has FMA and s + a * b where it does not, with a the
+/// alpha-scaled A value. With beta = 0, C = 0 + the first block, then
+/// C += each later block; otherwise C is scaled by beta (unless beta = 1)
+/// and C += every block. The bias is added last. The thread count, the
+/// operand layouts and where the panels come from never change the order.
+inline constexpr std::int64_t kGemmKBlock = 192;
 
 /// C = alpha * A(MxK) * B(KxN) + beta * C(MxN); raw pointer variant.
 void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -79,10 +90,12 @@ PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k, const float* w);
 
 /// One image's convolution with implicit im2col:
 ///   C (OC x OH*OW) = W (OC x C*KH*KW) * im2col(image) [+ bias[row]]
-/// with W from pack_weights_a(OC, g.col_rows(), ...). The im2col columns are
-/// packed straight from the image into the kernel's B panels, so no column
-/// buffer is built; a padded conv reads a zero-bordered per-thread copy of
-/// the image (C x (H+2p) x (W+2p) floats). Bit-identical to im2col followed by
+/// with W from pack_weights_a(OC, g.col_rows(), ...). The kernel reads each
+/// row of im2col(image) in place: at stride 1 from KW per-thread shifted
+/// copies of the image (KW x C x (H+2p) x OW floats), where tap
+/// (c, kh, kw) of every output pixel lies in one contiguous row; at
+/// stride > 1 from a per-thread im2col buffer. Nothing is packed.
+/// Bit-identical to im2col followed by
 /// sgemm_bias_rows(OC, g.col_cols(), g.col_rows(), 1, W, col, 0, c, bias);
 /// bias may be null.
 void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,

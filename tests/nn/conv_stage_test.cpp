@@ -162,6 +162,8 @@ TEST(ConvStageTest, BitMatchesTheLayerSequence) {
       for (const std::size_t threads : {1u, 4u}) {
         check_stage({batch, 3, 8, 12, 12, 3, 1, bn}, threads);
         check_stage({batch, 2, 5, 10, 14, 5, 2, bn}, threads);
+        // Rows of 18 windows: two eight-window vector steps, then the tail.
+        check_stage({batch, 2, 3, 6, 36, 3, 1, bn}, threads);
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -350,6 +352,112 @@ TEST(GemmTest, PrepackedLinearBitMatchesBtBiasCols) {
         EXPECT_TRUE(bits_equal(got, want))
             << "M=" << m << " N=" << n << " K=" << k << " threads=" << threads;
       }
+    }
+  }
+  ThreadPool::configure_global(0);
+}
+
+/// C(i, j) summed in the order gemm.hpp promises for every fp32 entry:
+/// kGemmKBlock-deep blocks of K, each one chain from +0 in p order (an FMA
+/// per step where the target has one), 0 + the first block, += each later
+/// block, then the bias.
+template <typename A, typename B>
+float ordered_sum(std::int64_t k, A a, B b, float bias) {
+  float c = 0.0f;
+  for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKBlock) {
+    float s = 0.0f;
+    for (std::int64_t p = p0; p < std::min(k, p0 + kGemmKBlock); ++p) {
+#ifdef __FMA__
+      s = std::fma(a(p), b(p), s);
+#else
+      s = s + a(p) * b(p);
+#endif
+    }
+    c = p0 == 0 ? 0.0f + s : c + s;
+  }
+  return c + bias;
+}
+
+// Pins the summation order itself, not just agreement between entries that
+// share the kernel: sgemm, sgemm_conv and sgemm_packed_bt_bias_cols against
+// a scalar loop, at pool sizes 1 and 4. Depths straddle kGemmKBlock; the
+// convs cover strides 1 and 2, output widths off every vector width and
+// N tails; the largest products split across the pool.
+TEST(GemmTest, SumsInTheStatedOrder) {
+  Rng rng(23);
+  struct Conv {
+    std::int64_t channels, height, width, kernel, stride, pad, filters;
+  };
+  for (const std::size_t threads : {1, 4}) {
+    ThreadPool::configure_global(threads);
+    for (const auto& [m, n, k] : std::vector<std::tuple<int, int, int>>{
+             {1, 1, 1}, {9, 37, 193}, {13, 70, 401}, {70, 300, 385}}) {
+      const auto a = normal_vector(m * k, rng);
+      const auto b = normal_vector(k * n, rng);
+      std::vector<float> got(static_cast<std::size_t>(m * n), -3.0f);
+      sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
+      std::vector<float> want(got.size());
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          want[static_cast<std::size_t>(i * n + j)] = ordered_sum(
+              k, [&](std::int64_t p) { return a[i * k + p]; },
+              [&](std::int64_t p) { return b[p * n + j]; }, 0.0f);
+        }
+      }
+      EXPECT_TRUE(bits_equal(got, want))
+          << "sgemm " << m << "x" << n << "x" << k << " threads=" << threads;
+    }
+    for (const Conv& t : std::vector<Conv>{{1, 32, 32, 5, 1, 2, 64},
+                                           {64, 16, 16, 3, 1, 1, 32},
+                                           {25, 7, 13, 3, 1, 1, 9},
+                                           {3, 11, 6, 5, 1, 0, 10},
+                                           {22, 15, 11, 3, 2, 1, 7}}) {
+      const ConvGeometry g{.channels = t.channels, .height = t.height,
+                           .width = t.width, .kernel_h = t.kernel,
+                           .kernel_w = t.kernel, .stride = t.stride,
+                           .pad = t.pad};
+      const std::int64_t k = g.col_rows();
+      const std::int64_t n = g.col_cols();
+      const auto image = normal_vector(t.channels * t.height * t.width, rng);
+      const auto w = normal_vector(t.filters * k, rng);
+      const auto bias = normal_vector(t.filters, rng);
+      std::vector<float> col(static_cast<std::size_t>(k * n));
+      im2col(g, image.data(), col.data());
+      std::vector<float> got(static_cast<std::size_t>(t.filters * n), -3.0f);
+      sgemm_conv(g, pack_weights_a(t.filters, k, w.data()), image.data(),
+                 got.data(), bias.data());
+      std::vector<float> want(got.size());
+      for (std::int64_t i = 0; i < t.filters; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          want[static_cast<std::size_t>(i * n + j)] = ordered_sum(
+              k, [&](std::int64_t p) { return w[i * k + p]; },
+              [&](std::int64_t p) { return col[p * n + j]; }, bias[i]);
+        }
+      }
+      EXPECT_TRUE(bits_equal(got, want))
+          << "sgemm_conv C=" << t.channels << " H=" << t.height
+          << " W=" << t.width << " k=" << t.kernel << " s=" << t.stride
+          << " p=" << t.pad << " OC=" << t.filters << " threads=" << threads;
+    }
+    for (const auto& [m, n, k] : std::vector<std::tuple<int, int, int>>{
+             {1, 256, 512}, {7, 9, 193}, {300, 256, 512}}) {
+      const auto x = normal_vector(m * k, rng);
+      const auto w = normal_vector(n * k, rng);
+      const auto bias = normal_vector(n, rng);
+      std::vector<float> got(static_cast<std::size_t>(m * n), -3.0f);
+      sgemm_packed_bt_bias_cols(m, x.data(), pack_weights_bt(n, k, w.data()),
+                                got.data(), bias.data());
+      std::vector<float> want(got.size());
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          want[static_cast<std::size_t>(i * n + j)] = ordered_sum(
+              k, [&](std::int64_t p) { return x[i * k + p]; },
+              [&](std::int64_t p) { return w[j * k + p]; }, bias[j]);
+        }
+      }
+      EXPECT_TRUE(bits_equal(got, want))
+          << "sgemm_packed_bt_bias_cols " << m << "x" << n << "x" << k
+          << " threads=" << threads;
     }
   }
   ThreadPool::configure_global(0);
