@@ -21,28 +21,30 @@ std::vector<float> to_vector(const Tensor& t) {
   return std::vector<float>(t.data(), t.data() + t.numel());
 }
 
-/// MaxPool2d(2)'s eval forward over one image's (channels, oh, ow) planes:
+/// MaxPool2d(2)'s eval forward over one image's channels-last (oh, ow,
+/// channels) conv output, into channels-last (oh / 2, ow / 2, channels):
 /// each window is scanned in MaxPool2d's order from -inf, and a value
 /// replaces the best only when strictly greater. The int8 epilogue's ReLU
-/// keeps -0 and NaN, so unlike the fp32 pass this keeps the scan's order.
-void max_pool2(const float* conv, std::int64_t channels, std::int64_t oh,
-               std::int64_t ow, float* pooled) {
-  const std::int64_t ph = oh / 2;
-  const std::int64_t pw = ow / 2;
-  for (std::int64_t ch = 0; ch < channels; ++ch) {
-    const float* plane = conv + ch * oh * ow;
-    float* out = pooled + ch * ph * pw;
-    for (std::int64_t y = 0; y < ph; ++y) {
-      const float* r0 = plane + 2 * y * ow;
-      const float* r1 = r0 + ow;
-      float* o = out + y * pw;
-      for (std::int64_t x = 0; x < pw; ++x) {
+/// keeps -0 and NaN, so unlike the fp32 pass this keeps the scan's order;
+/// it runs across channels, a vector of windows at a time.
+void max_pool2_channels_last(const float* conv, std::int64_t oh,
+                             std::int64_t ow, std::int64_t channels,
+                             float* pooled) {
+  const std::int64_t row = ow * channels;
+  for (std::int64_t y = 0; y < oh / 2; ++y) {
+    const float* r0 = conv + 2 * y * row;
+    const float* r1 = r0 + row;
+    for (std::int64_t x = 0; x < ow / 2; ++x) {
+      const float* a = r0 + 2 * x * channels;
+      const float* b = r1 + 2 * x * channels;
+      float* o = pooled + (y * (ow / 2) + x) * channels;
+      for (std::int64_t ch = 0; ch < channels; ++ch) {
         float best = -std::numeric_limits<float>::infinity();
-        for (const float v : {r0[2 * x], r0[2 * x + 1], r1[2 * x],
-                              r1[2 * x + 1]}) {
+        for (const float v : {a[ch], a[channels + ch], b[ch],
+                              b[channels + ch]}) {
           best = v > best ? v : best;
         }
-        o[x] = best;
+        o[ch] = best;
       }
     }
   }
@@ -133,23 +135,42 @@ InferencePlan::InferencePlan(const QuantizedSelectiveNet& net)
              "conv", i + 1, " has kernel ", o.kernel, ", stride ", o.stride,
              ", pad ", o.pad);
     const nn::quant::QuantizedWeights& qw = convs[i]->weights();
+    const ConvGeometry g{.channels = o.in_channels, .height = size,
+                         .width = size, .kernel_h = o.kernel,
+                         .kernel_w = o.kernel, .stride = 1, .pad = o.pad};
     convs_[i] = Int8Conv{
-        {pack_weights_a(qw.rows, qw.cols, qw.q.data()), qw.scales,
-         qw.row_sums, to_vector(convs[i]->bias()), convs[i]->fused_relu()},
-        {.channels = o.in_channels, .height = size, .width = size,
-         .kernel_h = o.kernel, .kernel_w = o.kernel, .stride = 1,
-         .pad = o.pad}};
+        {pack_conv_filters(g, qw.rows, qw.q.data()), qw.scales, qw.row_sums,
+         to_vector(convs[i]->bias()), convs[i]->fused_relu()},
+        g};
     size /= 2;
   }
-  const auto dense = [](const nn::quant::QuantLinear& l) {
+  const auto dense = [](const nn::quant::QuantLinear& l,
+                        const std::vector<std::int8_t>& q) {
     const nn::quant::QuantizedWeights& qw = l.weights();
-    return Int8Dense{{pack_weights_bt(qw.rows, qw.cols, qw.q.data()),
-                      qw.scales, qw.row_sums, to_vector(l.bias()),
-                      l.fused_relu()}};
+    return Int8Dense{{pack_weights_bt(qw.rows, qw.cols, q.data()), qw.scales,
+                      qw.row_sums, to_vector(l.bias()), l.fused_relu()}};
   };
-  fc_ = dense(net.fc());
-  head_f_ = dense(net.head_f());
-  head_g_ = dense(net.head_g());
+  // conv3's stage writes its pooled output channels-last, (y, x, c), where
+  // the layer path flattens (c, y, x); the FC's columns follow. A row's
+  // activation range, its integer sums and the weight row sums do not
+  // depend on column order.
+  const nn::quant::QuantizedWeights& fc = net.fc().weights();
+  const std::int64_t c3 = opts_.conv3_filters;
+  const std::int64_t plane = size * size;
+  WM_CHECK_SHAPE(fc.cols == c3 * plane, "fc expects ", fc.cols,
+                 " features, conv3 gives ", c3 * plane);
+  std::vector<std::int8_t> fc_q(fc.q.size());
+  for (std::int64_t r = 0; r < fc.rows; ++r) {
+    for (std::int64_t c = 0; c < c3; ++c) {
+      for (std::int64_t p = 0; p < plane; ++p) {
+        fc_q[static_cast<std::size_t>(r * fc.cols + p * c3 + c)] =
+            fc.q[static_cast<std::size_t>(r * fc.cols + c * plane + p)];
+      }
+    }
+  }
+  fc_ = dense(net.fc(), fc_q);
+  head_f_ = dense(net.head_f(), net.head_f().weights().q);
+  head_g_ = dense(net.head_g(), net.head_g().weights().q);
   size_scratch();
 }
 
@@ -165,7 +186,8 @@ void InferencePlan::size_scratch() {
           if constexpr (std::is_same_v<std::decay_t<decltype(st)>, Int8Conv>) {
             bordered_scratch_ = std::max(
                 bordered_scratch_,
-                g.channels * (g.height + 2 * g.pad) * (g.width + 2 * g.pad));
+                (g.height + 2 * g.pad) * (g.width + 2 * g.pad) * g.channels +
+                    kI8ConvImageSlack);
           }
         },
         convs_[i]);
@@ -196,34 +218,33 @@ I8Epilogue InferencePlan::Int8Layer::epilogue() const {
 
 void InferencePlan::Int8Conv::run(const float* image, const Scratch& s,
                                   float* pooled) const {
-  // QuantConv2d::forward's per-image quantization, written straight into a
-  // copy bordered with the zero point: the value its im2col_u8 gives
-  // padding taps.
-  const std::int64_t h = geom.height;
-  const std::int64_t w = geom.width;
-  const std::int64_t pad = geom.pad;
-  const std::int64_t bw = w + 2 * pad;
-  const std::int64_t bh = h + 2 * pad;
+  // QuantConv2d::forward's per-image quantization, written channels-last
+  // into a copy bordered with the zero point: the value its im2col_u8 gives
+  // padding taps. The range is a min/max over the same values in another
+  // order, and quantizing works element by element.
+  const std::int64_t c = geom.channels;
+  const std::int64_t row = geom.width * c;
+  const std::int64_t ring = geom.pad * c;
+  const std::int64_t brow = row + 2 * ring;
+  const std::int64_t border = geom.pad * brow;
   const nn::quant::ActivationQuant aq =
-      nn::quant::choose_activation_quant(image, geom.channels * h * w);
+      nn::quant::choose_activation_quant(image, geom.height * row);
   const auto zp = static_cast<std::uint8_t>(aq.zero_point);
-  for (std::int64_t ch = 0; ch < geom.channels; ++ch) {
-    std::uint8_t* plane = s.bordered + ch * bh * bw;
-    std::memset(plane, zp, static_cast<std::size_t>(pad * bw));
-    for (std::int64_t y = 0; y < h; ++y) {
-      std::uint8_t* row = plane + (y + pad) * bw;
-      std::memset(row, zp, static_cast<std::size_t>(pad));
-      nn::quant::quantize_activations(image + (ch * h + y) * w, w, aq,
-                                      row + pad);
-      std::memset(row + pad + w, zp, static_cast<std::size_t>(pad));
-    }
-    std::memset(plane + (pad + h) * bw, zp, static_cast<std::size_t>(pad * bw));
+  std::memset(s.bordered, zp, static_cast<std::size_t>(border));
+  for (std::int64_t y = 0; y < geom.height; ++y) {
+    std::uint8_t* out = s.bordered + border + y * brow;
+    std::memset(out, zp, static_cast<std::size_t>(ring));
+    nn::quant::quantize_activations(image + y * row, row, aq, out + ring);
+    std::memset(out + ring + row, zp, static_cast<std::size_t>(ring));
   }
+  std::memset(s.bordered + border + geom.height * brow, zp,
+              static_cast<std::size_t>(border));
   I8Epilogue epi = epilogue();
   epi.act_scale = aq.scale;
   epi.act_zero_point = aq.zero_point;
   i8gemm_conv(geom, weights, s.bordered, s.conv, epi);
-  max_pool2(s.conv, weights.rows, geom.out_h(), geom.out_w(), pooled);
+  max_pool2_channels_last(s.conv, geom.out_h(), geom.out_w(), weights.rows,
+                          pooled);
 }
 
 void InferencePlan::Fp32Dense::run(std::int64_t n, const float* x,

@@ -4,11 +4,12 @@
 //
 // Compiling copies what inference needs out of the net, and each stage
 // holds the packed panels of its own precision: each conv's filters packed
-// once into the GEMM's A panels, the FC and head weights packed once into B
-// panels, and per-channel epilogue constants (fp32: conv bias and BatchNorm,
-// with inv_std computed exactly as BatchNorm2d's eval forward computes it;
-// int8: weight scales, weight row sums and the folded bias). The plan keeps
-// no reference to the net, so later changes to the net (or its destruction)
+// once (fp32: the GEMM's A panels; int8: i8gemm_conv's B panels, K in
+// (kh, kw, c) order), the FC and head weights packed once into B panels,
+// and per-channel epilogue constants (fp32: conv bias and BatchNorm, with
+// inv_std computed exactly as BatchNorm2d's eval forward computes it; int8:
+// weight scales, weight row sums and the folded bias). The plan keeps no
+// reference to the net, so later changes to the net (or its destruction)
 // do not reach it.
 //
 // infer() runs each image through three conv stages with per-thread scratch,
@@ -21,18 +22,24 @@
 //        (x - mean) * inv_std -> gamma * norm + beta -> ReLU -> 2x2 max
 //        into the next stage's input
 //
-// and an int8 stage is
+// and an int8 stage runs channels-last from end to end:
 //
-//   activation range -> quantize into a u8 image bordered with the zero
-//   point -> i8gemm_conv (the image packed straight into the i8gemm panels;
-//   dequantize + bias [+ ReLU] in its epilogue) -> 2x2 max into the next
-//   stage's input
+//   activation range -> quantize, one image row of W·C values at a time,
+//   into a (H + 2p, W + 2p, C) u8 image bordered with the zero point ->
+//   i8gemm_conv (the kernel broadcasts the taps straight from that image;
+//   dequantize + bias [+ ReLU] in its epilogue) into (OH·OW, OC) -> 2x2 max
+//   across channels into the next stage's channels-last input
 //
-// conv3's pooled output is the image's row of the FC input. FC (+ ReLU),
-// both heads and the sigmoid then run once over the batch, fp32 or int8
-// with per-row activation parameters. Every float operation runs on the
-// values, and in the order, of the layer path it replaces, so logits and g
-// are bit-identical for any thread count and batch grouping to
+// An fp32 stage reads and writes (C, H, W) planes, an int8 stage (H, W, C)
+// pixels; conv1's input (C = 1) is both. conv3's pooled output is the
+// image's row of the FC input, so the int8 FC's weight columns are permuted
+// at compile time from (c, y, x) to (y, x, c). FC (+ ReLU), both heads and
+// the sigmoid then run once over the batch, fp32 or int8 with per-row
+// activation parameters. Every float operation runs on the values of the
+// layer path it replaces, in its order wherever order could change a bit
+// (an activation range is a min/max over a set, which no order changes; int8
+// sums are exact), so logits and g are bit-identical for any thread count
+// and batch grouping to
 // SelectiveNet::forward(images, false) (fp32), or to QuantConv2d::forward ->
 // 2x2 MaxPool2d -> ... -> QuantLinear::forward -> 1 / (1 + e^-x) (int8).
 // infer() is const and reentrant.
@@ -72,7 +79,8 @@ class InferencePlan {
 
  private:
   /// Per-thread scratch of one image's pass: conv output floats and the
-  /// bordered u8 image of an int8 stage.
+  /// bordered u8 image of an int8 stage, kI8ConvImageSlack bytes longer
+  /// than the largest.
   struct Scratch {
     float* conv;
     std::uint8_t* bordered;
@@ -89,7 +97,8 @@ class InferencePlan {
     /// Writes the image's pooled activations to `pooled`.
     void run(const float* image, const Scratch& s, float* pooled) const;
   };
-  /// An int8 layer's weights, packed at load, and epilogue constants.
+  /// An int8 layer's weights, packed at load as B panels, and epilogue
+  /// constants.
   struct Int8Layer {
     I8PackedPanels weights;
     std::vector<float> scales;
@@ -100,10 +109,11 @@ class InferencePlan {
     /// The epilogue, short of the activation parameters.
     I8Epilogue epilogue() const;
   };
-  /// One quantized conv [+ fused ReLU] -> 2x2 max-pool block.
+  /// One quantized conv [+ fused ReLU] -> 2x2 max-pool block, channels-last.
   struct Int8Conv : Int8Layer {
     ConvGeometry geom;
 
+    /// Pools the (H, W, C) `image` into (H / 2, W / 2, OC) `pooled`.
     void run(const float* image, const Scratch& s, float* pooled) const;
   };
   using ConvStage = std::variant<Fp32Conv, Int8Conv>;
@@ -131,7 +141,8 @@ class InferencePlan {
   DenseStage head_f_;
   DenseStage head_g_;
   // Per-thread scratch: the largest conv output and the pooled inputs of
-  // conv2 and conv3, in floats; the largest bordered int8 input, in bytes.
+  // conv2 and conv3, in floats; the largest bordered int8 input and its
+  // slack, in bytes.
   std::int64_t conv_scratch_ = 0;
   std::int64_t in2_ = 0;
   std::int64_t in3_ = 0;

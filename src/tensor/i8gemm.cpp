@@ -54,6 +54,12 @@ constexpr double kThreadMacs = 4.0e6;
 /// Number of kKU-deep K groups a depth-k operand is packed into.
 constexpr std::int64_t groups_of(std::int64_t k) { return (k + kKU - 1) / kKU; }
 
+/// Bytes of one kh run of a conv's K in i8gemm_conv's order: the KW·C taps
+/// of one kernel row, padded to whole K groups.
+std::int64_t conv_run(const ConvGeometry& g) {
+  return groups_of(g.kernel_w * g.channels) * kKU;
+}
+
 /// Packs `rows` x k of a strided operand into W-wide micro-panels with K in
 /// groups of kKU. Element (r, p) — r along M for A, along N for B — is
 /// src[r * outer_stride + p * k_stride] and lands at
@@ -81,158 +87,108 @@ void pack_strided(std::int64_t rows, std::int64_t k, const T* src,
   }
 }
 
-/// Packs columns [j0, j0 + nc) of im2col(image) into kNR-column micro-panels
-/// with K in groups of kKU, reading the image directly. `g` has no padding
-/// (i8gemm_conv hands over the bordered image's geometry), so every tap is
-/// in range. Row p of the column matrix is the tap (channel, kh, kw) in
-/// im2col's order; column j is output pixel (j / OW, j % OW); the panel
-/// tails are zero, exactly the values im2col_u8 followed by pack_strided
-/// would write.
-void pack_image(const ConvGeometry& g, const std::uint8_t* image,
-                std::int64_t j0, std::int64_t nc, std::uint8_t* dst) {
-  struct Run {
-    std::int64_t src, len, lane;  // image offset of tap (0, 0, 0), length, lane
-  };
-  Run runs[kNR];
-  const std::int64_t k = g.col_rows();
-  const std::int64_t groups = groups_of(k);
-  const std::int64_t ow = g.out_w();
-  const std::int64_t s = g.stride;
-  // The image offset of every tap, in im2col's row order.
-  thread_local std::vector<std::int64_t> taps;
-  taps.clear();
-  for (std::int64_t c = 0; c < g.channels; ++c) {
-    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        taps.push_back((c * g.height + kh) * g.width + kw);
-      }
-    }
-  }
-  for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-    const std::int64_t cols = std::min(kNR, nc - jr);
-    // The panel's columns as runs within one output row each.
-    int nruns = 0;
-    for (std::int64_t lane = 0; lane < cols;) {
-      const std::int64_t j = j0 + jr + lane;
-      const std::int64_t len = std::min(ow - j % ow, cols - lane);
-      runs[nruns++] = {(j / ow) * s * g.width + (j % ow) * s, len, lane};
-      lane += len;
-    }
-    std::uint8_t* panel = dst + (jr / kNR) * kNR * groups * kKU;
-    for (std::int64_t gi = 0; gi < groups; ++gi) {
-      std::uint8_t* d = panel + gi * kNR * kKU;
-      const std::int64_t p0 = gi * kKU;
-      if (p0 + kKU <= k) {
-        const std::uint8_t* t0 = image + taps[static_cast<std::size_t>(p0)];
-        const std::uint8_t* t1 = image + taps[static_cast<std::size_t>(p0 + 1)];
-        const std::uint8_t* t2 = image + taps[static_cast<std::size_t>(p0 + 2)];
-        const std::uint8_t* t3 = image + taps[static_cast<std::size_t>(p0 + 3)];
-        for (int r = 0; r < nruns; ++r) {
-          const std::int64_t o = runs[r].src;
-          std::uint8_t* out = d + runs[r].lane * kKU;
-          if (s == 1) {
-            for (std::int64_t i = 0; i < runs[r].len; ++i) {
-              out[i * kKU + 0] = t0[o + i];
-              out[i * kKU + 1] = t1[o + i];
-              out[i * kKU + 2] = t2[o + i];
-              out[i * kKU + 3] = t3[o + i];
-            }
-          } else {
-            for (std::int64_t i = 0; i < runs[r].len; ++i) {
-              out[i * kKU + 0] = t0[o + i * s];
-              out[i * kKU + 1] = t1[o + i * s];
-              out[i * kKU + 2] = t2[o + i * s];
-              out[i * kKU + 3] = t3[o + i * s];
-            }
-          }
-        }
-      } else {
-        // The K tail: taps past k are zero.
-        for (int r = 0; r < nruns; ++r) {
-          std::uint8_t* out = d + runs[r].lane * kKU;
-          for (std::int64_t i = 0; i < runs[r].len; ++i) {
-            for (std::int64_t u = 0; u < kKU; ++u) {
-              out[i * kKU + u] =
-                  p0 + u < k
-                      ? image[taps[static_cast<std::size_t>(p0 + u)] +
-                              runs[r].src + i * s]
-                      : 0;
-            }
-          }
-        }
-      }
-      std::fill(d + cols * kKU, d + kNR * kKU, std::uint8_t{0});
-    }
-  }
+#if defined(__AVX512VNNI__) || defined(__AVX2__)
+/// One 4-byte K group of the broadcast operand, as the int32 the kernel
+/// splats across a vector (vpbroadcastd from memory).
+std::int32_t load_word(const void* p) {
+  std::int32_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
 }
+#endif
 
-/// kMR x kNR int32 accumulator tile over `groups` K-groups of packed panels.
-/// UnsignedBroadcast states which operand holds the u8 activations: the
-/// broadcast (M-side) one for the linear-shaped product, the vector (N-side)
-/// one for the conv-shaped product — vpdpbusd/maddubs need to know, since
-/// their first source is unsigned and the second signed.
-template <bool UnsignedBroadcast, typename TA, typename TB>
-void micro_kernel_i8(std::int64_t groups, const TA* __restrict__ ap,
+/// The 4-byte words of a packed kMR-row micro-panel: K group g of row i is
+/// at base + (g·kMR + i)·kKU.
+template <typename T>
+struct PackedWords {
+  const T* base;
+  const T* word(std::int64_t g, std::int64_t i) const {
+    return base + (g * kMR + i) * kKU;
+  }
+};
+
+/// kMR x kNR int32 accumulator tile over `groups` K-groups: a.word(g, i)
+/// is K group g of row i of the broadcast (M-side) operand, and bp the
+/// packed kNR-column vector (N-side) micro-panel. UnsignedBroadcast states
+/// which operand holds the u8 activations: the broadcast one for the
+/// linear-shaped product and the conv, the vector one for
+/// i8gemm_bias_rows — vpdpbusd/maddubs need to know, since their first
+/// source is unsigned and the second signed. The two B vectors are named
+/// values and the row loops are unrolled, so the accumulators stay in
+/// registers: each k step is two loads, kMR broadcasts from memory and
+/// 2·kMR dot products (GCC 12 copied and spilled them while B was an
+/// array).
+template <bool UnsignedBroadcast, typename AWords, typename TB>
+void micro_kernel_i8(std::int64_t groups, const AWords a,
                      const TB* __restrict__ bp, std::int32_t* __restrict__ tile) {
+  static_assert(kNV == 2, "the kernel names its two B vectors");
 #if defined(__AVX512VNNI__)
   __m512i acc[kMR][kNV];
-  for (std::int64_t i = 0; i < kMR; ++i)
-    for (std::int64_t v = 0; v < kNV; ++v) acc[i][v] = _mm512_setzero_si512();
+#pragma GCC unroll 8
+  for (std::int64_t i = 0; i < kMR; ++i) {
+    acc[i][0] = _mm512_setzero_si512();
+    acc[i][1] = _mm512_setzero_si512();
+  }
   for (std::int64_t g = 0; g < groups; ++g) {
-    __m512i bv[kNV];
-    for (std::int64_t v = 0; v < kNV; ++v) {
-      bv[v] = _mm512_loadu_si512(bp + (g * kNR + v * kVL) * kKU);
-    }
+    const __m512i b0 = _mm512_loadu_si512(bp + g * kNR * kKU);
+    const __m512i b1 = _mm512_loadu_si512(bp + (g * kNR + kVL) * kKU);
+#pragma GCC unroll 8
     for (std::int64_t i = 0; i < kMR; ++i) {
-      std::int32_t aw;
-      std::memcpy(&aw, ap + (g * kMR + i) * kKU, sizeof(aw));
-      const __m512i av = _mm512_set1_epi32(aw);
-      for (std::int64_t v = 0; v < kNV; ++v) {
-        acc[i][v] = UnsignedBroadcast
-                        ? _mm512_dpbusd_epi32(acc[i][v], av, bv[v])
-                        : _mm512_dpbusd_epi32(acc[i][v], bv[v], av);
+      const __m512i av = _mm512_set1_epi32(load_word(a.word(g, i)));
+      if constexpr (UnsignedBroadcast) {
+        acc[i][0] = _mm512_dpbusd_epi32(acc[i][0], av, b0);
+        acc[i][1] = _mm512_dpbusd_epi32(acc[i][1], av, b1);
+      } else {
+        acc[i][0] = _mm512_dpbusd_epi32(acc[i][0], b0, av);
+        acc[i][1] = _mm512_dpbusd_epi32(acc[i][1], b1, av);
       }
     }
   }
-  for (std::int64_t i = 0; i < kMR; ++i)
-    for (std::int64_t v = 0; v < kNV; ++v)
-      _mm512_storeu_si512(tile + i * kNR + v * kVL, acc[i][v]);
+#pragma GCC unroll 8
+  for (std::int64_t i = 0; i < kMR; ++i) {
+    _mm512_storeu_si512(tile + i * kNR, acc[i][0]);
+    _mm512_storeu_si512(tile + i * kNR + kVL, acc[i][1]);
+  }
 #elif defined(__AVX2__)
   const __m256i ones = _mm256_set1_epi16(1);
   __m256i acc[kMR][kNV];
-  for (std::int64_t i = 0; i < kMR; ++i)
-    for (std::int64_t v = 0; v < kNV; ++v) acc[i][v] = _mm256_setzero_si256();
+#pragma GCC unroll 8
+  for (std::int64_t i = 0; i < kMR; ++i) {
+    acc[i][0] = _mm256_setzero_si256();
+    acc[i][1] = _mm256_setzero_si256();
+  }
   for (std::int64_t g = 0; g < groups; ++g) {
-    __m256i bv[kNV];
-    for (std::int64_t v = 0; v < kNV; ++v) {
-      bv[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          bp + (g * kNR + v * kVL) * kKU));
-    }
+    const __m256i b0 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(bp + g * kNR * kKU));
+    const __m256i b1 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(bp + (g * kNR + kVL) * kKU));
+#pragma GCC unroll 8
     for (std::int64_t i = 0; i < kMR; ++i) {
-      std::int32_t aw;
-      std::memcpy(&aw, ap + (g * kMR + i) * kKU, sizeof(aw));
-      const __m256i av = _mm256_set1_epi32(aw);
-      for (std::int64_t v = 0; v < kNV; ++v) {
-        // u8×s8 byte products summed pairwise into i16 (no saturation: the
-        // u8 side is ≤ 127 by the header contract), then pairwise again
-        // into i32 — the maddubs/madd 4-wide dot product.
-        const __m256i p16 = UnsignedBroadcast
-                                ? _mm256_maddubs_epi16(av, bv[v])
-                                : _mm256_maddubs_epi16(bv[v], av);
-        acc[i][v] = _mm256_add_epi32(acc[i][v], _mm256_madd_epi16(p16, ones));
-      }
+      const __m256i av = _mm256_set1_epi32(load_word(a.word(g, i)));
+      // u8×s8 byte products summed pairwise into i16 (no saturation: the
+      // u8 side is ≤ 127 by the header contract), then pairwise again
+      // into i32 — the maddubs/madd 4-wide dot product.
+      const __m256i p0 = UnsignedBroadcast ? _mm256_maddubs_epi16(av, b0)
+                                           : _mm256_maddubs_epi16(b0, av);
+      const __m256i p1 = UnsignedBroadcast ? _mm256_maddubs_epi16(av, b1)
+                                           : _mm256_maddubs_epi16(b1, av);
+      acc[i][0] = _mm256_add_epi32(acc[i][0], _mm256_madd_epi16(p0, ones));
+      acc[i][1] = _mm256_add_epi32(acc[i][1], _mm256_madd_epi16(p1, ones));
     }
   }
-  for (std::int64_t i = 0; i < kMR; ++i)
-    for (std::int64_t v = 0; v < kNV; ++v)
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(tile + i * kNR + v * kVL), acc[i][v]);
+#pragma GCC unroll 8
+  for (std::int64_t i = 0; i < kMR; ++i) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(tile + i * kNR),
+                        acc[i][0]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(tile + i * kNR + kVL),
+                        acc[i][1]);
+  }
 #else
   std::fill(tile, tile + kMR * kNR, 0);
   for (std::int64_t g = 0; g < groups; ++g) {
     const TB* brow = bp + g * kNR * kKU;
     for (std::int64_t i = 0; i < kMR; ++i) {
-      const TA* agrp = ap + (g * kMR + i) * kKU;
+      const auto* agrp = a.word(g, i);
       std::int32_t* trow = tile + i * kNR;
       for (std::int64_t j = 0; j < kNR; ++j) {
         std::int32_t dot = 0;
@@ -254,10 +210,10 @@ template <bool ChannelsAreRows>
 void store_tile(const std::int32_t* tile, std::int64_t rows,
                 std::int64_t cols, std::int64_t row0, std::int64_t col0,
                 float* c, std::int64_t ldc, const I8Epilogue& epi) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    float* crow = c + (row0 + i) * ldc + col0;
-    const std::int32_t* trow = tile + i * kNR;
-    if constexpr (ChannelsAreRows) {
+  if constexpr (ChannelsAreRows) {
+    for (std::int64_t i = 0; i < rows; ++i) {
+      float* crow = c + (row0 + i) * ldc + col0;
+      const std::int32_t* trow = tile + i * kNR;
       const std::int64_t ch = row0 + i;
       const float s = epi.channel_scales[ch] * epi.act_scale;
       const std::int32_t corr =
@@ -269,21 +225,38 @@ void store_tile(const std::int32_t* tile, std::int64_t rows,
         if (epi.relu && v < 0.0f) v = 0.0f;
         crow[j] = v;
       }
-    } else {
-      const std::int64_t row = row0 + i;
-      const float as = epi.act_row_scales != nullptr ? epi.act_row_scales[row]
-                                                     : epi.act_scale;
-      const std::int32_t azp = epi.act_row_zero_points != nullptr
-                                   ? epi.act_row_zero_points[row]
-                                   : epi.act_zero_point;
+    }
+  } else {
+    // The column channels' s, corr and add, formed once per tile unless
+    // each row brings its own activation parameters.
+    const bool per_row = epi.act_row_scales != nullptr ||
+                         epi.act_row_zero_points != nullptr;
+    float col_s[kNR] = {};
+    std::int32_t col_corr[kNR] = {};
+    float col_add[kNR] = {};
+    for (std::int64_t i = 0; i < rows; ++i) {
+      float* crow = c + (row0 + i) * ldc + col0;
+      const std::int32_t* trow = tile + i * kNR;
+      if (i == 0 || per_row) {
+        const std::int64_t row = row0 + i;
+        const float as = epi.act_row_scales != nullptr
+                             ? epi.act_row_scales[row]
+                             : epi.act_scale;
+        const std::int32_t azp = epi.act_row_zero_points != nullptr
+                                     ? epi.act_row_zero_points[row]
+                                     : epi.act_zero_point;
+        for (std::int64_t j = 0; j < cols; ++j) {
+          const std::int64_t ch = col0 + j;
+          col_s[j] = epi.channel_scales[ch] * as;
+          col_corr[j] =
+              azp * (epi.weight_row_sums != nullptr ? epi.weight_row_sums[ch]
+                                                    : 0);
+          col_add[j] = epi.bias != nullptr ? epi.bias[ch] : 0.0f;
+        }
+      }
       for (std::int64_t j = 0; j < cols; ++j) {
-        const std::int64_t ch = col0 + j;
-        const float s = epi.channel_scales[ch] * as;
-        const std::int32_t corr =
-            azp * (epi.weight_row_sums != nullptr ? epi.weight_row_sums[ch]
-                                                  : 0);
-        const float add = epi.bias != nullptr ? epi.bias[ch] : 0.0f;
-        float v = static_cast<float>(trow[j] - corr) * s + add;
+        float v = static_cast<float>(trow[j] - col_corr[j]) * col_s[j] +
+                  col_add[j];
         if (epi.relu && v < 0.0f) v = 0.0f;
         crow[j] = v;
       }
@@ -291,26 +264,31 @@ void store_tile(const std::int32_t* tile, std::int64_t rows,
   }
 }
 
-// Panel sources. Each hands the macro-kernel the W-wide micro-panels of
-// rows [r0, r0 + rows) of its operand over the full (unblocked) depth — r
-// along M for A, along N for B — as a base pointer and the stride between
-// panels. r0 is always a multiple of W.
+// Panel sources. Each hands the macro-kernel the micro-panels of rows
+// [r0, r0 + rows) of its operand over the full (unblocked) depth — r along
+// M for A, along N for B — as a block whose a_panel(ir) / b_panel(jr) is
+// the micro-panel at row offset ir / column offset jr of the block. r0 is
+// always a multiple of the micro-panel width.
 template <typename T>
 struct Panels {
   const T* base;
-  std::int64_t stride;
+  std::int64_t stride;  // between micro-panels
+  PackedWords<T> a_panel(std::int64_t ir) const {
+    return {base + ir / kMR * stride};
+  }
+  const T* b_panel(std::int64_t jr) const { return base + jr / kNR * stride; }
 };
 
 /// A strided matrix, packed into per-thread scratch on every call.
 template <std::int64_t W, typename T>
 struct StridedSource {
-  using Elem = T;
+  using Scratch = std::vector<T>;
   const T* data;
   std::int64_t outer_stride;
   std::int64_t k_stride;
   std::int64_t k;
   Panels<T> panels(std::int64_t r0, std::int64_t rows,
-                   std::vector<T>& scratch) const {
+                   Scratch& scratch) const {
     const std::int64_t depth = groups_of(k) * kKU;
     scratch.resize(static_cast<std::size_t>((rows + W - 1) / W * W * depth));
     pack_strided<W>(rows, k, data + r0 * outer_stride, outer_stride, k_stride,
@@ -322,28 +300,62 @@ struct StridedSource {
 /// Weights packed once over the full depth: panel i holds rows
 /// [i * W, i * W + W), so rows starting at r0 are an offset into it.
 struct PrepackedSource {
-  using Elem = std::int8_t;
+  using Scratch = std::vector<std::int8_t>;  // unused
   const I8PackedPanels& w;
   Panels<std::int8_t> panels(std::int64_t r0, std::int64_t /*rows*/,
-                             std::vector<std::int8_t>& /*scratch*/) const {
+                             Scratch& /*scratch*/) const {
     const std::int64_t depth = groups_of(w.depth) * kKU;
     return {w.data.data() + r0 * depth, w.panel * depth};
   }
 };
 
-/// The im2col matrix of one bordered u8 image, packed from the image on
-/// every call.
-struct ImageSource {
-  using Elem = std::uint8_t;
-  const ConvGeometry& g;
+/// The words of a kMR-pixel micro-panel read in place: K group g of pixel
+/// i is at pixel[i] + goff[g]. The pixel pointers are held by value, so
+/// they sit in registers across the k-loop.
+struct PixelWords {
+  const std::uint8_t* pixel[kMR];
+  const std::int64_t* goff;
+  const std::uint8_t* word(std::int64_t g, std::int64_t i) const {
+    return pixel[i] + goff[g];
+  }
+};
+
+/// i8gemm_conv's A operand, im2col(image)ᵀ, read in place from the bordered
+/// channels-last image: row j is output pixel (j / out_w, j % out_w), whose
+/// taps start at image + (j / out_w)·row_step + (j % out_w)·col_step, and K
+/// group g lies goff[g] bytes further on. A block is a per-thread table of
+/// its pixels' addresses; a micro-panel past the last pixel repeats it, and
+/// store_tile drops those rows.
+struct PixelSource {
+  using Scratch = std::vector<const std::uint8_t*>;
   const std::uint8_t* image;
-  Panels<std::uint8_t> panels(std::int64_t j0, std::int64_t cols,
-                              std::vector<std::uint8_t>& scratch) const {
-    const std::int64_t depth = groups_of(g.col_rows()) * kKU;
-    scratch.resize(static_cast<std::size_t>((cols + kNR - 1) / kNR * kNR *
-                                            depth));
-    pack_image(g, image, j0, cols, scratch.data());
-    return {scratch.data(), kNR * depth};
+  std::int64_t out_w;
+  std::int64_t row_step;
+  std::int64_t col_step;
+  const std::int64_t* goff;
+  struct Block {
+    const std::uint8_t* const* pixels;
+    const std::int64_t* goff;
+    PixelWords a_panel(std::int64_t ir) const {
+      PixelWords words{{}, goff};
+      for (std::int64_t i = 0; i < kMR; ++i) words.pixel[i] = pixels[ir + i];
+      return words;
+    }
+  };
+  Block panels(std::int64_t r0, std::int64_t rows, Scratch& pixels) const {
+    pixels.resize(static_cast<std::size_t>((rows + kMR - 1) / kMR * kMR));
+    std::int64_t y = r0 / out_w;
+    std::int64_t x = r0 % out_w;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      pixels[static_cast<std::size_t>(r)] = image + y * row_step + x * col_step;
+      if (++x == out_w) {
+        x = 0;
+        ++y;
+      }
+    }
+    std::fill(pixels.begin() + rows, pixels.end(),
+              pixels[static_cast<std::size_t>(rows - 1)]);
+    return {pixels.data(), goff};
   }
 };
 
@@ -357,25 +369,23 @@ void i8gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
                   std::int64_t n1, std::int64_t k, const ASource& a,
                   const BSource& b, float* c, std::int64_t ldc,
                   const I8Epilogue& epi) {
-  using TA = typename ASource::Elem;
-  using TB = typename BSource::Elem;
-  thread_local std::vector<TA> ta;
-  thread_local std::vector<TB> tb;
+  thread_local typename ASource::Scratch ta;
+  thread_local typename BSource::Scratch tb;
   alignas(64) std::int32_t tile[kMR * kNR];
   const std::int64_t groups = groups_of(k);
 
   for (std::int64_t jc = n0; jc < n1; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n1 - jc);
-    const Panels<TB> bp = b.panels(jc, nc, tb);
+    const auto bp = b.panels(jc, nc, tb);
     for (std::int64_t ic = m0; ic < m1; ic += kMC) {
       const std::int64_t mc = std::min(kMC, m1 - ic);
-      const Panels<TA> ap = a.panels(ic, mc, ta);
+      const auto ap = a.panels(ic, mc, ta);
       for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-        const TB* bpanel = bp.base + (jr / kNR) * bp.stride;
+        const auto* bpanel = bp.b_panel(jr);
         const std::int64_t cols = std::min(kNR, nc - jr);
         for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-          micro_kernel_i8<UnsignedBroadcast>(
-              groups, ap.base + (ir / kMR) * ap.stride, bpanel, tile);
+          micro_kernel_i8<UnsignedBroadcast>(groups, ap.a_panel(ir), bpanel,
+                                             tile);
           store_tile<ChannelsAreRows>(tile, std::min(kMR, mc - ir), cols,
                                       ic + ir, jc + jr, c, ldc, epi);
         }
@@ -479,29 +489,52 @@ void i8gemm_bt_bias_cols(std::int64_t m, std::int64_t n, std::int64_t k,
       StridedSource<kNR, std::int8_t>{b, k, 1, k}, c, epilogue);
 }
 
-I8PackedPanels pack_weights_a(std::int64_t m, std::int64_t k,
-                              const std::int8_t* w) {
-  return pack_weights<kMR>(m, k, w);
-}
-
 I8PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k,
                                const std::int8_t* w) {
   return pack_weights<kNR>(n, k, w);
 }
 
+I8PackedPanels pack_conv_filters(const ConvGeometry& g, std::int64_t oc,
+                                 const std::int8_t* w) {
+  const std::int64_t run = conv_run(g);
+  const std::int64_t depth = g.kernel_h * run;
+  const std::int64_t k = g.col_rows();
+  std::vector<std::int8_t> reordered(static_cast<std::size_t>(oc * depth), 0);
+  for (std::int64_t o = 0; o < oc; ++o) {
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+        for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+          reordered[static_cast<std::size_t>(o * depth + kh * run +
+                                             kw * g.channels + c)] =
+              w[o * k + (c * g.kernel_h + kh) * g.kernel_w + kw];
+        }
+      }
+    }
+  }
+  return pack_weights<kNR>(oc, depth, reordered.data());
+}
+
 void i8gemm_conv(const ConvGeometry& g, const I8PackedPanels& w,
                  const std::uint8_t* image, float* c,
                  const I8Epilogue& epilogue) {
-  WM_CHECK_SHAPE(w.panel == kMR && w.depth == g.col_rows(),
-                 "i8gemm_conv: weights packed as ", w.rows, "x", w.depth,
-                 " (panel ", w.panel, ") for a conv of depth ", g.col_rows());
-  ConvGeometry bordered = g;
-  bordered.height += 2 * g.pad;
-  bordered.width += 2 * g.pad;
-  bordered.pad = 0;
-  i8gemm_driver</*UnsignedBroadcast=*/false, /*ChannelsAreRows=*/true>(
-      w.rows, g.col_cols(), g.col_rows(), PrepackedSource{w},
-      ImageSource{bordered, image}, c, epilogue);
+  const std::int64_t run = conv_run(g);
+  const std::int64_t depth = g.kernel_h * run;
+  WM_CHECK_SHAPE(w.panel == kNR && w.depth == depth,
+                 "i8gemm_conv: filters packed as ", w.rows, "x", w.depth,
+                 " (panel ", w.panel, ") for a conv of depth ", depth);
+  // K group (kh, q) of a pixel: q·kKU bytes into its kh run, which starts
+  // kh bordered rows below the pixel's first tap.
+  const std::int64_t row = (g.width + 2 * g.pad) * g.channels;
+  thread_local std::vector<std::int64_t> goff;
+  goff.clear();
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    for (std::int64_t q = 0; q < run; q += kKU) goff.push_back(kh * row + q);
+  }
+  i8gemm_driver</*UnsignedBroadcast=*/true, /*ChannelsAreRows=*/false>(
+      g.col_cols(), w.rows, depth,
+      PixelSource{image, g.out_w(), g.stride * row, g.stride * g.channels,
+                  goff.data()},
+      PrepackedSource{w}, c, epilogue);
 }
 
 void i8gemm_packed_bt_bias_cols(std::int64_t m, const std::uint8_t* x,

@@ -11,9 +11,9 @@
 //   C(i,j) = s_c(ch) · s_a · (acc(i,j) − zp · Σ_k w_q(ch,k)) + bias(ch)
 //
 // optionally clamped at zero (fused ReLU), where ch is the output channel
-// (the row of C for the conv-shaped variant, the column for the
-// linear-shaped one). The zp·Σw term is the standard zero-point correction;
-// Σ_k w_q is precomputed once at quantization time.
+// (the row of C for i8gemm_bias_rows, the column for every other entry).
+// The zp·Σw term is the standard zero-point correction; Σ_k w_q is
+// precomputed once at quantization time.
 //
 // The activation range [0, 127] (not [0, 255]) is a hard contract: it keeps
 // every u8×s8 pair sum inside int16, so the AVX2 path can use the
@@ -25,10 +25,10 @@
 // As in gemm.hpp, every entry point runs one macro-kernel and one epilogue,
 // and only the source of the A and B micro-panels differs: packed from
 // strided memory on every call (i8gemm_bias_rows, i8gemm_bt_bias_cols),
-// pre-packed once (I8PackedPanels: weights fixed across calls), or packed
-// straight from a bordered u8 image (i8gemm_conv: im2col_u8 without the
-// column buffer). Integer accumulation makes every source give the same
-// bits for the same product.
+// pre-packed once (I8PackedPanels: weights fixed across calls), or, for
+// i8gemm_conv's activations, read in place from a bordered channels-last
+// u8 image (nothing is packed per call). Integer accumulation makes every
+// source give the same bits for the same product.
 //
 // Threading mirrors sgemm: large products split across
 // ThreadPool::global() by row- or column-panels; int32 accumulation makes
@@ -44,7 +44,7 @@ namespace wm {
 
 /// Parameters of the fused dequantize epilogue. `channel_scales` and
 /// `weight_row_sums` index the output channel: rows of C for
-/// i8gemm_bias_rows, columns of C for i8gemm_bt_bias_cols.
+/// i8gemm_bias_rows, columns of C for every other entry.
 struct I8Epilogue {
   const float* channel_scales = nullptr;    // per-channel weight scale s_c
   float act_scale = 1.0f;                   // activation scale s_a
@@ -76,34 +76,49 @@ void i8gemm_bt_bias_cols(std::int64_t m, std::int64_t n, std::int64_t k,
                          const I8Epilogue& epilogue);
 
 /// An int8 GEMM operand packed once into the kernel's micro-panel layout,
-/// for weights that stay fixed across many products. Built by the int8
-/// pack_weights_a / pack_weights_bt; the layout of `data` is private to
+/// for weights that stay fixed across many products. Built by
+/// pack_conv_filters / pack_weights_bt; the layout of `data` is private to
 /// i8gemm.cpp.
 struct I8PackedPanels {
   std::vector<std::int8_t> data;
-  std::int64_t rows = 0;   // M of an A operand, N of a B operand
-  std::int64_t depth = 0;  // K
-  std::int64_t panel = 0;  // micro-panel width: the kernel's kMR or kNR
+  std::int64_t rows = 0;   // N of the B operand: output channels
+  std::int64_t depth = 0;  // K, as the kernel runs it
+  std::int64_t panel = 0;  // micro-panel width: the kernel's kNR
 };
-
-/// Packs row-major int8 W (M x K) as the A operand of i8gemm_conv (filters).
-I8PackedPanels pack_weights_a(std::int64_t m, std::int64_t k,
-                              const std::int8_t* w);
 
 /// Packs row-major int8 W (N x K) as the B operand of
 /// i8gemm_packed_bt_bias_cols (linear layers).
 I8PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k,
                                const std::int8_t* w);
 
-/// One image's quantized convolution with implicit im2col:
-///   C (OC x OH*OW) = epilogue(W (OC x C*KH*KW) * im2col(image))
-/// with W from the int8 pack_weights_a(OC, g.col_rows(), ...). `image` is
-/// bordered: (C, H + 2·pad, W + 2·pad) u8, with the pad-wide ring already
-/// holding the value the padding taps read (the activation zero point). Its
-/// columns are packed straight into the kernel's B panels, so no column
-/// buffer is built. Bit-identical to im2col_u8(g, unbordered, col, ring)
-/// followed by i8gemm_bias_rows(OC, g.col_cols(), g.col_rows(), W, col, c,
-/// epilogue).
+/// Bytes past the end of i8gemm_conv's image that the kernel may read: the
+/// rest of the last 4-byte group of the last pixel's last kh run. Their
+/// values meet zero filter bytes and never reach C, but they must be
+/// readable memory.
+inline constexpr std::int64_t kI8ConvImageSlack = 3;
+
+/// Packs conv filters W (OC x C·KH·KW, row-major, K in im2col's (c, kh, kw)
+/// order, as QuantizedWeights holds them) as the B operand of i8gemm_conv.
+/// K runs in (kh, kw, c) order, and each kh run of KW·C taps is padded with
+/// zero filter bytes to a multiple of 4, so depth = KH · ⌈KW·C / 4⌉ · 4.
+I8PackedPanels pack_conv_filters(const ConvGeometry& g, std::int64_t oc,
+                                 const std::int8_t* w);
+
+/// One image's quantized convolution, channels-last, with implicit im2col:
+///   C (OH·OW x OC) = epilogue(im2col(image)ᵀ · Wᵀ)
+/// with W from pack_conv_filters(g, OC, ...). Row j of C is output pixel
+/// (j / OW, j % OW) and column ch its channel; the epilogue's per-channel
+/// terms index columns, with one act_scale / act_zero_point for the image.
+/// `image` is bordered and channels-last: (H + 2·pad, W + 2·pad, C) u8,
+/// with the pad-wide ring already holding the value the padding taps read
+/// (the activation zero point), and kI8ConvImageSlack more readable bytes
+/// after it. For each kh, the KW·C taps of output pixel (y, x) are one
+/// contiguous run of the image, so the kernel broadcasts each 4-byte group
+/// of taps straight from it: nothing is packed per call. A run's padding
+/// bytes belong to the next pixel, the border or the slack and meet zero
+/// filter bytes. Bit-identical to im2col_u8(g, the unbordered (C, H, W)
+/// image, col, ring) followed by i8gemm_bias_rows(OC, g.col_cols(),
+/// g.col_rows(), W, col, c', epilogue), transposed: C(j, ch) = c'(ch, j).
 void i8gemm_conv(const ConvGeometry& g, const I8PackedPanels& w,
                  const std::uint8_t* image, float* c,
                  const I8Epilogue& epilogue);

@@ -152,6 +152,84 @@ TEST(QuantizeTest, ActivationRangeMatchesSerialScan) {
   }
 }
 
+/// -0, +0 and NaN in turn: the values whose order a min/max scan could
+/// betray.
+float special(std::int64_t i) {
+  const float values[] = {-0.0f, 0.0f,
+                          std::numeric_limits<float>::quiet_NaN()};
+  return values[i % 3];
+}
+
+/// The int8 inference plan quantizes each image channels-last, so it hands
+/// choose_activation_quant the values the layer path hands it, in (y, x, c)
+/// instead of (c, y, x) order. The range must be a function of the set.
+TEST(QuantizeTest, ActivationRangeIgnoresOrder) {
+  Rng rng(12);
+  // Each fills x[i] for one input family; every family mixes -0, +0 and
+  // NaN into its values.
+  const std::vector<std::pair<std::string, float (*)(Rng&, std::int64_t)>>
+      families = {
+          {"mixed", [](Rng& r, std::int64_t i) {
+             return i % 4 == 0 ? special(i / 4)
+                               : static_cast<float>(r.uniform(-3.0, 5.0));
+           }},
+          {"non-negative", [](Rng& r, std::int64_t i) {
+             return i % 3 == 0 ? special(i / 3)
+                               : static_cast<float>(r.uniform(0.0, 2.0));
+           }},
+          {"non-positive", [](Rng& r, std::int64_t i) {
+             return i % 3 == 0 ? special(i / 3)
+                               : static_cast<float>(r.uniform(-2.0, 0.0));
+           }},
+          {"zeros and NaN", [](Rng& r, std::int64_t) {
+             return special(r.uniform_int(0, 2));
+           }},
+      };
+  const auto same = [](const ActivationQuant& a, const ActivationQuant& b) {
+    return std::memcmp(&a.scale, &b.scale, sizeof(float)) == 0 &&
+           a.zero_point == b.zero_point;
+  };
+  for (const auto& [name, fill] : families) {
+    // Lengths below, at and past one 16-lane vector, with and without a
+    // tail; 3 x 4 x 4 and 16 x 8 x 8 are conv-shaped (C, H, W).
+    for (const std::int64_t n : {1, 3, 15, 16, 17, 32, 47, 48, 70, 1024}) {
+      std::vector<float> x(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) {
+        x[static_cast<std::size_t>(i)] = fill(rng, i);
+      }
+      const ActivationQuant want = choose_activation_quant(x.data(), n);
+      // (C, H, W) read as (H, W, C), reversed, and shuffled.
+      std::vector<std::vector<float>> orders;
+      const std::int64_t c = n == 48 ? 3 : n == 1024 ? 16 : 1;
+      std::vector<float> hwc(x.size());
+      for (std::int64_t ch = 0; ch < c; ++ch) {
+        for (std::int64_t p = 0; p < n / c; ++p) {
+          hwc[static_cast<std::size_t>(p * c + ch)] =
+              x[static_cast<std::size_t>(ch * (n / c) + p)];
+        }
+      }
+      orders.push_back(hwc);
+      orders.emplace_back(x.rbegin(), x.rend());
+      for (int t = 0; t < 8; ++t) {
+        std::vector<float> y = x;
+        for (std::int64_t i = n - 1; i > 0; --i) {
+          std::swap(y[static_cast<std::size_t>(i)],
+                    y[static_cast<std::size_t>(rng.uniform_int(0, i))]);
+        }
+        orders.push_back(std::move(y));
+      }
+      for (std::size_t o = 0; o < orders.size(); ++o) {
+        const ActivationQuant got =
+            choose_activation_quant(orders[o].data(), n);
+        EXPECT_TRUE(same(got, want))
+            << name << ", n = " << n << ", order " << o << ": " << got.scale
+            << "/" << got.zero_point << " vs " << want.scale << "/"
+            << want.zero_point;
+      }
+    }
+  }
+}
+
 TEST(QuantizeTest, FoldedBatchnormMatchesConvBnEval) {
   Rng rng(4);
   Conv2d conv({.in_channels = 3, .out_channels = 6, .kernel = 3, .stride = 1,

@@ -259,28 +259,38 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// The image-packed conv entry against the explicit lowering it replaces:
-/// im2col_u8 with the ring value as padding, then i8gemm_bias_rows.
+/// The channels-last conv entry against the explicit lowering it replaces:
+/// im2col_u8 over the (C, H, W) image with the ring value as padding, then
+/// i8gemm_bias_rows, transposed.
 TEST(I8GemmTest, ImplicitConvBitMatchesIm2colThenGemm) {
   struct Case {
     ConvGeometry g;
     std::int64_t out_channels;
   };
   std::vector<Case> cases;
-  // Every kernel, stride and pad over a small H != W image; 3 channels make
-  // K = 3·k² no multiple of 4, and 5 filters no multiple of kMR.
-  for (const std::int64_t kernel : {1, 3, 5}) {
-    for (const std::int64_t stride : {1, 2}) {
-      for (const std::int64_t pad : {0, 1, 2}) {
-        cases.push_back({{.channels = 3, .height = 7, .width = 9,
-                          .kernel_h = kernel, .kernel_w = kernel,
-                          .stride = stride, .pad = pad},
-                         5});
+  // Every kernel, stride and pad over a small H != W image. A kh run of
+  // KW·C taps is a multiple of 4 for some (C = 4 and 16, and C = 3 at
+  // KW = 4) and not for others, whose runs end on padding read from the
+  // next pixel, the border or the slack past the image. 5 and 37 filters are
+  // no multiple of the tile width, and most pixel counts none of kMR.
+  for (const std::int64_t channels : {1, 3, 4, 16}) {
+    for (const std::int64_t kernel : {1, 3, 5}) {
+      for (const std::int64_t stride : {1, 2}) {
+        for (const std::int64_t pad : {0, 1, 2}) {
+          cases.push_back({{.channels = channels, .height = 7, .width = 9,
+                            .kernel_h = kernel, .kernel_w = kernel,
+                            .stride = stride, .pad = pad},
+                           channels == 4 ? 37 : 5});
+        }
       }
     }
   }
+  cases.push_back({{.channels = 3, .height = 6, .width = 8, .kernel_h = 4,
+                    .kernel_w = 4, .stride = 1, .pad = 2},
+                   5});
   // Products past the kernel's cache blocks and the threading threshold:
-  // N = 667 columns and M = 300 filters, then M > N so the pool splits rows.
+  // 667 pixels by 300 filters, so the pool splits pixel rows, then 144
+  // pixels by 300 filters, so it splits filter columns.
   cases.push_back({{.channels = 3, .height = 23, .width = 29, .kernel_h = 3,
                     .kernel_w = 3, .stride = 1, .pad = 1},
                    300});
@@ -304,10 +314,11 @@ TEST(I8GemmTest, ImplicitConvBitMatchesIm2colThenGemm) {
       const auto scales = random_f32(rng, m);
       const auto bias = random_f32(rng, m);
       const auto sums = row_sums_of(w.data(), m, k);
-      const I8PackedPanels packed = pack_weights_a(m, k, w.data());
+      const I8PackedPanels packed = pack_conv_filters(g, m, w.data());
       for (const std::uint8_t ring : {0, 37, 127}) {
         const std::string what =
-            "k" + std::to_string(g.kernel_h) + " s" + std::to_string(g.stride) +
+            std::to_string(g.channels) + " channels, k" +
+            std::to_string(g.kernel_h) + " s" + std::to_string(g.stride) +
             " p" + std::to_string(g.pad) + " " + std::to_string(m) + "x" +
             std::to_string(n) + "x" + std::to_string(k) + " ring " +
             std::to_string(ring) + ", " + std::to_string(threads) + " threads";
@@ -324,24 +335,60 @@ TEST(I8GemmTest, ImplicitConvBitMatchesIm2colThenGemm) {
         std::vector<float> want(static_cast<std::size_t>(m * n));
         i8gemm_bias_rows(m, n, k, w.data(), col.data(), want.data(), epi);
 
+        // Exactly the bytes the contract asks for, so that a read past
+        // them lands outside the allocation. The slack holds 255, which
+        // no activation does: it must meet zero filter bytes.
         const std::int64_t bh = g.height + 2 * g.pad;
         const std::int64_t bw = g.width + 2 * g.pad;
+        const std::int64_t size = bh * bw * g.channels;
         std::vector<std::uint8_t> bordered(
-            static_cast<std::size_t>(g.channels * bh * bw), ring);
+            static_cast<std::size_t>(size + kI8ConvImageSlack), 255);
+        std::fill(bordered.begin(), bordered.begin() + size, ring);
         for (std::int64_t c = 0; c < g.channels; ++c) {
           for (std::int64_t y = 0; y < g.height; ++y) {
-            std::memcpy(bordered.data() + (c * bh + y + g.pad) * bw + g.pad,
-                        image.data() + (c * g.height + y) * g.width,
-                        static_cast<std::size_t>(g.width));
+            for (std::int64_t x = 0; x < g.width; ++x) {
+              bordered[static_cast<std::size_t>(
+                  ((y + g.pad) * bw + x + g.pad) * g.channels + c)] =
+                  image[static_cast<std::size_t>((c * g.height + y) * g.width +
+                                                 x)];
+            }
           }
         }
-        std::vector<float> got(static_cast<std::size_t>(m * n));
+        std::vector<float> got(static_cast<std::size_t>(n * m));
         i8gemm_conv(g, packed, bordered.data(), got.data(), epi);
-        EXPECT_TRUE(same_bits(got, want)) << what;
+        std::vector<float> transposed(static_cast<std::size_t>(m * n));
+        for (std::int64_t j = 0; j < n; ++j) {
+          for (std::int64_t ch = 0; ch < m; ++ch) {
+            transposed[static_cast<std::size_t>(ch * n + j)] =
+                got[static_cast<std::size_t>(j * m + ch)];
+          }
+        }
+        EXPECT_TRUE(same_bits(transposed, want)) << what;
       }
     }
   }
   ThreadPool::configure_global(0);
+}
+
+TEST(I8GemmTest, ConvRejectsFiltersPackedForAnotherDepth) {
+  const ConvGeometry g{.channels = 3, .height = 5, .width = 5, .kernel_h = 3,
+                       .kernel_w = 3, .stride = 1, .pad = 1};
+  const std::vector<std::int8_t> w(2 * 45, 1);
+  const float scales[2] = {1.0f, 1.0f};
+  I8Epilogue epi;
+  epi.channel_scales = scales;
+  std::vector<std::uint8_t> image(7 * 7 * 3 + kI8ConvImageSlack);
+  std::vector<float> c(25 * 2);
+  // Depth 3 · 16 against the conv's 3 · 12: a kh run of KW·C = 15 taps
+  // takes four groups, of 9 taps three.
+  ConvGeometry wider = g;
+  wider.channels = 5;
+  EXPECT_THROW(i8gemm_conv(g, pack_conv_filters(wider, 2, w.data()),
+                           image.data(), c.data(), epi),
+               Error);
+  EXPECT_THROW(i8gemm_conv(g, pack_weights_bt(2, 27, w.data()), image.data(),
+                           c.data(), epi),
+               Error);
 }
 
 /// The pre-packed linear entry against the strided one, with per-row
