@@ -177,11 +177,6 @@ int main() {
     adapt::AdaptationController controller(
         cfg, {.monitor = &monitor,
               .swappable = &swappable,
-              .make_with_threshold =
-                  [&](float t) {
-                    return std::shared_ptr<const Classifier>(
-                        load_classifier(net, {.threshold = t}));
-                  },
               .net = &net,
               .canaries = canaries,
               .registry = &reg});
@@ -268,11 +263,6 @@ int main() {
     adapt::AdaptationController controller(
         cfg, {.monitor = &monitor,
               .swappable = &swappable,
-              .make_with_threshold =
-                  [&](float t) {
-                    return std::shared_ptr<const Classifier>(
-                        load_classifier(net, {.threshold = t}));
-                  },
               .net = &net,
               .canaries = canaries,
               .registry = &reg});

@@ -1,101 +1,48 @@
-// adapt::AdaptConfig — one aggregated configuration for the closed-loop
-// drift-adaptation controller, following the serve::ServerConfig pattern:
-// every knob resolves with the precedence rule
-//
-//   explicit field  >  environment variable  >  built-in default
-//
-// Fields are std::optional; unset fields fall through to their hardened env
-// var (common/env.hpp — malformed values warn and fall through, never
-// half-apply) and then to the default. resolve() produces the plain-value
-// view the AdaptationController consumes.
-//
-// Environment variables (all hardened, all optional):
-//   WM_ADAPT_BUFFER           sample-buffer capacity        [16, 10^6]
-//   WM_ADAPT_MIN_SAMPLES      samples required to act       [8, 10^6]
-//   WM_ADAPT_REFIT_WINDOW     recent g-scores for re-fit    [8, 10^6]
-//   WM_ADAPT_COOLDOWN_MS      min gap between actions       [0, 10^7]
-//   WM_ADAPT_EVAL_MS          post-action clear deadline    [1, 10^7]
-//   WM_ADAPT_BACKOFF_MAX_MS   rollback backoff ceiling      [1, 10^8]
-//   WM_ADAPT_EPOCHS           fine-tune epochs              [1, 1000]
-//   WM_ADAPT_BATCH            fine-tune batch size          [1, 4096]
-//   WM_ADAPT_AUGMENT_TARGET   CAE-augment per-class target  [0, 10^5] (0=off)
-//   WM_ADAPT_CAE_EPOCHS       CAE training epochs           [1, 1000]
-//   WM_ADAPT_PSEUDO_LABELS    pseudo-label unlabeled (0/1)
-//   WM_ADAPT_MAX_RETRAINS     lifetime retrain cap          [0, 10^6]
-//   WM_ADAPT_SEED             controller RNG seed           [0, 2^31)
+// adapt::AdaptConfig — the settings of the closed-loop drift-adaptation
+// controller in one plain struct. Each field carries its default and is set
+// by code or by its `wm_tool serve --adapt-*` flag, which range-checks the
+// value; nothing reads the environment. The rollback backoff ceiling
+// (60 s) and the controller's RNG seed (17) are fixed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 
 namespace wm::adapt {
 
 struct AdaptConfig {
   /// Sliding sample-buffer capacity (wafers kept for re-fit / fine-tune).
-  /// Env: WM_ADAPT_BUFFER, default 1024.
-  std::optional<std::size_t> buffer_capacity;
+  std::size_t buffer_capacity = 1024;
   /// Buffered samples required before the controller acts on an alarm.
-  /// Env: WM_ADAPT_MIN_SAMPLES, default 64.
-  std::optional<std::size_t> min_samples;
+  std::size_t min_samples = 64;
   /// Number of most-recent buffered g-scores the stage-1 threshold re-fit
-  /// uses (older scores predate the drift). Env: WM_ADAPT_REFIT_WINDOW,
-  /// default 256.
-  std::optional<std::size_t> refit_window;
+  /// uses (older scores predate the drift).
+  std::size_t refit_window = 256;
   /// Rate limit: minimum gap between consecutive adaptation actions.
-  /// Env: WM_ADAPT_COOLDOWN_MS, default 5000.
-  std::optional<std::int64_t> cooldown_ms;
+  std::int64_t cooldown_ms = 5000;
   /// How long the controller waits for the alarm to clear after an action
   /// before escalating (stage 1 -> stage 2) or rolling back (after a
-  /// stage-2 swap). Env: WM_ADAPT_EVAL_MS, default 2000.
-  std::optional<std::int64_t> eval_ms;
-  /// Exponential-backoff ceiling applied after a rollback.
-  /// Env: WM_ADAPT_BACKOFF_MAX_MS, default 60000.
-  std::optional<std::int64_t> backoff_max_ms;
-  /// Stage-2 fine-tune epochs. Env: WM_ADAPT_EPOCHS, default 4.
-  std::optional<int> fine_tune_epochs;
-  /// Stage-2 fine-tune batch size. Env: WM_ADAPT_BATCH, default 32.
-  std::optional<int> fine_tune_batch;
-  /// Stage-2 fine-tune learning rate (no env knob; a fraction of the usual
-  /// training rate — nudge, don't re-learn). Default 5e-4.
-  std::optional<double> fine_tune_lr;
+  /// stage-2 swap).
+  std::int64_t eval_ms = 2000;
+  /// Stage-2 fine-tune epochs.
+  int fine_tune_epochs = 4;
+  /// Stage-2 fine-tune batch size.
+  int fine_tune_batch = 32;
+  /// Stage-2 fine-tune learning rate: a fraction of the usual training
+  /// rate (nudge, don't re-learn).
+  double fine_tune_lr = 5e-4;
   /// Per-class target for CAE augmentation of the fine-tune set (paper
-  /// Algorithm 1); 0 disables augmentation. Env: WM_ADAPT_AUGMENT_TARGET,
-  /// default 0.
-  std::optional<int> augment_target;
+  /// Algorithm 1); 0 disables augmentation.
+  int augment_target = 0;
   /// Epochs for the CAEs the adaptation path trains (pseudo-labeler and
-  /// augmentor). Env: WM_ADAPT_CAE_EPOCHS, default 8.
-  std::optional<int> cae_epochs;
+  /// augmentor).
+  int cae_epochs = 8;
   /// Pseudo-label unlabeled buffered samples via CAE latent nearest-centroid
-  /// (arXiv 2311.12840) instead of dropping them. Env: WM_ADAPT_PSEUDO_LABELS
-  /// (0/1), default true.
-  std::optional<bool> use_pseudo_labels;
+  /// (arXiv 2311.12840) instead of dropping them.
+  bool use_pseudo_labels = true;
   /// Lifetime cap on stage-2 retrains (a runaway-drift fuse; recalibrations
-  /// are not capped). Env: WM_ADAPT_MAX_RETRAINS, default 8.
-  std::optional<std::uint32_t> max_retrains;
-  /// Seed for the controller's private RNG (CAE init, fine-tune shuffling).
-  /// Env: WM_ADAPT_SEED, default 17.
-  std::optional<std::uint32_t> seed;
-
-  /// The fully resolved view: every knob a concrete value.
-  struct Resolved {
-    std::size_t buffer_capacity = 1024;
-    std::size_t min_samples = 64;
-    std::size_t refit_window = 256;
-    std::int64_t cooldown_ms = 5000;
-    std::int64_t eval_ms = 2000;
-    std::int64_t backoff_max_ms = 60000;
-    int fine_tune_epochs = 4;
-    int fine_tune_batch = 32;
-    double fine_tune_lr = 5e-4;
-    int augment_target = 0;
-    int cae_epochs = 8;
-    bool use_pseudo_labels = true;
-    std::uint32_t max_retrains = 8;
-    std::uint32_t seed = 17;
-  };
-
-  /// Applies explicit-field > env > default to every knob.
-  Resolved resolve() const;
+  /// are not capped).
+  std::uint32_t max_retrains = 8;
 };
 
 }  // namespace wm::adapt

@@ -19,6 +19,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Ceiling of the post-rollback backoff.
+constexpr std::int64_t kBackoffMaxMs = 60000;
+/// Seed of the controller's private RNG (CAE init, fine-tune shuffling).
+constexpr std::uint32_t kSeed = 17;
+
 std::chrono::milliseconds ms(std::int64_t v) {
   return std::chrono::milliseconds(v);
 }
@@ -49,10 +54,10 @@ const char* to_string(AdaptState state) {
 
 AdaptationController::AdaptationController(const AdaptConfig& config,
                                            AdaptHooks hooks)
-    : cfg_(config.resolve()),
+    : cfg_(config),
       hooks_(std::move(hooks)),
       buffer_(cfg_.buffer_capacity),
-      rng_(cfg_.seed),
+      rng_(kSeed),
       metrics_(resolve_registry(hooks_, own_metrics_)),
       run_log_(resolve_run_log(hooks_)),
       state_gauge_(metrics_.gauge(
@@ -81,8 +86,6 @@ AdaptationController::AdaptationController(const AdaptConfig& config,
   WM_CHECK(hooks_.monitor != nullptr, "AdaptationController needs a monitor");
   WM_CHECK(hooks_.swappable != nullptr,
            "AdaptationController needs a SwappableClassifier");
-  WM_CHECK(hooks_.make_with_threshold != nullptr,
-           "AdaptationController needs a make_with_threshold hook");
 
   state_gauge_.set(0.0);
 
@@ -175,10 +178,10 @@ void AdaptationController::worker_loop() {
       acted = stage == 0 ? do_recalibrate() : do_retrain();
     } catch (const std::exception& e) {
       // The loop must never take the process down. Anything in a stage can
-      // throw on the worker thread — make_with_threshold re-reading a torn
-      // model file, a size-mismatched wafer fed through record_outcome
-      // tripping a shape check in the CAE/fine-tune path — and an escaping
-      // exception here would std::terminate the whole serving process.
+      // throw on the worker thread — a classifier refusing a re-cut, a
+      // size-mismatched wafer fed through record_outcome tripping a shape
+      // check in the CAE/fine-tune path — and an escaping exception here
+      // would std::terminate the whole serving process.
       // Treat it like any other non-action: log, count, retry after the
       // cooldown on fresher buffer contents.
       skips_total_.inc();
@@ -251,7 +254,7 @@ void AdaptationController::worker_loop() {
     lock.lock();
     backoff_ms_ = backoff_ms_ == 0
                       ? std::max<std::int64_t>(2 * cfg_.cooldown_ms, 100)
-                      : std::min(2 * backoff_ms_, cfg_.backoff_max_ms);
+                      : std::min(2 * backoff_ms_, kBackoffMaxMs);
     backoff_gauge_.set(static_cast<double>(backoff_ms_));
     next_action_ = Clock::now() + ms(backoff_ms_);
     episode_stage_ = 0;  // start over (recalibrate first) after the backoff
@@ -266,6 +269,14 @@ bool AdaptationController::do_recalibrate() {
     skip("insufficient_samples");
     return false;
   }
+  // Re-cut what serves now: after a promoted retrain that is the
+  // fine-tuned net, not the one the controller started with.
+  const auto incumbent = std::dynamic_pointer_cast<const LoadedClassifier>(
+      hooks_.swappable->current());
+  if (incumbent == nullptr) {
+    skip("no_threshold");
+    return false;
+  }
   set_state(AdaptState::kRecalibrate);
   WM_TRACE_SCOPE("adapt.recalibrate");
 
@@ -274,7 +285,7 @@ bool AdaptationController::do_recalibrate() {
   const float tau = selective::refit_threshold(gs, target);
   const double achieved = selective::coverage_at(gs, tau);
 
-  std::shared_ptr<const Classifier> candidate = hooks_.make_with_threshold(tau);
+  std::shared_ptr<const Classifier> candidate = incumbent->with_threshold(tau);
   try {
     WM_TRACE_SCOPE("adapt.swap");
     hooks_.swappable->swap_to(candidate, hooks_.canaries, "adapt:recalibrate");

@@ -14,8 +14,9 @@
 //
 //   * Stage 1, RECALIBRATE: re-fit the abstention threshold on the newest
 //     g-scores in the sample buffer so the live traffic mix selects the
-//     target coverage again, and promote the same weights at the new cut
-//     (cheap: no training). Coverage drift — the common case — ends here.
+//     target coverage again, and promote the serving model's weights at the
+//     new cut (LoadedClassifier::with_threshold: no training, no compile).
+//     Coverage drift — the common case — ends here.
 //   * Stage 2, RETRAIN: when the alarm survives the post-recalibration
 //     evaluation window (thresholding cannot fix risk drift: wrong-but-
 //     confident predictions stay selected at any sane cut), fine-tune a
@@ -30,9 +31,9 @@
 //     the pre-swap model and the controller backs off exponentially.
 //
 // Rate limiting: actions are separated by at least cooldown_ms; every
-// rollback doubles the wait (capped at backoff_max_ms) and a success resets
-// it. All decisions and transitions are observable: wm_adapt_* instruments,
-// adapt_* run-log events, and adapt.* Perfetto spans.
+// rollback doubles the wait (capped at 60 s) and a success resets it. All
+// decisions and transitions are observable: wm_adapt_* instruments, adapt_*
+// run-log events, and adapt.* Perfetto spans.
 //
 // Threading: monitor callbacks (engine batcher thread) only flip a flag and
 // notify; every expensive step — re-fit, CAE training, fine-tuning, swap —
@@ -43,7 +44,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -75,13 +75,10 @@ struct AdaptHooks {
   /// Alarm source; also provides the target coverage. Required.
   serve::SelectiveMonitor* monitor = nullptr;
   /// Promotion path (the engine serves through this wrapper). Required.
+  /// Stage 1 re-cuts the classifier it serves, so that must be a
+  /// LoadedClassifier; anything else skips stage 1 (adapt_skip reason
+  /// no_threshold).
   serve::SwappableClassifier* swappable = nullptr;
-  /// Builds a classifier over the INCUMBENT weights at a new abstention
-  /// threshold — stage 1's actuator. Required. (A separate hook because the
-  /// incumbent may be a file-loaded or quantized artifact the controller
-  /// cannot re-wrap itself.)
-  std::function<std::shared_ptr<const Classifier>(float threshold)>
-      make_with_threshold;
   /// The serving fp32 net stage 2 clones and fine-tunes. nullptr = stage 2
   /// unavailable (e.g. a quantized-only deployment): the controller stays a
   /// recalibrate-only loop and logs the skipped escalation.
@@ -142,8 +139,6 @@ class AdaptationController {
 
   AdaptStatus status() const;
 
-  const AdaptConfig::Resolved& config() const { return cfg_; }
-
  private:
   void worker_loop();
   /// Stage 1. Returns true when a new threshold was fitted and promoted.
@@ -155,7 +150,7 @@ class AdaptationController {
   void set_state(AdaptState s);
   void skip(const char* reason);
 
-  const AdaptConfig::Resolved cfg_;
+  const AdaptConfig cfg_;
   AdaptHooks hooks_;
   SampleBuffer buffer_;
   Rng rng_;

@@ -77,8 +77,7 @@ struct ServerOptions {
   int port = 0;
   /// Listen address; the default accepts only loopback connections.
   std::string bind_address = "127.0.0.1";
-  /// Kernel accept backlog (serve::ServerConfig fills it from
-  /// WM_SERVE_BACKLOG).
+  /// Kernel accept backlog.
   int backlog = 64;
   /// Connection-handling worker threads.
   int workers = 2;

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "net/socket_util.hpp"
@@ -85,13 +84,6 @@ bool HttpExporter::running() const { return !stopping_.load(); }
 
 std::uint64_t HttpExporter::requests_served() const {
   return requests_total_.value();
-}
-
-std::optional<int> HttpExporter::port_from_env() {
-  if (const auto port = env_int("WM_HTTP_PORT", 1, 65535)) {
-    return static_cast<int>(*port);
-  }
-  return std::nullopt;
 }
 
 void HttpExporter::listener_loop() {

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,11 +99,6 @@ class HttpExporter {
 
   /// The registry this exporter serves.
   Registry& registry() const { return registry_; }
-
-  /// Default port from the WM_HTTP_PORT env var: nullopt when unset, and —
-  /// hardened like every WM_* knob — also nullopt (plus a warning) when the
-  /// value is malformed, overflows, or falls outside [1, 65535].
-  static std::optional<int> port_from_env();
 
  private:
   void listener_loop();

@@ -22,29 +22,35 @@ std::vector<float> to_vector(const Tensor& t) {
 }
 
 /// MaxPool2d(2)'s eval forward over one image's channels-last (oh, ow,
-/// channels) conv output, into channels-last (oh / 2, ow / 2, channels):
-/// each window is scanned in MaxPool2d's order from -inf, and a value
-/// replaces the best only when strictly greater. The int8 epilogue's ReLU
-/// keeps -0 and NaN, so unlike the fp32 pass this keeps the scan's order;
-/// it runs across channels, a vector of windows at a time.
+/// channels) conv output, into channels-last (oh / 2, ow / 2, channels), or
+/// into (channels, oh / 2, ow / 2) planes when `Planar`: each window is
+/// scanned in MaxPool2d's order from -inf, and a value replaces the best
+/// only when strictly greater. The int8 epilogue's ReLU keeps -0 and NaN,
+/// so unlike the fp32 pass this keeps the scan's order; it runs across
+/// channels, a vector of windows at a time. `Planar` is a template argument
+/// so that the channels-last stores stay unit-stride vector stores; a
+/// run-time stride measurably slowed the int8 plan.
+template <bool Planar>
 void max_pool2_channels_last(const float* conv, std::int64_t oh,
                              std::int64_t ow, std::int64_t channels,
                              float* pooled) {
   const std::int64_t row = ow * channels;
+  const std::int64_t pixel_step = Planar ? 1 : channels;
+  const std::int64_t channel_step = Planar ? (oh / 2) * (ow / 2) : 1;
   for (std::int64_t y = 0; y < oh / 2; ++y) {
     const float* r0 = conv + 2 * y * row;
     const float* r1 = r0 + row;
     for (std::int64_t x = 0; x < ow / 2; ++x) {
       const float* a = r0 + 2 * x * channels;
       const float* b = r1 + 2 * x * channels;
-      float* o = pooled + (y * (ow / 2) + x) * channels;
+      float* o = pooled + (y * (ow / 2) + x) * pixel_step;
       for (std::int64_t ch = 0; ch < channels; ++ch) {
         float best = -std::numeric_limits<float>::infinity();
         for (const float v : {a[ch], a[channels + ch], b[ch],
                               b[channels + ch]}) {
           best = v > best ? v : best;
         }
-        o[ch] = best;
+        o[ch * channel_step] = best;
       }
     }
   }
@@ -138,39 +144,24 @@ InferencePlan::InferencePlan(const QuantizedSelectiveNet& net)
     const ConvGeometry g{.channels = o.in_channels, .height = size,
                          .width = size, .kernel_h = o.kernel,
                          .kernel_w = o.kernel, .stride = 1, .pad = o.pad};
+    // conv3 pools into (c, y, x), the order the layer path flattens in, so
+    // the FC's weights pack as they are.
     convs_[i] = Int8Conv{
         {pack_conv_filters(g, qw.rows, qw.q.data()), qw.scales, qw.row_sums,
          to_vector(convs[i]->bias()), convs[i]->fused_relu()},
-        g};
+        g,
+        /*planar=*/i + 1 == convs_.size()};
     size /= 2;
   }
-  const auto dense = [](const nn::quant::QuantLinear& l,
-                        const std::vector<std::int8_t>& q) {
+  const auto dense = [](const nn::quant::QuantLinear& l) {
     const nn::quant::QuantizedWeights& qw = l.weights();
-    return Int8Dense{{pack_weights_bt(qw.rows, qw.cols, q.data()), qw.scales,
-                      qw.row_sums, to_vector(l.bias()), l.fused_relu()}};
+    return Int8Dense{{pack_weights_bt(qw.rows, qw.cols, qw.q.data()),
+                      qw.scales, qw.row_sums, to_vector(l.bias()),
+                      l.fused_relu()}};
   };
-  // conv3's stage writes its pooled output channels-last, (y, x, c), where
-  // the layer path flattens (c, y, x); the FC's columns follow. A row's
-  // activation range, its integer sums and the weight row sums do not
-  // depend on column order.
-  const nn::quant::QuantizedWeights& fc = net.fc().weights();
-  const std::int64_t c3 = opts_.conv3_filters;
-  const std::int64_t plane = size * size;
-  WM_CHECK_SHAPE(fc.cols == c3 * plane, "fc expects ", fc.cols,
-                 " features, conv3 gives ", c3 * plane);
-  std::vector<std::int8_t> fc_q(fc.q.size());
-  for (std::int64_t r = 0; r < fc.rows; ++r) {
-    for (std::int64_t c = 0; c < c3; ++c) {
-      for (std::int64_t p = 0; p < plane; ++p) {
-        fc_q[static_cast<std::size_t>(r * fc.cols + p * c3 + c)] =
-            fc.q[static_cast<std::size_t>(r * fc.cols + c * plane + p)];
-      }
-    }
-  }
-  fc_ = dense(net.fc(), fc_q);
-  head_f_ = dense(net.head_f(), net.head_f().weights().q);
-  head_g_ = dense(net.head_g(), net.head_g().weights().q);
+  fc_ = dense(net.fc());
+  head_f_ = dense(net.head_f());
+  head_g_ = dense(net.head_g());
   size_scratch();
 }
 
@@ -243,8 +234,9 @@ void InferencePlan::Int8Conv::run(const float* image, const Scratch& s,
   epi.act_scale = aq.scale;
   epi.act_zero_point = aq.zero_point;
   i8gemm_conv(geom, weights, s.bordered, s.conv, epi);
-  max_pool2_channels_last(s.conv, geom.out_h(), geom.out_w(), weights.rows,
-                          pooled);
+  const auto pool = planar ? max_pool2_channels_last<true>
+                           : max_pool2_channels_last<false>;
+  pool(s.conv, geom.out_h(), geom.out_w(), weights.rows, pooled);
 }
 
 void InferencePlan::Fp32Dense::run(std::int64_t n, const float* x,

@@ -32,8 +32,8 @@
 //
 // An fp32 stage reads and writes (C, H, W) planes, an int8 stage (H, W, C)
 // pixels; conv1's input (C = 1) is both. conv3's pooled output is the
-// image's row of the FC input, so the int8 FC's weight columns are permuted
-// at compile time from (c, y, x) to (y, x, c). FC (+ ReLU), both heads and
+// image's row of the FC input, so conv3's int8 stage pools into (C, H, W)
+// planes, the order the layer path flattens in. FC (+ ReLU), both heads and
 // the sigmoid then run once over the batch, fp32 or int8 with per-row
 // activation parameters. Every float operation runs on the values of the
 // layer path it replaces, in its order wherever order could change a bit
@@ -112,8 +112,12 @@ class InferencePlan {
   /// One quantized conv [+ fused ReLU] -> 2x2 max-pool block, channels-last.
   struct Int8Conv : Int8Layer {
     ConvGeometry geom;
+    /// Pool into (OC, H / 2, W / 2) planes: the last stage's, whose output
+    /// the FC reads in the layer path's flatten order.
+    bool planar;
 
-    /// Pools the (H, W, C) `image` into (H / 2, W / 2, OC) `pooled`.
+    /// Pools the (H, W, C) `image` into (H / 2, W / 2, OC) `pooled`, or
+    /// into planes when `planar`.
     void run(const float* image, const Scratch& s, float* pooled) const;
   };
   using ConvStage = std::variant<Fp32Conv, Int8Conv>;

@@ -13,10 +13,10 @@ namespace wm {
 namespace {
 
 /// The selective classifier over a compiled InferencePlan of either
-/// precision. It owns the plan and references no net.
+/// precision. It shares the plan with its re-cuts and references no net.
 class PlanClassifier final : public LoadedClassifier {
  public:
-  PlanClassifier(selective::InferencePlan plan,
+  PlanClassifier(std::shared_ptr<const selective::InferencePlan> plan,
                  const ClassifierLoadOptions& opts)
       : plan_(std::move(plan)), opts_(opts) {
     WM_CHECK(!std::isnan(opts.threshold) && opts.threshold >= 0.0f &&
@@ -28,16 +28,21 @@ class PlanClassifier final : public LoadedClassifier {
   std::vector<SelectivePrediction> predict_batch(
       std::span<const WaferMap> maps) const override {
     return selective::detail::predict_batched(
-        [this](const Tensor& images) { return plan_.infer(images); },
+        [this](const Tensor& images) { return plan_->infer(images); },
         map_size(), opts_.threshold, opts_.eval_batch, maps);
   }
-  int num_classes() const override { return plan_.options().num_classes; }
-  int map_size() const override { return plan_.options().map_size; }
-  bool is_quantized() const override { return plan_.is_quantized(); }
+  int num_classes() const override { return plan_->options().num_classes; }
+  int map_size() const override { return plan_->options().map_size; }
+  bool is_quantized() const override { return plan_->is_quantized(); }
   float threshold() const override { return opts_.threshold; }
+  std::unique_ptr<LoadedClassifier> with_threshold(float tau) const override {
+    ClassifierLoadOptions opts = opts_;
+    opts.threshold = tau;
+    return std::make_unique<PlanClassifier>(plan_, opts);
+  }
 
  private:
-  const selective::InferencePlan plan_;
+  const std::shared_ptr<const selective::InferencePlan> plan_;
   ClassifierLoadOptions opts_;
 };
 
@@ -45,7 +50,8 @@ class PlanClassifier final : public LoadedClassifier {
 template <typename Net>
 std::unique_ptr<LoadedClassifier> compiled(const Net& net,
                                            const ClassifierLoadOptions& opts) {
-  return std::make_unique<PlanClassifier>(selective::InferencePlan(net), opts);
+  return std::make_unique<PlanClassifier>(
+      std::make_shared<const selective::InferencePlan>(net), opts);
 }
 
 }  // namespace

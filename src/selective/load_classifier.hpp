@@ -25,6 +25,9 @@
 // not the net. Every overload therefore copies what it needs: the caller may
 // destroy or keep training its net afterwards without changing the
 // classifier's predictions (load again to serve new weights).
+// with_threshold() re-cuts a classifier without compiling anything: the
+// plan is const and reentrant, so the re-cut classifier shares it and keeps
+// it alive for as long as either serves.
 #pragma once
 
 #include <memory>
@@ -55,6 +58,10 @@ class LoadedClassifier : public Classifier {
   virtual bool is_quantized() const = 0;
   /// The abstention threshold the classifier applies to g.
   virtual float threshold() const = 0;
+  /// The same compiled model at abstention cut `tau`, sharing this
+  /// classifier's plan. Throws wm::InvalidArgument when `tau` is outside
+  /// [0, 1].
+  virtual std::unique_ptr<LoadedClassifier> with_threshold(float tau) const = 0;
 };
 
 /// Loads a model file of either version (WSN1 fp32 / WSN2 quantized),

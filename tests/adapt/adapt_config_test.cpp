@@ -1,96 +1,26 @@
-// AdaptConfig resolution precedence: explicit field > WM_ADAPT_* env var >
-// built-in default, with hardened env parsing (malformed values fall through
-// rather than half-applying).
+// AdaptConfig's defaults: the values the controller runs with when code or
+// a wm_tool flag sets nothing.
 #include "adapt/adapt_config.hpp"
-
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
 namespace wm::adapt {
 namespace {
 
-/// Clears every WM_ADAPT_* variable a test might set, on entry and exit.
-class EnvGuard {
- public:
-  EnvGuard() { clear(); }
-  ~EnvGuard() { clear(); }
-
- private:
-  static void clear() {
-    for (const char* name :
-         {"WM_ADAPT_BUFFER", "WM_ADAPT_MIN_SAMPLES", "WM_ADAPT_REFIT_WINDOW",
-          "WM_ADAPT_COOLDOWN_MS", "WM_ADAPT_EVAL_MS", "WM_ADAPT_BACKOFF_MAX_MS",
-          "WM_ADAPT_EPOCHS", "WM_ADAPT_BATCH", "WM_ADAPT_AUGMENT_TARGET",
-          "WM_ADAPT_CAE_EPOCHS", "WM_ADAPT_PSEUDO_LABELS",
-          "WM_ADAPT_MAX_RETRAINS", "WM_ADAPT_SEED"}) {
-      ::unsetenv(name);
-    }
-  }
-};
-
 TEST(AdaptConfigTest, DefaultsResolveWithNothingSet) {
-  EnvGuard guard;
-  const AdaptConfig::Resolved r = AdaptConfig{}.resolve();
-  EXPECT_EQ(r.buffer_capacity, 1024u);
-  EXPECT_EQ(r.min_samples, 64u);
-  EXPECT_EQ(r.refit_window, 256u);
-  EXPECT_EQ(r.cooldown_ms, 5000);
-  EXPECT_EQ(r.eval_ms, 2000);
-  EXPECT_EQ(r.backoff_max_ms, 60000);
-  EXPECT_EQ(r.fine_tune_epochs, 4);
-  EXPECT_EQ(r.fine_tune_batch, 32);
-  EXPECT_DOUBLE_EQ(r.fine_tune_lr, 5e-4);
-  EXPECT_EQ(r.augment_target, 0);
-  EXPECT_EQ(r.cae_epochs, 8);
-  EXPECT_TRUE(r.use_pseudo_labels);
-  EXPECT_EQ(r.max_retrains, 8u);
-  EXPECT_EQ(r.seed, 17u);
-}
-
-TEST(AdaptConfigTest, EnvBeatsDefault) {
-  EnvGuard guard;
-  ::setenv("WM_ADAPT_BUFFER", "2048", 1);
-  ::setenv("WM_ADAPT_COOLDOWN_MS", "123", 1);
-  ::setenv("WM_ADAPT_EPOCHS", "9", 1);
-  ::setenv("WM_ADAPT_PSEUDO_LABELS", "0", 1);
-  const AdaptConfig::Resolved r = AdaptConfig{}.resolve();
-  EXPECT_EQ(r.buffer_capacity, 2048u);
-  EXPECT_EQ(r.cooldown_ms, 123);
-  EXPECT_EQ(r.fine_tune_epochs, 9);
-  EXPECT_FALSE(r.use_pseudo_labels);
-  // Untouched knobs keep their defaults.
-  EXPECT_EQ(r.min_samples, 64u);
-}
-
-TEST(AdaptConfigTest, ExplicitFieldBeatsEnv) {
-  EnvGuard guard;
-  ::setenv("WM_ADAPT_BUFFER", "2048", 1);
-  ::setenv("WM_ADAPT_EVAL_MS", "77", 1);
-  AdaptConfig cfg;
-  cfg.buffer_capacity = 64;
-  cfg.eval_ms = 999;
-  const AdaptConfig::Resolved r = cfg.resolve();
-  EXPECT_EQ(r.buffer_capacity, 64u);
-  EXPECT_EQ(r.eval_ms, 999);
-}
-
-TEST(AdaptConfigTest, MalformedEnvFallsThroughToDefault) {
-  EnvGuard guard;
-  ::setenv("WM_ADAPT_BUFFER", "not-a-number", 1);
-  ::setenv("WM_ADAPT_MIN_SAMPLES", "", 1);
-  const AdaptConfig::Resolved r = AdaptConfig{}.resolve();
-  EXPECT_EQ(r.buffer_capacity, 1024u);
-  EXPECT_EQ(r.min_samples, 64u);
-}
-
-TEST(AdaptConfigTest, OutOfRangeEnvFallsThroughToDefault) {
-  EnvGuard guard;
-  ::setenv("WM_ADAPT_EPOCHS", "100000", 1);  // above the [1, 1000] bound
-  ::setenv("WM_ADAPT_COOLDOWN_MS", "-5", 1);
-  const AdaptConfig::Resolved r = AdaptConfig{}.resolve();
-  EXPECT_EQ(r.fine_tune_epochs, 4);
-  EXPECT_EQ(r.cooldown_ms, 5000);
+  const AdaptConfig c;
+  EXPECT_EQ(c.buffer_capacity, 1024u);
+  EXPECT_EQ(c.min_samples, 64u);
+  EXPECT_EQ(c.refit_window, 256u);
+  EXPECT_EQ(c.cooldown_ms, 5000);
+  EXPECT_EQ(c.eval_ms, 2000);
+  EXPECT_EQ(c.fine_tune_epochs, 4);
+  EXPECT_EQ(c.fine_tune_batch, 32);
+  EXPECT_DOUBLE_EQ(c.fine_tune_lr, 5e-4);
+  EXPECT_EQ(c.augment_target, 0);
+  EXPECT_EQ(c.cae_epochs, 8);
+  EXPECT_TRUE(c.use_pseudo_labels);
+  EXPECT_EQ(c.max_retrains, 8u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,20 +44,30 @@ WaferMap small_map(int variant) {
   return map;
 }
 
-/// Deterministic stand-in for the serving model; records the threshold the
-/// controller asked for.
-class FakeClassifier final : public Classifier {
+/// Deterministic stand-in for the serving model. Its re-cuts call
+/// `on_recut` (which may throw) with the threshold the controller asked for,
+/// and carry the hook on.
+class FakeClassifier final : public LoadedClassifier {
  public:
-  explicit FakeClassifier(float threshold = 0.5f) : threshold_(threshold) {}
+  using RecutHook = std::function<void(float tau)>;
+  explicit FakeClassifier(float threshold = 0.5f, RecutHook on_recut = {})
+      : threshold_(threshold), on_recut_(std::move(on_recut)) {}
   std::vector<SelectivePrediction> predict_batch(
       std::span<const WaferMap> maps) const override {
     return std::vector<SelectivePrediction>(maps.size(), pred(0, true, 0.9f));
   }
   int num_classes() const override { return 9; }
-  float threshold() const { return threshold_; }
+  int map_size() const override { return 12; }
+  bool is_quantized() const override { return false; }
+  float threshold() const override { return threshold_; }
+  std::unique_ptr<LoadedClassifier> with_threshold(float tau) const override {
+    if (on_recut_) on_recut_(tau);
+    return std::make_unique<FakeClassifier>(tau, on_recut_);
+  }
 
  private:
   float threshold_;
+  RecutHook on_recut_;
 };
 
 /// Polls `done` every few ms until it holds or `ms` elapse.
@@ -110,21 +121,14 @@ AdaptConfig fast_config() {
 
 TEST(AdaptationControllerTest, RecalibratesOnAlarmAndResolves) {
   serve::SelectiveMonitor monitor(test_monitor_options());
-  serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
-  obs::Registry registry;
   std::atomic<float> requested_tau{-1.0f};  // written on the worker thread
+  serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>(
+      0.5f, [&](float t) { requested_tau = t; }));
+  obs::Registry registry;
 
   AdaptationController controller(
       fast_config(),
-      {.monitor = &monitor,
-       .swappable = &swappable,
-       .make_with_threshold =
-           [&](float t) {
-             requested_tau = t;
-             return std::shared_ptr<const Classifier>(
-                 std::make_shared<FakeClassifier>(t));
-           },
-       .registry = &registry});
+      {.monitor = &monitor, .swappable = &swappable, .registry = &registry});
 
   // Buffer the drifted traffic the re-fit will rank: 16 g-scores, half
   // above 0.4, half below.
@@ -162,13 +166,7 @@ TEST(AdaptationControllerTest, WaitsForMinSamplesThenActs) {
   serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
 
   AdaptationController controller(
-      fast_config(),
-      {.monitor = &monitor,
-       .swappable = &swappable,
-       .make_with_threshold = [](float t) {
-         return std::shared_ptr<const Classifier>(
-             std::make_shared<FakeClassifier>(t));
-       }});
+      fast_config(), {.monitor = &monitor, .swappable = &swappable});
 
   // Alarm with an empty buffer: the controller must skip, not swap.
   drive_alarm(monitor);
@@ -193,13 +191,7 @@ TEST(AdaptationControllerTest, PreexistingAlarmStartsAnEpisode) {
 
   serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
   AdaptationController controller(
-      fast_config(),
-      {.monitor = &monitor,
-       .swappable = &swappable,
-       .make_with_threshold = [](float t) {
-         return std::shared_ptr<const Classifier>(
-             std::make_shared<FakeClassifier>(t));
-       }});
+      fast_config(), {.monitor = &monitor, .swappable = &swappable});
   for (int i = 0; i < 12; ++i) {
     controller.buffer().on_sample(small_map(i), pred(0, false, 0.3f));
   }
@@ -213,13 +205,7 @@ TEST(AdaptationControllerTest, RecordOutcomeFansOutToMonitorAndBuffer) {
   serve::SelectiveMonitor monitor(mopts);
   serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
   AdaptationController controller(
-      fast_config(),
-      {.monitor = &monitor,
-       .swappable = &swappable,
-       .make_with_threshold = [](float t) {
-         return std::shared_ptr<const Classifier>(
-             std::make_shared<FakeClassifier>(t));
-       }});
+      fast_config(), {.monitor = &monitor, .swappable = &swappable});
 
   controller.record_outcome(small_map(1), pred(2, true, 0.9f), 2);
   EXPECT_EQ(controller.buffer().labeled_count(), 1u);
@@ -250,13 +236,7 @@ struct RetrainRig {
   }
 
   AdaptHooks hooks() {
-    return {.monitor = &monitor,
-            .swappable = swappable.get(),
-            .make_with_threshold =
-                [this](float t) {
-                  return std::shared_ptr<const Classifier>(
-                      load_classifier(*net, {.threshold = t}));
-                },
+    return {.monitor = &monitor, .swappable = swappable.get(),
             .net = net.get()};
   }
 
@@ -332,20 +312,77 @@ TEST(AdaptationControllerTest, RetrainRespectsTheLifetimeCap) {
   EXPECT_EQ(controller.status().retrains, 0u);
 }
 
+TEST(AdaptationControllerTest,
+     RecalibrationAfterRetrainKeepsTheRetrainedWeights) {
+  // Stage 1 re-cuts the model that serves. After a promoted retrain that is
+  // the fine-tuned net, so a later recalibration must not bring back the
+  // weights the controller started with.
+  RetrainRig rig;
+  AdaptConfig cfg = fast_config();
+  cfg.eval_ms = 1000;    // room to clear the candidate's alarm in time
+  cfg.max_retrains = 1;  // the second episode can only recalibrate
+  AdaptationController controller(cfg, rig.hooks());
+  rig.fill_buffer(controller);
+
+  drive_alarm(rig.monitor);
+  ASSERT_TRUE(wait_for([&] { return controller.status().retrains >= 1; }));
+  drive_clear(rig.monitor);
+  ASSERT_TRUE(wait_for([&] {
+    return controller.status().state == AdaptState::kObserve;
+  }));
+  const std::shared_ptr<const Classifier> retrained = rig.swappable->current();
+
+  rig.fill_buffer(controller);
+  drive_alarm(rig.monitor);
+  ASSERT_TRUE(
+      wait_for([&] { return controller.status().recalibrations >= 2; }));
+  EXPECT_EQ(controller.status().rollbacks, 0u);
+
+  const std::vector<WaferMap> probes = {
+      rig.data[0].map, rig.data[1].map, rig.data[2].map, rig.data[3].map,
+      rig.data[4].map, rig.data[5].map, rig.data[6].map, rig.data[7].map};
+  const auto original = load_classifier(*rig.net)->predict_batch(probes);
+  const auto expected = retrained->predict_batch(probes);
+  const auto served = rig.swappable->current()->predict_batch(probes);
+  int moved = 0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(served[i].g, expected[i].g) << "probe " << i;
+    moved += original[i].g != expected[i].g ? 1 : 0;
+  }
+  EXPECT_GT(moved, 0) << "the retrain moved no probe's g; the test is moot";
+}
+
+TEST(AdaptationControllerTest, SkipsRecalibrationWhenTheModelCannotBeReCut) {
+  /// A classifier with no threshold to move.
+  class Plain final : public Classifier {
+   public:
+    std::vector<SelectivePrediction> predict_batch(
+        std::span<const WaferMap> maps) const override {
+      return std::vector<SelectivePrediction>(maps.size(), pred(0, true, 0.9f));
+    }
+    int num_classes() const override { return 9; }
+  };
+  serve::SelectiveMonitor monitor(test_monitor_options());
+  serve::SwappableClassifier swappable(std::make_shared<Plain>());
+  AdaptationController controller(
+      fast_config(), {.monitor = &monitor, .swappable = &swappable});
+  for (int i = 0; i < 12; ++i) {
+    controller.buffer().on_sample(small_map(i), pred(0, false, 0.3f));
+  }
+
+  drive_alarm(monitor);
+  ASSERT_TRUE(wait_for([&] { return controller.status().skips >= 2; }));
+  EXPECT_EQ(controller.status().recalibrations, 0u);
+  EXPECT_EQ(swappable.version(), 1u);
+}
+
 TEST(AdaptationControllerTest, NoNetMeansRecalibrateOnlyLoop) {
   serve::SelectiveMonitor monitor(test_monitor_options());
   serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
   AdaptConfig cfg = fast_config();
   cfg.eval_ms = 100;
   AdaptationController controller(
-      cfg, {.monitor = &monitor,
-            .swappable = &swappable,
-            .make_with_threshold =
-                [](float t) {
-                  return std::shared_ptr<const Classifier>(
-                      std::make_shared<FakeClassifier>(t));
-                },
-            .net = nullptr});
+      cfg, {.monitor = &monitor, .swappable = &swappable, .net = nullptr});
   for (int i = 0; i < 12; ++i) {
     controller.buffer().on_sample(small_map(i), pred(0, false, 0.3f));
   }
@@ -359,32 +396,26 @@ TEST(AdaptationControllerTest, NoNetMeansRecalibrateOnlyLoop) {
 }
 
 TEST(AdaptationControllerTest, ThrowingStageNeverKillsTheWorker) {
-  // make_with_threshold re-reads model state that can be mid-write in real
-  // deployments (wm_tool serve reloads the model file); an exception
-  // escaping the worker thread would std::terminate the whole serving
-  // process. The loop must log adapt_error, survive, and succeed on a
-  // later pass once the hook recovers.
+  // Any step of a stage can throw on the worker thread (here the served
+  // classifier refuses its re-cut); an exception escaping the worker would
+  // std::terminate the whole serving process. The loop must log
+  // adapt_error, survive, and succeed on a later pass once the re-cut
+  // recovers.
   serve::SelectiveMonitor monitor(test_monitor_options());
-  serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
+  std::atomic<int> calls{0};
+  serve::SwappableClassifier swappable(
+      std::make_shared<FakeClassifier>(0.5f, [&](float) {
+        if (calls.fetch_add(1) < 2) throw Error("re-cut refused");
+      }));
   const std::string log_path =
       ::testing::TempDir() + "wm_adapt_error_test.jsonl";
   std::remove(log_path.c_str());
   obs::RunLog log(log_path);
 
-  std::atomic<int> calls{0};
   {
     AdaptationController controller(
         fast_config(),
-        {.monitor = &monitor,
-         .swappable = &swappable,
-         .make_with_threshold =
-             [&](float t) -> std::shared_ptr<const Classifier> {
-               if (calls.fetch_add(1) < 2) {
-                 throw Error("model file torn mid-write");
-               }
-               return std::make_shared<FakeClassifier>(t);
-             },
-         .run_log = &log});
+        {.monitor = &monitor, .swappable = &swappable, .run_log = &log});
     for (int i = 0; i < 12; ++i) {
       controller.buffer().on_sample(small_map(i), pred(0, false, 0.3f));
     }
@@ -392,7 +423,7 @@ TEST(AdaptationControllerTest, ThrowingStageNeverKillsTheWorker) {
     drive_alarm(monitor);
     ASSERT_TRUE(
         wait_for([&] { return controller.status().recalibrations >= 1; }))
-        << "worker never recovered from the throwing hook";
+        << "worker never recovered from the throwing re-cut";
     EXPECT_GE(calls.load(), 3);
     EXPECT_GE(controller.status().skips, 2u);  // the throws count as skips
     EXPECT_GE(swappable.version(), 2u);  // the recovered pass really swapped
@@ -404,7 +435,7 @@ TEST(AdaptationControllerTest, ThrowingStageNeverKillsTheWorker) {
   while (std::getline(in, line)) {
     if (line.find("\"event\":\"adapt_error\"") != std::string::npos) {
       ++errors;
-      EXPECT_NE(line.find("torn mid-write"), std::string::npos);
+      EXPECT_NE(line.find("re-cut refused"), std::string::npos);
     }
   }
   std::remove(log_path.c_str());
@@ -417,13 +448,7 @@ TEST(AdaptationControllerTest, RecordOutcomeUpgradesTheTapEntry) {
   serve::SelectiveMonitor monitor(mopts);
   serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
   AdaptationController controller(
-      fast_config(),
-      {.monitor = &monitor,
-       .swappable = &swappable,
-       .make_with_threshold = [](float t) {
-         return std::shared_ptr<const Classifier>(
-             std::make_shared<FakeClassifier>(t));
-       }});
+      fast_config(), {.monitor = &monitor, .swappable = &swappable});
 
   // The serving path taps the wafer; the later ground-truth feedback must
   // upgrade that entry, not add a second copy of the same wafer.
@@ -443,13 +468,7 @@ TEST(AdaptationControllerTest, DestructionUnderActiveAlarmIsClean) {
   serve::SwappableClassifier swappable(std::make_shared<FakeClassifier>());
   {
     AdaptationController controller(
-        fast_config(),
-        {.monitor = &monitor,
-         .swappable = &swappable,
-         .make_with_threshold = [](float t) {
-           return std::shared_ptr<const Classifier>(
-               std::make_shared<FakeClassifier>(t));
-         }});
+        fast_config(), {.monitor = &monitor, .swappable = &swappable});
     drive_alarm(monitor);
     // Destroy mid-episode: the destructor must unhook and join promptly.
   }

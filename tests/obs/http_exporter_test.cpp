@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "obs/json_check.hpp"
 #include "obs/metrics.hpp"
 
@@ -207,20 +206,6 @@ TEST(HttpExporterTest, BindingAnInUsePortThrowsIoError) {
   HttpExporter first({.registry = &registry});
   EXPECT_THROW(HttpExporter({.port = first.port(), .registry = &registry}),
                IoError);
-}
-
-TEST(HttpExporterTest, PortFromEnvIsHardened) {
-  const LogLevel level_before = log_level();
-  set_log_level(LogLevel::Off);  // the malformed cases warn by design
-  ::setenv("WM_HTTP_PORT", "9137", 1);
-  EXPECT_EQ(HttpExporter::port_from_env(), std::optional<int>(9137));
-  ::setenv("WM_HTTP_PORT", "not-a-port", 1);
-  EXPECT_EQ(HttpExporter::port_from_env(), std::nullopt);
-  ::setenv("WM_HTTP_PORT", "70000", 1);
-  EXPECT_EQ(HttpExporter::port_from_env(), std::nullopt);
-  ::unsetenv("WM_HTTP_PORT");
-  EXPECT_EQ(HttpExporter::port_from_env(), std::nullopt);
-  set_log_level(level_before);
 }
 
 }  // namespace

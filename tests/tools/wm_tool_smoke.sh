@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the wm_tool CLI: generate -> train -> evaluate ->
-# classify -> quantize -> quantized evaluate/classify -> render on a
+# classify -> quantize -> quantized evaluate/classify -> render -> serve on a
 # throwaway dataset.
 set -euo pipefail
 
@@ -37,6 +37,24 @@ grep -q '"event":"epoch"' "$WORK/run.jsonl"
   --wafer "$WORK/data/wafer_0.pgm" | grep -Eq "ABSTAIN|g="
 
 "$WM_TOOL" render --wafer "$WORK/data/wafer_0.pgm" | grep -q "dies"
+
+# One second of serving with the adaptation loop and an exporter attached,
+# every port ephemeral.
+"$WM_TOOL" serve --model "$WORK/m.wsn" --port 0 --http-port 0 --seconds 1 \
+  --adapt > "$WORK/serve.txt"
+grep -q "2 workers" "$WORK/serve.txt"
+grep -q "adapt: state OBSERVE" "$WORK/serve.txt"
+
+# A serve or adapt setting outside its range is refused before serving.
+for bad in "--adapt-min-samples 0" "--adapt-epochs 0" "--adapt-buffer 4" \
+  "--max-batch 5000" "--queue-capacity 2000000"; do
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  if "$WM_TOOL" serve --model "$WORK/m.wsn" --port 0 --seconds 1 --adapt \
+    $bad >/dev/null 2>&1; then
+    echo "serve accepted $bad" >&2
+    exit 1
+  fi
+done
 
 # Unknown command and missing flags must fail cleanly.
 if "$WM_TOOL" bogus >/dev/null 2>&1; then exit 1; fi

@@ -58,16 +58,15 @@
 //
 //   wm_tool serve --model FILE [--port P] [--threshold T] [--max-batch N]
 //                 [--queue-capacity Q] [--workers W] [--seconds S]
-//                 [--model-watch [MS]]
+//                 [--model-watch [MS]] [--adapt [--adapt-* N]...]
 //       Serve a trained model over the wm_net TCP wire protocol through the
 //       micro-batching engine (drive it with tools/loadgen or net::Client).
-//       Every knob resolves through serve::ServerConfig with one precedence
-//       rule — explicit flag > WM_SERVE_* env var > default — so --port
-//       falls back to WM_SERVE_PORT then an ephemeral port, the backlog to
-//       WM_SERVE_BACKLOG, batching to WM_SERVE_MAX_BATCH /
-//       WM_SERVE_QUEUE_CAPACITY. A batch is whatever queued during the
-//       previous forward, up to --max-batch. Runs until SIGINT/SIGTERM, or
-//       exits on its own after --seconds S.
+//       The flags fill a serve::ServerConfig, and a value outside its range
+//       is an error: --port 0..65535 (default 0, an ephemeral port),
+//       --workers 1..256 (2), --max-batch 1..4096 (32), --queue-capacity
+//       1..10^6 (256). A batch is whatever queued during the previous
+//       forward, up to --max-batch. Runs until SIGINT/SIGTERM, or exits on
+//       its own after --seconds S.
 //
 //       --model-watch polls the model file's mtime (every MS milliseconds,
 //       default 2000) and hot-swaps new weights in with zero downtime: the
@@ -83,10 +82,12 @@
 //       re-fit the abstention threshold on recent traffic first; escalate
 //       to a CAE-assisted fine-tune of the (fp32) model when re-fitting
 //       cannot clear the alarm — promoted through the same canary-verified
-//       hot-swap path. Quantized artifacts run recalibrate-only. Knobs
-//       (each also a WM_ADAPT_* env var): --adapt-cooldown-ms,
-//       --adapt-eval-ms, --adapt-epochs, --adapt-buffer,
-//       --adapt-min-samples, --adapt-augment-target.
+//       hot-swap path. Quantized artifacts run recalibrate-only. Its flags
+//       fill an adapt::AdaptConfig, range-checked like the ones above:
+//       --adapt-cooldown-ms 0..10^7 (default 5000), --adapt-eval-ms
+//       1..10^7 (2000), --adapt-epochs 1..1000 (4), --adapt-buffer
+//       16..10^6 (1024), --adapt-min-samples 8..10^6 (64),
+//       --adapt-augment-target 0..10^5 (0, off).
 //
 // Observability flags, valid with every subcommand:
 //
@@ -97,9 +98,8 @@
 //   --run-log FILE   Append per-epoch training events to FILE as JSONL
 //                    (same as the WM_RUN_LOG env var).
 //   --http-port P    Serve the global registry over HTTP for the command's
-//                    duration: /metrics, /metrics.json, /healthz. Port 0
-//                    picks an ephemeral port; the WM_HTTP_PORT env var is
-//                    the fallback when the flag is absent.
+//                    duration: /metrics, /metrics.json, /healthz. P is in
+//                    0..65535; 0 picks an ephemeral port.
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -175,6 +175,16 @@ class Args {
   int get_int(const std::string& key, int fallback) const {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : parse_int(it->second, "--" + key);
+  }
+  /// An integer flag that must lie in [lo, hi]; `fallback` when absent.
+  template <typename T>
+  T get_int(const std::string& key, T fallback, std::int64_t lo,
+            std::int64_t hi) const {
+    if (!has(key)) return fallback;
+    const int v = get_int(key, 0);
+    WM_CHECK(v >= lo && v <= hi, "--", key, " must be in [", lo, ", ", hi,
+             "], got ", v);
+    return static_cast<T>(v);
   }
   double get_double(const std::string& key, double fallback) const {
     auto it = values_.find(key);
@@ -366,16 +376,12 @@ int cmd_serve(const Args& args) {
       load_classifier(model_path, {.threshold = threshold});
   const int map_size = model->map_size();
 
-  // One aggregated config: explicit flags beat WM_SERVE_* / WM_HTTP_* env
-  // vars beat defaults (serve::ServerConfig).
   serve::ServerConfig cfg;
-  if (args.has("port")) cfg.port = args.get_int("port", 0);
-  if (args.has("workers")) cfg.workers = args.get_int("workers", 2);
-  if (args.has("max-batch")) cfg.max_batch = args.get_int("max-batch", 32);
-  if (args.has("queue-capacity")) {
-    cfg.queue_capacity =
-        static_cast<std::size_t>(args.get_int("queue-capacity", 256));
-  }
+  cfg.port = args.get_int("port", cfg.port, 0, 65535);
+  cfg.workers = args.get_int("workers", cfg.workers, 1, 256);
+  cfg.max_batch = args.get_int("max-batch", cfg.max_batch, 1, 4096);
+  cfg.queue_capacity =
+      args.get_int("queue-capacity", cfg.queue_capacity, 1, 1'000'000);
 
   serve::MonitorOptions mopts;
   mopts.target_coverage = args.get_double("c0", 0.5);
@@ -389,31 +395,22 @@ int cmd_serve(const Args& args) {
 
   // --adapt closes the loop: drift alarms drive threshold re-fits (and,
   // given an fp32 model, fine-tunes) that promote through the same swap
-  // path --model-watch uses. Knobs resolve flag > WM_ADAPT_* env > default.
+  // path --model-watch uses.
   std::unique_ptr<selective::SelectiveNet> adapt_net;
   std::unique_ptr<adapt::AdaptationController> controller;
   if (args.has("adapt")) {
     adapt::AdaptConfig acfg;
-    if (args.has("adapt-cooldown-ms")) {
-      acfg.cooldown_ms = args.get_int("adapt-cooldown-ms", 5000);
-    }
-    if (args.has("adapt-eval-ms")) {
-      acfg.eval_ms = args.get_int("adapt-eval-ms", 2000);
-    }
-    if (args.has("adapt-epochs")) {
-      acfg.fine_tune_epochs = args.get_int("adapt-epochs", 4);
-    }
-    if (args.has("adapt-buffer")) {
-      acfg.buffer_capacity =
-          static_cast<std::size_t>(args.get_int("adapt-buffer", 1024));
-    }
-    if (args.has("adapt-min-samples")) {
-      acfg.min_samples =
-          static_cast<std::size_t>(args.get_int("adapt-min-samples", 64));
-    }
-    if (args.has("adapt-augment-target")) {
-      acfg.augment_target = args.get_int("adapt-augment-target", 0);
-    }
+    acfg.cooldown_ms =
+        args.get_int("adapt-cooldown-ms", acfg.cooldown_ms, 0, 10'000'000);
+    acfg.eval_ms = args.get_int("adapt-eval-ms", acfg.eval_ms, 1, 10'000'000);
+    acfg.fine_tune_epochs =
+        args.get_int("adapt-epochs", acfg.fine_tune_epochs, 1, 1000);
+    acfg.buffer_capacity =
+        args.get_int("adapt-buffer", acfg.buffer_capacity, 16, 1'000'000);
+    acfg.min_samples =
+        args.get_int("adapt-min-samples", acfg.min_samples, 8, 1'000'000);
+    acfg.augment_target =
+        args.get_int("adapt-augment-target", acfg.augment_target, 0, 100'000);
     // Stage 2 needs fp32 weights to clone + fine-tune; a quantized artifact
     // runs the loop recalibrate-only (the controller logs the skipped
     // escalation as adapt_skip reason=no_net).
@@ -428,11 +425,6 @@ int cmd_serve(const Args& args) {
         adapt::AdaptHooks{
             .monitor = &monitor,
             .swappable = &swappable,
-            .make_with_threshold =
-                [model_path](float t) {
-                  return std::shared_ptr<const Classifier>(
-                      load_classifier(model_path, {.threshold = t}));
-                },
             .net = adapt_net.get(),
             .canaries = swap_canaries(map_size),
             .registry = &obs::Registry::global()});
@@ -446,7 +438,7 @@ int cmd_serve(const Args& args) {
   std::printf("serving %s%s on tcp://127.0.0.1:%d "
               "(map %d, tau %.2f, %d workers, version %llu)\n",
               model_path.c_str(), model->is_quantized() ? " [int8]" : "",
-              server.port(), map_size, threshold, cfg.resolve().workers,
+              server.port(), map_size, threshold, cfg.workers,
               static_cast<unsigned long long>(swappable.version()));
 
   const bool watch = args.has("model-watch");
@@ -740,15 +732,12 @@ int main(int argc, char** argv) {
     const std::string run_log_path = args.get("run-log", "");
     if (!run_log_path.empty()) obs::set_run_log_path(run_log_path);
 
-    // Live scrape surface for the command's duration: --http-port wins,
-    // WM_HTTP_PORT is the fallback, neither = no server.
+    // Live scrape surface for the command's duration; no --http-port = no
+    // server.
     std::unique_ptr<obs::HttpExporter> exporter;
-    std::optional<int> http_port;
-    if (args.has("http-port")) http_port = args.get_int("http-port", 0);
-    else http_port = obs::HttpExporter::port_from_env();
-    if (http_port) {
-      exporter = std::make_unique<obs::HttpExporter>(
-          obs::HttpExporterOptions{.port = *http_port});
+    if (args.has("http-port")) {
+      exporter = std::make_unique<obs::HttpExporter>(obs::HttpExporterOptions{
+          .port = args.get_int("http-port", 0, 0, 65535)});
       std::printf("serving metrics on http://127.0.0.1:%d/metrics\n",
                   exporter->port());
     }
