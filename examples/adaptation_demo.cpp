@@ -177,7 +177,6 @@ int main() {
     adapt::AdaptationController controller(
         cfg, {.monitor = &monitor,
               .swappable = &swappable,
-              .net = &net,
               .canaries = canaries,
               .registry = &reg});
 
@@ -263,7 +262,6 @@ int main() {
     adapt::AdaptationController controller(
         cfg, {.monitor = &monitor,
               .swappable = &swappable,
-              .net = &net,
               .canaries = canaries,
               .registry = &reg});
 

@@ -317,7 +317,14 @@ bool AdaptationController::do_recalibrate() {
 }
 
 bool AdaptationController::do_retrain() {
-  if (hooks_.net == nullptr) {
+  // Fine-tune what serves now, as stage 1 re-cuts it: after a promoted
+  // retrain or a reload that is not the net the controller started with.
+  // The incumbent serves untouched until the swap.
+  const auto incumbent = std::dynamic_pointer_cast<const LoadedClassifier>(
+      hooks_.swappable->current());
+  std::unique_ptr<selective::SelectiveNet> candidate_net =
+      incumbent != nullptr ? incumbent->clone_net() : nullptr;
+  if (candidate_net == nullptr) {
     skip("no_net");
     return false;
   }
@@ -365,7 +372,7 @@ bool AdaptationController::do_retrain() {
     plo.cae.map_size = map_size;
     plo.cae_training.epochs = cfg_.cae_epochs;
     plo.cae_training.run_log = &run_log_;
-    plo.num_classes = hooks_.net->options().num_classes;
+    plo.num_classes = candidate_net->options().num_classes;
     const PseudoLabelResult pl =
         pseudo_label(labeled, unlabeled, plo, rng_);
     for (std::size_t i = 0; i < unlabeled.size(); ++i) {
@@ -394,8 +401,6 @@ bool AdaptationController::do_retrain() {
   }
   stats.samples = fine_set.size();
 
-  // Fine-tune a clone; the incumbent serves untouched until the swap.
-  std::unique_ptr<selective::SelectiveNet> candidate_net = hooks_.net->clone();
   selective::TrainerOptions to;
   to.epochs = cfg_.fine_tune_epochs;
   to.batch_size = cfg_.fine_tune_batch;

@@ -20,7 +20,8 @@
 //   * Stage 2, RETRAIN: when the alarm survives the post-recalibration
 //     evaluation window (thresholding cannot fix risk drift: wrong-but-
 //     confident predictions stay selected at any sane cut), fine-tune a
-//     CLONE of the serving net on the buffered traffic — ground-truth
+//     CLONE of the serving fp32 weights (LoadedClassifier::clone_net) on
+//     the buffered traffic — ground-truth
 //     labels where record_outcome provided them, CAE latent nearest-
 //     centroid pseudo-labels (arXiv 2311.12840) for the rest, optionally
 //     re-augmented with the paper's Algorithm-1 CAE pipeline — re-fit the
@@ -54,7 +55,6 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_log.hpp"
-#include "selective/selective_net.hpp"
 #include "serve/hot_swap.hpp"
 #include "serve/monitor.hpp"
 
@@ -75,14 +75,13 @@ struct AdaptHooks {
   /// Alarm source; also provides the target coverage. Required.
   serve::SelectiveMonitor* monitor = nullptr;
   /// Promotion path (the engine serves through this wrapper). Required.
-  /// Stage 1 re-cuts the classifier it serves, so that must be a
-  /// LoadedClassifier; anything else skips stage 1 (adapt_skip reason
-  /// no_threshold).
+  /// Both stages act on the classifier it serves, so that must be a
+  /// LoadedClassifier: stage 1 re-cuts it, stage 2 fine-tunes a clone of
+  /// its fp32 weights. Anything else skips stage 1 (adapt_skip reason
+  /// no_threshold); an int8 model, or one that is not a LoadedClassifier,
+  /// skips stage 2 (no_net), so the controller stays a recalibrate-only
+  /// loop.
   serve::SwappableClassifier* swappable = nullptr;
-  /// The serving fp32 net stage 2 clones and fine-tunes. nullptr = stage 2
-  /// unavailable (e.g. a quantized-only deployment): the controller stays a
-  /// recalibrate-only loop and logs the skipped escalation.
-  const selective::SelectiveNet* net = nullptr;
   /// Canary wafers for swap_to verification (may be empty: swap unverified).
   std::vector<WaferMap> canaries{};
   /// Instruments registry. nullptr = controller-private.

@@ -1,32 +1,43 @@
 #include "eval/experiments.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/string_util.hpp"
 #include "selective/calibrate.hpp"
 
 namespace wm::eval {
 
-ExperimentConfig ExperimentConfig::from_env() {
-  ExperimentConfig config;
-  const double scale = bench_scale();
-  Config env;
-  config.map_size = env.get_int("map_size", config.map_size);
-  config.data_scale = env.get_double("data_scale", config.data_scale * scale);
-  config.augment_target = env.get_int(
-      "augment_target", scaled(config.augment_target, scale, /*min_value=*/20));
-  config.trainer.epochs = env.get_int("epochs", 12);
-  config.trainer.lambda = env.get_double("lambda", config.trainer.lambda);
-  config.trainer.batch_size = env.get_int("batch_size", config.trainer.batch_size);
-  config.seed = static_cast<std::uint64_t>(env.get_int("seed", 2020));
-  config.augment = env.get_bool("augment", config.augment);
-  return config;
+namespace {
+
+// The WM_* experiment overrides: an unset variable keeps `fallback`, a
+// malformed one throws InvalidArgument naming the variable.
+int int_from_env(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? parse_int(v, name) : fallback;
 }
 
-namespace {
+double double_from_env(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? parse_double(v, name) : fallback;
+}
+
+bool bool_from_env(const char* name, bool fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  std::string s = v;
+  std::transform(s.begin(), s.end(), s.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
+  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
+  throw InvalidArgument(std::string(name) + " is not a bool: " + v);
+}
 
 void apply_config(const ExperimentConfig& in, ExperimentConfig& out) {
   out = in;
@@ -34,14 +45,31 @@ void apply_config(const ExperimentConfig& in, ExperimentConfig& out) {
   out.net.num_classes = kNumDefectTypes;
   // BatchNorm is this reproduction's concession to the reduced epoch budget
   // (DESIGN.md §1); WM_BATCHNORM=0 restores the paper's exact Table I trunk.
-  Config env;
-  out.net.use_batchnorm = env.get_bool("batchnorm", true);
+  out.net.use_batchnorm = bool_from_env("WM_BATCHNORM", true);
   out.augmentation.target_per_class = in.augment_target;
   out.augmentation.synthetic_weight = in.synthetic_weight;
   out.augmentation.cae.map_size = in.map_size;
 }
 
 }  // namespace
+
+ExperimentConfig ExperimentConfig::from_env() {
+  ExperimentConfig config;
+  const double scale = bench_scale();
+  config.map_size = int_from_env("WM_MAP_SIZE", config.map_size);
+  config.data_scale =
+      double_from_env("WM_DATA_SCALE", config.data_scale * scale);
+  config.augment_target =
+      int_from_env("WM_AUGMENT_TARGET",
+                   scaled(config.augment_target, scale, /*min_value=*/20));
+  config.trainer.epochs = int_from_env("WM_EPOCHS", 12);
+  config.trainer.lambda = double_from_env("WM_LAMBDA", config.trainer.lambda);
+  config.trainer.batch_size =
+      int_from_env("WM_BATCH_SIZE", config.trainer.batch_size);
+  config.seed = static_cast<std::uint64_t>(int_from_env("WM_SEED", 2020));
+  config.augment = bool_from_env("WM_AUGMENT", config.augment);
+  return config;
+}
 
 ExperimentData prepare_data(const ExperimentConfig& config) {
   const auto train_counts =

@@ -150,9 +150,6 @@ void HttpExporter::handle_connection(int fd) {
                     : make_response(503, "Service Unavailable",
                                     "application/json",
                                     "{\"status\":\"fail\"}\n");
-    } else if (path == "/stats" && opts_.stats_source) {
-      response = make_response(200, "OK", "text/plain; charset=utf-8",
-                               opts_.stats_source());
     } else {
       const HttpRoute* route = nullptr;
       for (const HttpRoute& r : opts_.routes) {

@@ -9,9 +9,6 @@
 //   GET /metrics.json   the same registry as one JSON object
 //   GET /healthz        {"status":"ok"} (503 + "fail" if the health
 //                       callback reports unhealthy)
-//   GET /stats          free-form text snapshot from the stats callback
-//                       (e.g. InferenceEngine + SelectiveMonitor dumps);
-//                       404 when no callback is configured
 //
 // Anything else is 404; any method but GET is 405. Connections are handled
 // one at a time on the listener thread (bounded accept loop — concurrent
@@ -61,8 +58,6 @@ struct HttpExporterOptions {
   /// Registry served by /metrics and /metrics.json. nullptr = the
   /// process-wide Registry::global().
   Registry* registry = nullptr;
-  /// Body of GET /stats (text/plain). No callback = /stats is 404.
-  std::function<std::string()> stats_source = nullptr;
   /// Health probe behind /healthz; default = always healthy.
   std::function<bool()> healthy = nullptr;
   /// Additional GET endpoints (the collector mounts /fleet and /dashboard

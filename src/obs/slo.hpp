@@ -21,10 +21,11 @@
 // regressions and a slow window that filters blips (Google SRE multi-window
 // multi-burn-rate alerting). The alarm fires only when BOTH windows exceed
 // fire_burn for fire_count consecutive ticks, and clears only after both
-// stay under clear_fraction x fire_burn for clear_count ticks — the same
-// exceed-to-fire / hysteretic-clear discipline serve::SelectiveMonitor uses
-// for drift alarms, so the two alert sources behave identically under
-// flapping inputs.
+// stay under clear_fraction x fire_burn for clear_count ticks.
+// serve::SelectiveMonitor's drift alarm has the same clear_fraction band but
+// no streaks — it fires and clears on a single update — so under flapping
+// inputs the monitor's alarm toggles with each crossing while this engine
+// waits out fire_count / clear_count ticks.
 //
 // Side effects per tick: wm_slo_<rule>_burn_fast/_burn_slow/_firing gauges,
 // wm_slo_fires_total / wm_slo_clears_total counters, slo_burn / slo_clear

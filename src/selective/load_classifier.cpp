@@ -13,12 +13,14 @@ namespace wm {
 namespace {
 
 /// The selective classifier over a compiled InferencePlan of either
-/// precision. It shares the plan with its re-cuts and references no net.
+/// precision. It shares the plan, and the fp32 weights the plan was compiled
+/// from, with its re-cuts.
 class PlanClassifier final : public LoadedClassifier {
  public:
   PlanClassifier(std::shared_ptr<const selective::InferencePlan> plan,
+                 std::shared_ptr<const selective::SelectiveNet> net,
                  const ClassifierLoadOptions& opts)
-      : plan_(std::move(plan)), opts_(opts) {
+      : plan_(std::move(plan)), net_(std::move(net)), opts_(opts) {
     WM_CHECK(!std::isnan(opts.threshold) && opts.threshold >= 0.0f &&
                  opts.threshold <= 1.0f,
              "threshold out of [0,1]");
@@ -38,20 +40,27 @@ class PlanClassifier final : public LoadedClassifier {
   std::unique_ptr<LoadedClassifier> with_threshold(float tau) const override {
     ClassifierLoadOptions opts = opts_;
     opts.threshold = tau;
-    return std::make_unique<PlanClassifier>(plan_, opts);
+    return std::make_unique<PlanClassifier>(plan_, net_, opts);
+  }
+  std::unique_ptr<selective::SelectiveNet> clone_net() const override {
+    return net_ != nullptr ? net_->clone() : nullptr;
   }
 
  private:
   const std::shared_ptr<const selective::InferencePlan> plan_;
+  /// nullptr when the plan is int8.
+  const std::shared_ptr<const selective::SelectiveNet> net_;
   ClassifierLoadOptions opts_;
 };
 
-/// Compiles the net into a plan the classifier owns; the net is not kept.
-template <typename Net>
-std::unique_ptr<LoadedClassifier> compiled(const Net& net,
-                                           const ClassifierLoadOptions& opts) {
-  return std::make_unique<PlanClassifier>(
-      std::make_shared<const selective::InferencePlan>(net), opts);
+/// Compiles the fp32 net into a plan; the classifier keeps both. `net` must
+/// hold no forward caches: a freshly loaded net or a clone.
+std::unique_ptr<LoadedClassifier> compiled(
+    std::shared_ptr<const selective::SelectiveNet> net,
+    const ClassifierLoadOptions& opts) {
+  auto plan = std::make_shared<const selective::InferencePlan>(*net);
+  return std::make_unique<PlanClassifier>(std::move(plan), std::move(net),
+                                          opts);
 }
 
 }  // namespace
@@ -59,27 +68,28 @@ std::unique_ptr<LoadedClassifier> compiled(const Net& net,
 std::unique_ptr<LoadedClassifier> load_classifier(
     const std::string& path, const ClassifierLoadOptions& opts) {
   if (selective::probe_model_file(path) == selective::ModelFileKind::kFloat) {
-    return compiled(*selective::load_model(path), opts);
+    return compiled(selective::load_model(path), opts);
   }
-  return compiled(*selective::load_quantized_model(path), opts);
+  return load_classifier(*selective::load_quantized_model(path), opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::SelectiveNet& net, const ClassifierLoadOptions& opts) {
-  return compiled(net, opts);
+  return compiled(net.clone(), opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts) {
   WM_CHECK(net != nullptr, "load_classifier: null net");
-  return compiled(*net, opts);
+  return load_classifier(*net, opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::QuantizedSelectiveNet& net,
     const ClassifierLoadOptions& opts) {
-  return compiled(net, opts);
+  return std::make_unique<PlanClassifier>(
+      std::make_shared<const selective::InferencePlan>(net), nullptr, opts);
 }
 
 }  // namespace wm

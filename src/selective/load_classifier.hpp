@@ -21,13 +21,15 @@
 // results are bit-identical for any thread count and batch grouping.
 //
 // Ownership: a net of either precision is compiled into a
-// selective::InferencePlan at load time, and the classifier keeps the plan,
-// not the net. Every overload therefore copies what it needs: the caller may
-// destroy or keep training its net afterwards without changing the
-// classifier's predictions (load again to serve new weights).
-// with_threshold() re-cuts a classifier without compiling anything: the
-// plan is const and reentrant, so the re-cut classifier shares it and keeps
-// it alive for as long as either serves.
+// selective::InferencePlan at load time. An fp32 classifier also keeps the
+// weights it was compiled from, so clone_net() can hand a trainable copy of
+// exactly what serves to the adaptation loop; an int8 one keeps only the
+// plan. Every overload copies or takes what it keeps: the caller may destroy
+// or keep training its net afterwards without changing the classifier's
+// predictions (load again to serve new weights). with_threshold() re-cuts a
+// classifier without compiling anything: the plan and the kept weights are
+// const, so the re-cut classifier shares both and keeps them alive for as
+// long as either serves.
 #pragma once
 
 #include <memory>
@@ -48,8 +50,8 @@ struct ClassifierLoadOptions {
   int eval_batch = 256;
 };
 
-/// A Classifier that carries its compiled model (an fp32 or int8 plan) plus
-/// artifact metadata.
+/// A Classifier that carries its compiled model (an fp32 or int8 plan), the
+/// fp32 weights behind an fp32 plan, plus artifact metadata.
 class LoadedClassifier : public Classifier {
  public:
   /// Wafer edge length the model was trained for (resize inputs to this).
@@ -62,6 +64,10 @@ class LoadedClassifier : public Classifier {
   /// classifier's plan. Throws wm::InvalidArgument when `tau` is outside
   /// [0, 1].
   virtual std::unique_ptr<LoadedClassifier> with_threshold(float tau) const = 0;
+  /// A trainable copy of the fp32 weights this classifier was compiled
+  /// from, or nullptr when an int8 plan serves. Training the copy leaves
+  /// this classifier's predictions unchanged.
+  virtual std::unique_ptr<selective::SelectiveNet> clone_net() const = 0;
 };
 
 /// Loads a model file of either version (WSN1 fp32 / WSN2 quantized),
@@ -72,14 +78,16 @@ class LoadedClassifier : public Classifier {
 std::unique_ptr<LoadedClassifier> load_classifier(
     const std::string& path, const ClassifierLoadOptions& opts = {});
 
-/// Compiles an in-memory fp32 net as it is now; the classifier does not
-/// reference `net` afterwards.
+/// Compiles an in-memory fp32 net as it is now and keeps a clone of it; the
+/// classifier does not reference `net` afterwards.
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::SelectiveNet& net, const ClassifierLoadOptions& opts = {});
 
-/// Compiles an in-memory fp32 net and drops it. The drift-adaptation path
-/// builds hot-swap candidates this way: a fine-tuned clone goes in, a
-/// self-contained shared_ptr<const Classifier> comes out of swap_to's hands.
+/// Compiles an in-memory fp32 net, keeps a clone of its weights and drops
+/// the net, with the forward caches a trained net still holds (tens of MiB
+/// at a fine-tune's batch size). The drift-adaptation path builds hot-swap
+/// candidates this way: a fine-tuned clone goes in, a self-contained
+/// shared_ptr<const Classifier> comes out of swap_to's hands.
 std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts = {});

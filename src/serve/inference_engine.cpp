@@ -171,10 +171,6 @@ EngineStats InferenceEngine::stats() const {
   return s;
 }
 
-std::string InferenceEngine::stats_text() const {
-  return metrics_.prometheus_text();
-}
-
 void InferenceEngine::batcher_loop() {
   const auto max_batch = static_cast<std::size_t>(opts_.max_batch);
   for (;;) {

@@ -21,9 +21,8 @@
 // an engine-private registry, or into one you pass via
 // EngineOptions::registry (e.g. &obs::Registry::global() to merge with
 // trainer metrics in a single dump). stats() returns a consistent
-// EngineStats snapshot as before; stats_text() renders the registry in
-// Prometheus exposition format. Each flush is traced as a "serve.flush"
-// span (see obs/trace.hpp).
+// EngineStats snapshot as before; metrics_registry() is the registry to
+// dump. Each flush is traced as a "serve.flush" span (see obs/trace.hpp).
 //
 // Shutdown is drain-then-stop: shutdown() (and the destructor) rejects new
 // submissions, flushes everything already queued, then joins the batcher.
@@ -165,12 +164,9 @@ class InferenceEngine {
   /// Consistent snapshot of the counters.
   EngineStats stats() const;
 
-  /// Prometheus exposition dump of the engine's registry (every wm_serve_*
+  /// The registry holding this engine's instruments (every wm_serve_*
   /// instrument; plus whatever else lives there when a shared registry was
   /// passed in EngineOptions).
-  std::string stats_text() const;
-
-  /// The registry holding this engine's instruments.
   obs::Registry& metrics_registry() const { return metrics_; }
 
  private:

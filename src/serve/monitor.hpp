@@ -95,7 +95,7 @@ struct MonitorSnapshot {
   std::uint64_t alarms_total = 0;
   double target_coverage = 0.0;
 
-  /// Multi-line human-readable dump (the /stats endpoint's second half).
+  /// Multi-line human-readable dump.
   std::string to_string() const;
 };
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -44,9 +45,9 @@ WaferMap small_map(int variant) {
   return map;
 }
 
-/// Deterministic stand-in for the serving model. Its re-cuts call
-/// `on_recut` (which may throw) with the threshold the controller asked for,
-/// and carry the hook on.
+/// Deterministic stand-in for the serving model, with no fp32 weights to
+/// fine-tune. Its re-cuts call `on_recut` (which may throw) with the
+/// threshold the controller asked for, and carry the hook on.
 class FakeClassifier final : public LoadedClassifier {
  public:
   using RecutHook = std::function<void(float tau)>;
@@ -63,6 +64,9 @@ class FakeClassifier final : public LoadedClassifier {
   std::unique_ptr<LoadedClassifier> with_threshold(float tau) const override {
     if (on_recut_) on_recut_(tau);
     return std::make_unique<FakeClassifier>(tau, on_recut_);
+  }
+  std::unique_ptr<selective::SelectiveNet> clone_net() const override {
+    return nullptr;
   }
 
  private:
@@ -212,8 +216,9 @@ TEST(AdaptationControllerTest, RecordOutcomeFansOutToMonitorAndBuffer) {
   EXPECT_EQ(monitor.snapshot().outcomes, 1u);
 }
 
-/// Fixture for the stage-2 paths: a real (tiny) SelectiveNet is cloned and
-/// fine-tuned on labeled buffered wafers.
+/// Fixture for the stage-2 paths: the served classifier is compiled from a
+/// real (tiny) SelectiveNet, whose weights are cloned and fine-tuned on
+/// labeled buffered wafers.
 struct RetrainRig {
   serve::SelectiveMonitor monitor;
   Rng rng;
@@ -236,8 +241,14 @@ struct RetrainRig {
   }
 
   AdaptHooks hooks() {
-    return {.monitor = &monitor, .swappable = swappable.get(),
-            .net = net.get()};
+    return {.monitor = &monitor, .swappable = swappable.get()};
+  }
+
+  /// The rig's wafers, as probes of what serves.
+  std::vector<WaferMap> probes() const {
+    std::vector<WaferMap> maps;
+    for (std::size_t i = 0; i < data.size(); ++i) maps.push_back(data[i].map);
+    return maps;
   }
 
   /// Ground-truth-labeled buffer entries (what stage 2 fine-tunes on).
@@ -338,9 +349,7 @@ TEST(AdaptationControllerTest,
       wait_for([&] { return controller.status().recalibrations >= 2; }));
   EXPECT_EQ(controller.status().rollbacks, 0u);
 
-  const std::vector<WaferMap> probes = {
-      rig.data[0].map, rig.data[1].map, rig.data[2].map, rig.data[3].map,
-      rig.data[4].map, rig.data[5].map, rig.data[6].map, rig.data[7].map};
+  const std::vector<WaferMap> probes = rig.probes();
   const auto original = load_classifier(*rig.net)->predict_batch(probes);
   const auto expected = retrained->predict_batch(probes);
   const auto served = rig.swappable->current()->predict_batch(probes);
@@ -350,6 +359,44 @@ TEST(AdaptationControllerTest,
     moved += original[i].g != expected[i].g ? 1 : 0;
   }
   EXPECT_GT(moved, 0) << "the retrain moved no probe's g; the test is moot";
+}
+
+TEST(AdaptationControllerTest, RetrainFineTunesTheWeightsThatServe) {
+  // A reload (as `wm_tool serve --model-watch` makes) replaced the net the
+  // rig started with. Stage 2 must fine-tune the reloaded weights: at a
+  // learning rate too small to move them, the promoted candidate predicts
+  // as the reloaded net does, not as the original.
+  RetrainRig rig;
+  Rng reload_rng(99);
+  const selective::SelectiveNet reloaded(rig.net->options(), reload_rng);
+  rig.swappable->swap_to(load_classifier(reloaded, {.threshold = 0.5f}), {},
+                         "reload");
+  AdaptConfig cfg = fast_config();
+  cfg.eval_ms = 1000;  // room to clear the candidate's alarm in time
+  cfg.fine_tune_lr = 1e-9;
+  AdaptationController controller(cfg, rig.hooks());
+  rig.fill_buffer(controller);
+
+  drive_alarm(rig.monitor);
+  ASSERT_TRUE(wait_for([&] { return controller.status().retrains >= 1; }))
+      << "controller never escalated to stage 2";
+  drive_clear(rig.monitor);
+  ASSERT_TRUE(wait_for([&] {
+    return controller.status().state == AdaptState::kObserve;
+  }));
+  ASSERT_EQ(controller.status().rollbacks, 0u);
+
+  const std::vector<WaferMap> probes = rig.probes();
+  const auto served = rig.swappable->current()->predict_batch(probes);
+  const auto want = load_classifier(reloaded)->predict_batch(probes);
+  const auto original = load_classifier(*rig.net)->predict_batch(probes);
+  int off_original = 0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_NEAR(served[i].g, want[i].g, 1e-4) << "probe " << i;
+    EXPECT_EQ(served[i].label, want[i].label) << "probe " << i;
+    off_original += std::abs(served[i].g - original[i].g) > 1e-4f ? 1 : 0;
+  }
+  EXPECT_GT(off_original, 0) << "the served g matches the original net's";
 }
 
 TEST(AdaptationControllerTest, SkipsRecalibrationWhenTheModelCannotBeReCut) {
@@ -382,13 +429,13 @@ TEST(AdaptationControllerTest, NoNetMeansRecalibrateOnlyLoop) {
   AdaptConfig cfg = fast_config();
   cfg.eval_ms = 100;
   AdaptationController controller(
-      cfg, {.monitor = &monitor, .swappable = &swappable, .net = nullptr});
+      cfg, {.monitor = &monitor, .swappable = &swappable});
   for (int i = 0; i < 12; ++i) {
     controller.buffer().on_sample(small_map(i), pred(0, false, 0.3f));
   }
 
-  // With no fp32 net, escalation degrades to repeated re-fits; the loop
-  // must neither retrain nor crash.
+  // The served model has no fp32 weights, so escalation degrades to
+  // repeated re-fits; the loop must neither retrain nor crash.
   drive_alarm(monitor);
   ASSERT_TRUE(wait_for([&] { return controller.status().recalibrations >= 2; }));
   EXPECT_EQ(controller.status().retrains, 0u);

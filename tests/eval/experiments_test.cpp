@@ -98,6 +98,40 @@ TEST(ExperimentsTest, FromEnvRespectsOverrides) {
   ::unsetenv("WM_EPOCHS");
 }
 
+// ExperimentConfig::from_env parses each WM_* override as its field's type;
+// a malformed value throws instead of falling back to the default.
+TEST(ConfigTest, IntParsing) {
+  ::setenv("WM_SEED", "-42", 1);
+  EXPECT_EQ(ExperimentConfig::from_env().seed,
+            static_cast<std::uint64_t>(-42));
+  ::unsetenv("WM_SEED");
+  ::setenv("WM_EPOCHS", "12abc", 1);
+  EXPECT_THROW(ExperimentConfig::from_env(), InvalidArgument);
+  ::unsetenv("WM_EPOCHS");
+}
+
+TEST(ConfigTest, DoubleParsing) {
+  ::setenv("WM_LAMBDA", "2.5e-3", 1);
+  EXPECT_DOUBLE_EQ(ExperimentConfig::from_env().trainer.lambda, 2.5e-3);
+  ::setenv("WM_LAMBDA", "zz", 1);
+  EXPECT_THROW(ExperimentConfig::from_env(), InvalidArgument);
+  ::unsetenv("WM_LAMBDA");
+}
+
+TEST(ConfigTest, BoolParsing) {
+  for (const char* t : {"1", "true", "YES", "On"}) {
+    ::setenv("WM_AUGMENT", t, 1);
+    EXPECT_TRUE(ExperimentConfig::from_env().augment) << t;
+  }
+  for (const char* f : {"0", "false", "NO", "off"}) {
+    ::setenv("WM_AUGMENT", f, 1);
+    EXPECT_FALSE(ExperimentConfig::from_env().augment) << f;
+  }
+  ::setenv("WM_AUGMENT", "maybe", 1);
+  EXPECT_THROW(ExperimentConfig::from_env(), InvalidArgument);
+  ::unsetenv("WM_AUGMENT");
+}
+
 TEST(ExperimentsTest, FromEnvRejectsAScaleBeyondIntCounts) {
   // 1e300 is finite and > 0, so bench_scale() accepts it; the counts it
   // scales must then fail loudly instead of overflowing an int.

@@ -110,19 +110,6 @@ TEST(HttpExporterTest, HealthzDefaultsToOkWithoutCallback) {
   EXPECT_EQ(status_of(http_get_local(exporter.port(), "/healthz")), 200);
 }
 
-TEST(HttpExporterTest, StatsServesTheCallbackAnd404sWithoutOne) {
-  Registry registry;
-  {
-    HttpExporter exporter({.registry = &registry,
-                           .stats_source = [] { return "stats body here\n"; }});
-    const std::string response = http_get_local(exporter.port(), "/stats");
-    EXPECT_EQ(status_of(response), 200);
-    EXPECT_EQ(body_of(response), "stats body here\n");
-  }
-  HttpExporter bare({.registry = &registry});
-  EXPECT_EQ(status_of(http_get_local(bare.port(), "/stats")), 404);
-}
-
 TEST(HttpExporterTest, UnknownPathIs404AndQueryStringsAreIgnored) {
   Registry registry;
   HttpExporter exporter({.registry = &registry});

@@ -1,7 +1,8 @@
 // wm::load_classifier — the unified factory: format dispatch from the file
 // header, the in-memory overloads, artifact metadata, bit-equality between a
-// file load and the in-memory net it was saved from, and the ownership
-// contract of both precisions (the classifier copies what it needs at load).
+// file load and the in-memory net it was saved from, the ownership contract
+// of both precisions (the classifier copies what it needs at load), and
+// clone_net(), the trainable copy of the fp32 weights that serve.
 #include "selective/load_classifier.hpp"
 
 #include <unistd.h>
@@ -153,29 +154,60 @@ TEST_F(LoadClassifierTest, Int8ClassifierOutlivesItsNet) {
   expect_bit_equal(clf->predict_batch(maps), before);
 }
 
-TEST_F(LoadClassifierTest, Fp32ClassifierIgnoresLaterTraining) {
-  Rng rng(5);
-  selective::SelectiveNet net(small_net_options(), rng);
-  const auto clf = load_classifier(net);
-  const auto maps = sample_maps();
-  const auto before = clf->predict_batch(maps);
-
-  Rng data_rng(6);
+/// Trains `net` for one epoch on a small synthetic set and expects the
+/// training to move its predictions on `maps` away from `before`.
+void train_and_expect_moved(selective::SelectiveNet& net,
+                            const std::vector<WaferMap>& maps,
+                            const std::vector<SelectivePrediction>& before) {
+  Rng rng(6);
   synth::DatasetSpec spec;
   spec.map_size = 16;
   spec.class_counts.fill(2);
-  const Dataset data = synth::generate_dataset(spec, data_rng);
+  const Dataset data = synth::generate_dataset(spec, rng);
   selective::SelectiveTrainer({.epochs = 1, .batch_size = 6})
       .train(net, data, nullptr, rng);
-
-  expect_bit_equal(clf->predict_batch(maps), before);
-  // The training did move the net: a fresh load sees new weights.
   const auto after = load_classifier(net)->predict_batch(maps);
   bool moved = false;
   for (std::size_t i = 0; i < maps.size(); ++i) {
     moved = moved || !serve::bit_equal(after[i], before[i]);
   }
   EXPECT_TRUE(moved);
+}
+
+TEST_F(LoadClassifierTest, Fp32ClassifierIgnoresLaterTraining) {
+  Rng rng(5);
+  selective::SelectiveNet net(small_net_options(), rng);
+  const auto clf = load_classifier(net);
+  const auto maps = sample_maps();
+  const auto before = clf->predict_batch(maps);
+  train_and_expect_moved(net, maps, before);
+  expect_bit_equal(clf->predict_batch(maps), before);
+}
+
+TEST_F(LoadClassifierTest, CloneNetCopiesTheWeightsThatServe) {
+  Rng rng(8);
+  selective::SelectiveNet net(small_net_options(), rng);
+  selective::save_model(path_, net);
+  const auto maps = sample_maps();
+  // The re-cut outlives the classifier it was cut from.
+  const std::unique_ptr<LoadedClassifier> fp32[] = {
+      load_classifier(path_), load_classifier(net),
+      load_classifier(net.clone()),
+      load_classifier(net)->with_threshold(0.3f)};
+  for (const auto& clf : fp32) {
+    const auto before = clf->predict_batch(maps);
+    const std::unique_ptr<selective::SelectiveNet> copy = clf->clone_net();
+    ASSERT_NE(copy, nullptr);
+    expect_bit_equal(
+        load_classifier(*copy, {.threshold = clf->threshold()})
+            ->predict_batch(maps),
+        before);
+    train_and_expect_moved(*copy, maps, before);
+    expect_bit_equal(clf->predict_batch(maps), before);
+  }
+  EXPECT_EQ(load_classifier(selective::quantize_selective_net(net))
+                ->clone_net(),
+            nullptr);
 }
 
 TEST_F(LoadClassifierTest, MissingFileThrowsIoError) {

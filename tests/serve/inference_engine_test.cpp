@@ -283,7 +283,7 @@ TEST(InferenceEngineTest, StatsTextExposesPrometheusMetrics) {
   for (int i = 0; i < 8; ++i) (void)engine.predict(map);
   engine.shutdown();
 
-  const std::string text = engine.stats_text();
+  const std::string text = engine.metrics_registry().prometheus_text();
   EXPECT_NE(text.find("# TYPE wm_serve_requests_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("wm_serve_requests_total 8"), std::string::npos);

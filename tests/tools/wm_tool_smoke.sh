@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the wm_tool CLI: generate -> train -> evaluate ->
-# classify -> quantize -> quantized evaluate/classify -> render -> serve on a
-# throwaway dataset.
+# classify -> quantize -> quantized evaluate/classify -> render -> serve ->
+# trace-merge on a throwaway dataset, plus loadgen's flag ranges.
+#
+#   wm_tool_smoke.sh WM_TOOL LOADGEN
 set -euo pipefail
 
 WM_TOOL="$1"
+LOADGEN="$2"
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 export WM_LOG=warn
@@ -45,6 +48,19 @@ grep -q '"event":"epoch"' "$WORK/run.jsonl"
 grep -q "2 workers" "$WORK/serve.txt"
 grep -q "adapt: state OBSERVE" "$WORK/serve.txt"
 
+# While an int8 model serves, the adaptation loop can only re-fit the
+# threshold.
+"$WM_TOOL" serve --model "$WORK/m_int8.wsn" --port 0 --seconds 1 --adapt \
+  > "$WORK/serve_int8.txt"
+grep -q "threshold re-fit only" "$WORK/serve_int8.txt"
+grep -q "adapt: state OBSERVE" "$WORK/serve_int8.txt"
+
+# trace-merge takes its input files as positional arguments.
+"$WM_TOOL" render --wafer "$WORK/data/wafer_0.pgm" --trace "$WORK/t.json" \
+  >/dev/null
+"$WM_TOOL" trace-merge --out "$WORK/merged.json" "$WORK/t.json" \
+  | grep -q "merged 1 trace file"
+
 # A serve or adapt setting outside its range is refused before serving.
 for bad in "--adapt-min-samples 0" "--adapt-epochs 0" "--adapt-buffer 4" \
   "--max-batch 5000" "--queue-capacity 2000000"; do
@@ -56,8 +72,20 @@ for bad in "--adapt-min-samples 0" "--adapt-epochs 0" "--adapt-buffer 4" \
   fi
 done
 
+# loadgen refuses a connection count outside its range instead of clamping
+# it.
+if "$LOADGEN" --connections 0 --requests 8 >/dev/null 2>&1; then
+  echo "loadgen accepted --connections 0" >&2
+  exit 1
+fi
+
 # Unknown command and missing flags must fail cleanly.
 if "$WM_TOOL" bogus >/dev/null 2>&1; then exit 1; fi
+# So must a positional argument to a command that takes none.
+if "$WM_TOOL" render stray --wafer "$WORK/data/wafer_0.pgm" >/dev/null 2>&1
+then
+  exit 1
+fi
 # So must a numeric flag with trailing junk.
 if "$WM_TOOL" generate --out "$WORK/junk" --per-class 2x >/dev/null 2>&1; then
   exit 1

@@ -12,15 +12,16 @@
 // (WMWP v2), so the per-stage means (queue / batch / compute / server
 // total) cover all OK responses, sampled or not.
 //
-// Flags:
-//   --connections N   client connections               (default 4)
-//   --window W        in-flight calls per connection   (default 8)
-//   --requests N      total requests per run           (default 2000)
-//   --map S           wafer edge length                (default 32)
-//   --workers K       in-process server worker threads (default 2)
+// Flags (a numeric value outside its range is an error):
+//   --connections N   client connections, 1..256          (default 4)
+//   --window W        in-flight calls per connection, 1..1024 (default 8)
+//   --requests N      total requests per run, 1..10^7     (default 2000)
+//   --map S           wafer edge length, 8..1024          (default 32)
+//   --workers K       in-process server worker threads, 1..256 (default 2)
 //   --host H --port P drive an external wm_net server instead of the
-//                     in-process one
-//   --trace-sample N  trace every Nth call per connection (default 16)
+//                     in-process one (P in 0..65535; 0 = in-process)
+//   --trace-sample N  trace every Nth call per connection, 1..10^6
+//                     (default 16)
 //   --trace-out FILE  write this process's Perfetto trace JSON
 //   --slow-log FILE   JSONL exemplar log of the top-10 slowest calls
 //                     (trace id, per-stage breakdown, selective decision)
@@ -30,7 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <memory>
@@ -38,8 +38,8 @@
 #include <thread>
 #include <vector>
 
+#include "args.hpp"
 #include "common/rng.hpp"
-#include "common/string_util.hpp"
 #include "common/stopwatch.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -273,53 +273,32 @@ void print_json(const RunResult& r, int map_size) {
       r.queue_us, r.batch_us, r.compute_us, r.server_us);
 }
 
-std::string get_flag(int argc, char** argv, const char* name,
-                     const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const bool json = has_flag(argc, argv, "--json");
-    // Numeric flags parse as whole tokens; a malformed one fails naming itself.
-    const auto int_flag = [&](const char* name, const char* fallback) {
-      return parse_int(get_flag(argc, argv, name, fallback), name);
-    };
-    const int connections = std::max(1, int_flag("--connections", "4"));
-    const int window = std::max(1, int_flag("--window", "8"));
-    const int map_size = int_flag("--map", "32");
-    const int workers = std::max(1, int_flag("--workers", "2"));
-    const std::size_t total = static_cast<std::size_t>(
-        std::max(connections * window, int_flag("--requests", "2000")));
-    const int ext_port = int_flag("--port", "0");
+    const Args args(argc, argv, 1);
+    const bool json = args.has("json");
+    const int connections = args.get_int("connections", 4, 1, 256);
+    const int window = args.get_int("window", 8, 1, 1024);
+    const int map_size = args.get_int("map", 32, 8, 1024);
+    const int workers = args.get_int("workers", 2, 1, 256);
+    const std::size_t total = static_cast<std::size_t>(std::max(
+        connections * window, args.get_int("requests", 2000, 1, 10'000'000)));
+    const int ext_port = args.get_int("port", 0, 0, 65535);
     const std::string host =
-        ext_port == 0 ? "127.0.0.1"
-                      : get_flag(argc, argv, "--host", "127.0.0.1");
-    const int trace_sample = std::max(1, int_flag("--trace-sample", "16"));
+        ext_port == 0 ? "127.0.0.1" : args.get("host", "127.0.0.1");
+    const int trace_sample = args.get_int("trace-sample", 16, 1, 1'000'000);
     // --out-dir prefixes every file artifact (--trace-out, --slow-log) so a
     // CI job can point the whole run at a scratch directory with one flag;
     // absolute paths pass through untouched.
-    const std::string out_dir = get_flag(argc, argv, "--out-dir", "");
+    const std::string out_dir = args.get("out-dir", "");
     const auto in_out_dir = [&](std::string path) {
       if (path.empty() || out_dir.empty() || path.front() == '/') return path;
       return out_dir + "/" + path;
     };
-    const std::string trace_out =
-        in_out_dir(get_flag(argc, argv, "--trace-out", ""));
-    const std::string slow_log =
-        in_out_dir(get_flag(argc, argv, "--slow-log", ""));
+    const std::string trace_out = in_out_dir(args.get("trace-out", ""));
+    const std::string slow_log = in_out_dir(args.get("slow-log", ""));
     const bool traced = !trace_out.empty() || !slow_log.empty();
 
     const auto stream = make_stream(map_size, 256);

@@ -80,9 +80,11 @@
 //       --adapt attaches the closed-loop drift-adaptation controller
 //       (DESIGN.md §16): SelectiveMonitor alarms trigger a staged response —
 //       re-fit the abstention threshold on recent traffic first; escalate
-//       to a CAE-assisted fine-tune of the (fp32) model when re-fitting
-//       cannot clear the alarm — promoted through the same canary-verified
-//       hot-swap path. Quantized artifacts run recalibrate-only. Its flags
+//       to a CAE-assisted fine-tune of the served fp32 weights when
+//       re-fitting cannot clear the alarm — promoted through the same
+//       canary-verified hot-swap path. Both stages act on whatever serves,
+//       after a --model-watch reload too; while an int8 model serves, the
+//       loop is recalibrate-only. Its flags
 //       fill an adapt::AdaptConfig, range-checked like the ones above:
 //       --adapt-cooldown-ms 0..10^7 (default 5000), --adapt-eval-ms
 //       1..10^7 (2000), --adapt-epochs 1..1000 (4), --adapt-buffer
@@ -108,13 +110,13 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "adapt/controller.hpp"
+#include "args.hpp"
 #include "augment/augmentor.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -146,56 +148,6 @@
 using namespace wm;
 
 namespace {
-
-/// Minimal --flag/value parser; flags without a value map to "true".
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      WM_CHECK(key.rfind("--", 0) == 0, "expected --flag, got '", key, "'");
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  std::string get(const std::string& key) const {
-    auto it = values_.find(key);
-    WM_CHECK(it != values_.end(), "missing required flag --", key);
-    return it->second;
-  }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int get_int(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : parse_int(it->second, "--" + key);
-  }
-  /// An integer flag that must lie in [lo, hi]; `fallback` when absent.
-  template <typename T>
-  T get_int(const std::string& key, T fallback, std::int64_t lo,
-            std::int64_t hi) const {
-    if (!has(key)) return fallback;
-    const int v = get_int(key, 0);
-    WM_CHECK(v >= lo && v <= hi, "--", key, " must be in [", lo, ", ", hi,
-             "], got ", v);
-    return static_cast<T>(v);
-  }
-  double get_double(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : parse_double(it->second, "--" + key);
-  }
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 int cmd_generate(const Args& args) {
   const std::string out = args.get("out");
@@ -394,9 +346,8 @@ int cmd_serve(const Args& args) {
       model, {.registry = &obs::Registry::global(), .name = model_path});
 
   // --adapt closes the loop: drift alarms drive threshold re-fits (and,
-  // given an fp32 model, fine-tunes) that promote through the same swap
-  // path --model-watch uses.
-  std::unique_ptr<selective::SelectiveNet> adapt_net;
+  // while an fp32 model serves, fine-tunes of its weights) that promote
+  // through the same swap path --model-watch uses.
   std::unique_ptr<adapt::AdaptationController> controller;
   if (args.has("adapt")) {
     adapt::AdaptConfig acfg;
@@ -411,23 +362,19 @@ int cmd_serve(const Args& args) {
         args.get_int("adapt-min-samples", acfg.min_samples, 8, 1'000'000);
     acfg.augment_target =
         args.get_int("adapt-augment-target", acfg.augment_target, 0, 100'000);
-    // Stage 2 needs fp32 weights to clone + fine-tune; a quantized artifact
-    // runs the loop recalibrate-only (the controller logs the skipped
-    // escalation as adapt_skip reason=no_net).
-    if (!model->is_quantized()) {
-      adapt_net = selective::load_model(model_path);
-    } else {
+    // Stage 2 fine-tunes a clone of the served fp32 weights; while a
+    // quantized artifact serves, the loop is recalibrate-only (the
+    // controller logs the skipped escalation as adapt_skip reason=no_net).
+    if (model->is_quantized()) {
       std::printf("adapt: quantized model — stage 2 (fine-tune) disabled, "
                   "threshold re-fit only\n");
     }
     controller = std::make_unique<adapt::AdaptationController>(
         acfg,
-        adapt::AdaptHooks{
-            .monitor = &monitor,
-            .swappable = &swappable,
-            .net = adapt_net.get(),
-            .canaries = swap_canaries(map_size),
-            .registry = &obs::Registry::global()});
+        adapt::AdaptHooks{.monitor = &monitor,
+                          .swappable = &swappable,
+                          .canaries = swap_canaries(map_size),
+                          .registry = &obs::Registry::global()});
   }
 
   serve::EngineOptions eopts =
@@ -532,23 +479,9 @@ int cmd_render(const Args& args) {
   return 0;
 }
 
-/// trace-merge parses argv by hand: unlike every other subcommand it takes
-/// positional arguments (the input files), which Args rejects.
-int cmd_trace_merge(int argc, char** argv) {
-  std::string out_path;
-  std::vector<std::string> inputs;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out") {
-      WM_CHECK(i + 1 < argc, "--out needs a file argument");
-      out_path = argv[++i];
-    } else if (arg.rfind("--", 0) == 0) {
-      throw Error("trace-merge: unknown flag " + arg);
-    } else {
-      inputs.push_back(arg);
-    }
-  }
-  WM_CHECK(!out_path.empty(), "trace-merge: --out FILE is required");
+int cmd_trace_merge(const Args& args) {
+  const std::string out_path = args.get("out");
+  const std::vector<std::string>& inputs = args.positional();
   WM_CHECK(!inputs.empty(), "trace-merge: at least one input trace needed");
   obs::merge_trace_files(inputs, out_path);
   std::printf("merged %zu trace file%s -> %s "
@@ -557,23 +490,12 @@ int cmd_trace_merge(int argc, char** argv) {
   return 0;
 }
 
-/// collect takes positional scrape targets, so it too parses argv by hand.
-int cmd_collect(int argc, char** argv) {
+int cmd_collect(const Args& args) {
   obs::CollectorOptions opts;
-  opts.exporter_port = 0;
-  int seconds = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto int_flag = [&](const char* name) {
-      WM_CHECK(i + 1 < argc, name, " needs a value");
-      return parse_int(argv[++i], name);
-    };
-    if (arg == "--port") opts.exporter_port = int_flag("--port");
-    else if (arg == "--interval-ms") opts.interval_ms = int_flag("--interval-ms");
-    else if (arg == "--seconds") seconds = int_flag("--seconds");
-    else if (arg.rfind("--", 0) == 0) throw Error("collect: unknown flag " + arg);
-    else opts.targets.push_back(arg);
-  }
+  opts.exporter_port = args.get_int("port", 0, 0, 65535);
+  opts.interval_ms = args.get_int("interval-ms", opts.interval_ms);
+  opts.targets = args.positional();
+  const int seconds = args.get_int("seconds", 0);
   WM_CHECK(!opts.targets.empty(),
            "collect: at least one host:port target needed");
   obs::Collector collector(opts);
@@ -613,22 +535,11 @@ obs::PromDump scrape_target_once(const std::string& host, int port) {
   return obs::parse_prometheus_text(response.substr(body_at + 4));
 }
 
-int cmd_scrape(int argc, char** argv) {
-  std::string target;
-  int delta_ms = 1000;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--delta-ms") {
-      WM_CHECK(i + 1 < argc, "--delta-ms needs a value");
-      delta_ms = parse_int(argv[++i], "--delta-ms");
-    } else if (arg.rfind("--", 0) == 0) {
-      throw Error("scrape: unknown flag " + arg);
-    } else {
-      WM_CHECK(target.empty(), "scrape: exactly one host:port target");
-      target = arg;
-    }
-  }
-  WM_CHECK(!target.empty(), "scrape: host:port target needed");
+int cmd_scrape(const Args& args) {
+  WM_CHECK(args.positional().size() == 1,
+           "scrape: exactly one host:port target");
+  const std::string& target = args.positional()[0];
+  const int delta_ms = args.get_int("delta-ms", 1000);
   const auto [host, port] = obs::parse_scrape_target(target);
 
   const obs::PromDump first = scrape_target_once(host, port);
@@ -723,10 +634,11 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   try {
-    if (cmd == "trace-merge") return cmd_trace_merge(argc, argv);
-    if (cmd == "collect") return cmd_collect(argc, argv);
-    if (cmd == "scrape") return cmd_scrape(argc, argv);
     const Args args(argc, argv, 2);
+    // Only these commands take positional arguments (files or targets).
+    WM_CHECK(cmd == "trace-merge" || cmd == "collect" || cmd == "scrape" ||
+                 args.positional().empty(),
+             "expected --flag, got '", args.positional().front(), "'");
     const std::string trace_path = args.get("trace", "");
     if (!trace_path.empty()) obs::set_trace_enabled(true);
     const std::string run_log_path = args.get("run-log", "");
@@ -750,6 +662,9 @@ int main(int argc, char** argv) {
     else if (cmd == "quantize") rc = cmd_quantize(args);
     else if (cmd == "render") rc = cmd_render(args);
     else if (cmd == "serve") rc = cmd_serve(args);
+    else if (cmd == "trace-merge") rc = cmd_trace_merge(args);
+    else if (cmd == "collect") rc = cmd_collect(args);
+    else if (cmd == "scrape") rc = cmd_scrape(args);
     else {
       usage();
       return 2;
