@@ -82,6 +82,11 @@ std::vector<nn::Parameter*> ConvAutoencoder::parameters() {
   return nn::collect_parameters({&encoder_, &decoder_});
 }
 
+void ConvAutoencoder::release_caches() {
+  encoder_.release_caches();
+  decoder_.release_caches();
+}
+
 Shape ConvAutoencoder::latent_shape() const {
   const int stages = static_cast<int>(opts_.encoder_filters.size());
   const std::int64_t spatial = opts_.map_size >> stages;

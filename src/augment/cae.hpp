@@ -45,6 +45,9 @@ class ConvAutoencoder {
 
   std::vector<nn::Parameter*> parameters();
 
+  /// Frees both halves' training caches (nn::Module::release_caches).
+  void release_caches();
+
   /// Shape of one latent sample (C_z, S_z, S_z).
   Shape latent_shape() const;
 

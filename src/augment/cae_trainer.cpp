@@ -52,6 +52,7 @@ CaeTrainingLog train_cae(ConvAutoencoder& cae, const Dataset& data,
   run_log.write("cae_train_end",
                 {{"epochs_run", static_cast<int>(log.epoch_losses.size())},
                  {"final_mse", log.final_loss()}});
+  cae.release_caches();
   return log;
 }
 

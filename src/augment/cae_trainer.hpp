@@ -31,7 +31,8 @@ struct CaeTrainingLog {
 };
 
 /// Trains `cae` in place with Adam on all samples of `data` (the caller is
-/// expected to pass a single-class dataset, per Algorithm 1 line 1).
+/// expected to pass a single-class dataset, per Algorithm 1 line 1), and
+/// frees its training caches on return.
 CaeTrainingLog train_cae(ConvAutoencoder& cae, const Dataset& data,
                          const CaeTrainerOptions& opts, Rng& rng);
 

@@ -14,6 +14,7 @@ class ReLU final : public Module {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
+  void release_caches() override { input_ = Tensor(); }
 
  private:
   Tensor input_;  // cached for the mask
@@ -24,6 +25,7 @@ class Sigmoid final : public Module {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Sigmoid"; }
+  void release_caches() override { output_ = Tensor(); }
 
  private:
   Tensor output_;  // sigma(x); derivative is sigma*(1-sigma)

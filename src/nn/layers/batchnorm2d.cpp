@@ -176,4 +176,10 @@ std::string BatchNorm2d::name() const {
   return os.str();
 }
 
+void BatchNorm2d::release_caches() {
+  normalized_ = Tensor();
+  inv_std_ = std::vector<float>();
+  trained_forward_ = false;
+}
+
 }  // namespace wm::nn

@@ -47,6 +47,7 @@ class BatchNorm2d final : public Module {
     return {&running_mean_, &running_var_};
   }
   std::string name() const override;
+  void release_caches() override;
 
   const Tensor& running_mean() const { return running_mean_; }
   const Tensor& running_var() const { return running_var_; }

@@ -35,6 +35,7 @@ class Conv2d final : public Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override;
+  void release_caches() override { input_ = Tensor(); }
 
   const Conv2dOptions& options() const { return opts_; }
 

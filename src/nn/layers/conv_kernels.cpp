@@ -15,9 +15,12 @@ void conv_forward(const ConvGeometry& g, std::int64_t batch,
   const std::int64_t out_image = w.rows * g.col_cols();
   ThreadPool::global().parallel_chunks(
       0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
+        std::vector<float> frame(static_cast<std::size_t>(
+            g.channels * (g.height + 2 * g.pad) * (g.width + 2 * g.pad)));
         for (std::size_t i = lo; i < hi; ++i) {
           const std::int64_t img = static_cast<std::int64_t>(i);
-          sgemm_conv(g, w, input + img * in_image, out + img * out_image, bias);
+          border_image(g, input + img * in_image, frame.data());
+          sgemm_conv(g, w, frame.data(), out + img * out_image, bias);
         }
       });
 }
@@ -48,7 +51,7 @@ void conv_input_grad(const ConvGeometry& g, std::int64_t batch,
   // dx is the stride-1 correlation of dy, dilated by the stride and placed
   // K - 1 - pad into a (H + KH - 1) x (W + KW - 1) zero frame, with the
   // flipped filters. At stride 1 with pad < K that frame is dy bordered by
-  // K - 1 - pad on every side, which sgemm_conv builds itself.
+  // K - 1 - pad on every side.
   const std::int64_t top = g.kernel_h - 1 - g.pad;
   const std::int64_t left = g.kernel_w - 1 - g.pad;
   const bool direct = g.stride == 1 && top >= 0 && top == left;
@@ -62,13 +65,14 @@ void conv_input_grad(const ConvGeometry& g, std::int64_t batch,
   }
   ThreadPool::global().parallel_chunks(
       0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
-        std::vector<float> frame;
-        if (!direct) frame.resize(static_cast<std::size_t>(m * t.height * t.width));
+        std::vector<float> frame(static_cast<std::size_t>(
+            m * (t.height + 2 * t.pad) * (t.width + 2 * t.pad)));
         for (std::size_t i = lo; i < hi; ++i) {
           const float* dyi = dy + static_cast<std::int64_t>(i) * out_image;
           float* dxi = dx + static_cast<std::int64_t>(i) * in_image;
           if (direct) {
-            sgemm_conv(t, filters, dyi, dxi, bias);
+            border_image(t, dyi, frame.data());
+            sgemm_conv(t, filters, frame.data(), dxi, bias);
             continue;
           }
           std::fill(frame.begin(), frame.end(), 0.0f);

@@ -16,8 +16,9 @@
 namespace wm::nn {
 
 /// out (m, OH, OW) per image = W (m x g.col_rows()) * im2col(image) + bias
-/// (per output channel, may be null), with W from pack_weights_a. Images fan
-/// out over the pool.
+/// (per output channel, may be null), with W from pack_weights_a: each
+/// image bordered into per-chunk scratch, then sgemm_conv. Images fan out
+/// over the pool.
 void conv_forward(const ConvGeometry& g, std::int64_t batch,
                   const PackedPanels& w, const float* input, float* out,
                   const float* bias);

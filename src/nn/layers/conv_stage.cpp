@@ -1,6 +1,7 @@
 #include "nn/layers/conv_stage.hpp"
 
 #include <bit>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -52,56 +53,78 @@ inline v8i relu_bits(v8f v) {
 }
 
 /// The 2x2 max of ReLU(affine(conv)) over one (oh, ow) plane into
-/// (oh/2, ow/2). With kIndex, window[] gets the tap MaxPool2d's scan picks
-/// (0-3, row-major; the first tap holding the maximum, which the tournament
-/// below reproduces: each row's pair, then the rows), or kNoGrad when the
-/// maximum is ReLU's 0. Eight windows a step: BatchNorm and ReLU run on the
-/// rows as loaded, then shuffles split the even and odd columns. The
-/// maximum alone is one value in any order, so without kIndex the two rows
-/// are reduced first and two shuffles do instead of four.
+/// (oh/2, ow/2), each pooled row `out_stride` floats after the last. With
+/// kIndex, window[] gets the tap MaxPool2d's scan picks (0-3, row-major; the
+/// first tap holding the maximum, which the tournament below reproduces:
+/// each row's pair, then the rows), or kNoGrad when the maximum is ReLU's 0.
+/// Eight windows a step: BatchNorm and ReLU run on the rows as loaded, then
+/// shuffles split the even and odd columns. The maximum alone is one value
+/// in any order, so without kIndex the two rows are reduced first and two
+/// shuffles do instead of four. A row's last four to seven windows take
+/// one more step on half a vector, so rows of four windows (conv3 of
+/// Table I) are vector code too.
 template <bool kBatchNorm, bool kIndex>
 void pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
-                const BnAffine& af, float* out, std::uint8_t* window) {
+                const BnAffine& af, float* out, std::int64_t out_stride,
+                std::uint8_t* window) {
   const std::int64_t pw = ow / 2;
   const auto act = [&](const float* p) {
     return relu_bits(affine<kBatchNorm>(*reinterpret_cast<const v8f*>(p), af));
   };
+  // The maxima (and taps) of the eight windows whose top rows are t0, t1
+  // and bottom rows u0, u1, sixteen values each.
+  const auto pool8 = [](v8i t0, v8i t1, v8i u0, v8i u1, v8i& tap) {
+    constexpr v8i even = {0, 2, 4, 6, 8, 10, 12, 14};
+    constexpr v8i odd = {1, 3, 5, 7, 9, 11, 13, 15};
+    if constexpr (!kIndex) {
+      const v8i m0 = u0 > t0 ? u0 : t0;
+      const v8i m1 = u1 > t1 ? u1 : t1;
+      const v8i a = __builtin_shuffle(m0, m1, even);
+      const v8i b = __builtin_shuffle(m0, m1, odd);
+      return b > a ? b : a;
+    } else {
+      const v8i a = __builtin_shuffle(t0, t1, even);
+      const v8i b = __builtin_shuffle(t0, t1, odd);
+      const v8i c = __builtin_shuffle(u0, u1, even);
+      const v8i d = __builtin_shuffle(u0, u1, odd);
+      const v8i right = b > a;
+      const v8i lower_right = d > c;
+      const v8i top = (b & right) | (a & ~right);
+      const v8i bottom = (d & lower_right) | (c & ~lower_right);
+      const v8i lower = bottom > top;
+      const v8i best = (bottom & lower) | (top & ~lower);
+      const v8i t = ((2 + (lower_right & 1)) & lower) | ((right & 1) & ~lower);
+      const v8i zero = best > 0;
+      tap = (t & zero) | (kNoGrad & ~zero);
+      return best;
+    }
+  };
   for (std::int64_t y = 0; y < oh / 2; ++y) {
     const float* r0 = conv + 2 * y * ow;
     const float* r1 = r0 + ow;
-    float* o = out + y * pw;
+    float* o = out + y * out_stride;
+    std::uint8_t* wi = nullptr;
+    if constexpr (kIndex) wi = window + y * pw;
     std::int64_t x = 0;
+    v8i tap;
     for (; x + 8 <= pw; x += 8) {
-      constexpr v8i even = {0, 2, 4, 6, 8, 10, 12, 14};
-      constexpr v8i odd = {1, 3, 5, 7, 9, 11, 13, 15};
-      const v8i t0 = act(r0 + 2 * x);
-      const v8i t1 = act(r0 + 2 * x + 8);
-      const v8i u0 = act(r1 + 2 * x);
-      const v8i u1 = act(r1 + 2 * x + 8);
-      if constexpr (!kIndex) {
-        const v8i m0 = u0 > t0 ? u0 : t0;
-        const v8i m1 = u1 > t1 ? u1 : t1;
-        const v8i a = __builtin_shuffle(m0, m1, even);
-        const v8i b = __builtin_shuffle(m0, m1, odd);
-        *reinterpret_cast<v8f*>(o + x) = reinterpret_cast<v8f>(b > a ? b : a);
-      } else {
-        const v8i a = __builtin_shuffle(t0, t1, even);
-        const v8i b = __builtin_shuffle(t0, t1, odd);
-        const v8i c = __builtin_shuffle(u0, u1, even);
-        const v8i d = __builtin_shuffle(u0, u1, odd);
-        const v8i right = b > a;
-        const v8i lower_right = d > c;
-        const v8i top = (b & right) | (a & ~right);
-        const v8i bottom = (d & lower_right) | (c & ~lower_right);
-        const v8i lower = bottom > top;
-        const v8i best = (bottom & lower) | (top & ~lower);
-        *reinterpret_cast<v8f*>(o + x) = reinterpret_cast<v8f>(best);
-        const v8i tap = ((2 + (lower_right & 1)) & lower) | ((right & 1) & ~lower);
-        const v8i zero = best > 0;
-        const v8i idx = (tap & zero) | (kNoGrad & ~zero);
-        *reinterpret_cast<v8b*>(window + y * pw + x) =
-            __builtin_convertvector(idx, v8b);
+      const v8i best = pool8(act(r0 + 2 * x), act(r0 + 2 * x + 8),
+                             act(r1 + 2 * x), act(r1 + 2 * x + 8), tap);
+      *reinterpret_cast<v8f*>(o + x) = reinterpret_cast<v8f>(best);
+      if constexpr (kIndex) {
+        *reinterpret_cast<v8b*>(wi + x) = __builtin_convertvector(tap, v8b);
       }
+    }
+    if (x + 4 <= pw) {
+      const v8i t = act(r0 + 2 * x);
+      const v8i u = act(r1 + 2 * x);
+      const v8i best = pool8(t, t, u, u, tap);
+      std::memcpy(o + x, &best, 4 * sizeof(float));
+      if constexpr (kIndex) {
+        const v8b taps = __builtin_convertvector(tap, v8b);
+        std::memcpy(wi + x, &taps, 4);
+      }
+      x += 4;
     }
     for (; x < pw; ++x) {
       const std::int32_t a = relu_bits(affine<kBatchNorm>(r0[2 * x], af));
@@ -113,8 +136,8 @@ void pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
       const std::int32_t best = bottom > top ? bottom : top;
       o[x] = std::bit_cast<float>(best);
       if constexpr (kIndex) {
-        const std::int32_t tap = bottom > top ? (d > c ? 3 : 2) : (b > a ? 1 : 0);
-        window[y * pw + x] = static_cast<std::uint8_t>(best > 0 ? tap : kNoGrad);
+        const std::int32_t t = bottom > top ? (d > c ? 3 : 2) : (b > a ? 1 : 0);
+        wi[x] = static_cast<std::uint8_t>(best > 0 ? t : kNoGrad);
       }
     }
   }
@@ -124,31 +147,46 @@ void pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
 /// lands on its tap as 0 + g (MaxPool2d adds it into a zeroed gradient),
 /// and every other value of the plane is +0. Eight windows a step: a mask
 /// per tap selects the gradient, and shuffles interleave each row's even
-/// and odd columns.
+/// and odd columns; a row's last four to seven windows take one more step
+/// on half a vector.
 void route_plane(const float* grad, const std::uint8_t* window,
                  std::int64_t oh, std::int64_t ow, float* out) {
   const std::int64_t pw = ow / 2;
+  // The four taps' values of eight windows, from their gradients and taps.
+  const auto route8 = [](v8f g, v8i t, v8f& a, v8f& b, v8f& c, v8f& d) {
+    const v8i bits = reinterpret_cast<v8i>(0.0f + g);
+    a = reinterpret_cast<v8f>(bits & (t == 0));
+    b = reinterpret_cast<v8f>(bits & (t == 1));
+    c = reinterpret_cast<v8f>(bits & (t == 2));
+    d = reinterpret_cast<v8f>(bits & (t == 3));
+  };
+  constexpr v8i lo = {0, 8, 1, 9, 2, 10, 3, 11};
+  constexpr v8i hi = {4, 12, 5, 13, 6, 14, 7, 15};
   for (std::int64_t y = 0; y < oh / 2; ++y) {
     float* r0 = out + 2 * y * ow;
     float* r1 = r0 + ow;
     const float* g = grad + y * pw;
     const std::uint8_t* w = window + y * pw;
     std::int64_t x = 0;
+    v8f a, b, c, d;
     for (; x + 8 <= pw; x += 8) {
-      const v8f v = 0.0f + *reinterpret_cast<const v8f*>(g + x);
-      const v8i t = __builtin_convertvector(
-          *reinterpret_cast<const v8b*>(w + x), v8i);
-      const v8i bits = reinterpret_cast<v8i>(v);
-      const v8f a = reinterpret_cast<v8f>(bits & (t == 0));
-      const v8f b = reinterpret_cast<v8f>(bits & (t == 1));
-      const v8f c = reinterpret_cast<v8f>(bits & (t == 2));
-      const v8f d = reinterpret_cast<v8f>(bits & (t == 3));
-      constexpr v8i lo = {0, 8, 1, 9, 2, 10, 3, 11};
-      constexpr v8i hi = {4, 12, 5, 13, 6, 14, 7, 15};
+      route8(*reinterpret_cast<const v8f*>(g + x),
+             __builtin_convertvector(*reinterpret_cast<const v8b*>(w + x), v8i),
+             a, b, c, d);
       *reinterpret_cast<v8f*>(r0 + 2 * x) = __builtin_shuffle(a, b, lo);
       *reinterpret_cast<v8f*>(r0 + 2 * x + 8) = __builtin_shuffle(a, b, hi);
       *reinterpret_cast<v8f*>(r1 + 2 * x) = __builtin_shuffle(c, d, lo);
       *reinterpret_cast<v8f*>(r1 + 2 * x + 8) = __builtin_shuffle(c, d, hi);
+    }
+    if (x + 4 <= pw) {
+      v8f gv{};
+      v8b wv{};
+      std::memcpy(&gv, g + x, 4 * sizeof(float));
+      std::memcpy(&wv, w + x, 4);
+      route8(gv, __builtin_convertvector(wv, v8i), a, b, c, d);
+      *reinterpret_cast<v8f*>(r0 + 2 * x) = __builtin_shuffle(a, b, lo);
+      *reinterpret_cast<v8f*>(r1 + 2 * x) = __builtin_shuffle(c, d, lo);
+      x += 4;
     }
     for (; x < pw; ++x) {
       const float v = 0.0f + g[x];
@@ -173,11 +211,13 @@ float* plane_scratch(std::int64_t n) {
 }  // namespace
 
 void bn_relu_pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
-                        const BnAffine* bn, float* out) {
+                        const BnAffine* bn, float* out,
+                        std::int64_t out_stride) {
   if (bn != nullptr) {
-    pool_plane<true, false>(conv, oh, ow, *bn, out, nullptr);
+    pool_plane<true, false>(conv, oh, ow, *bn, out, out_stride, nullptr);
   } else {
-    pool_plane<false, false>(conv, oh, ow, BnAffine{}, out, nullptr);
+    pool_plane<false, false>(conv, oh, ow, BnAffine{}, out, out_stride,
+                             nullptr);
   }
 }
 
@@ -243,14 +283,15 @@ Tensor ConvStage::forward(const Tensor& input, bool training) {
     const float* zp = z + plane * spatial;
     float* op = po + plane * pooled;
     if (!training) {
-      bn_relu_pool_plane(zp, oh, ow, opts_.batchnorm ? &af : nullptr, op);
+      bn_relu_pool_plane(zp, oh, ow, opts_.batchnorm ? &af : nullptr, op,
+                         ow / 2);
       return;
     }
     std::uint8_t* wp = window_.data() + plane * pooled;
     if (opts_.batchnorm) {
-      pool_plane<true, true>(zp, oh, ow, af, op, wp);
+      pool_plane<true, true>(zp, oh, ow, af, op, ow / 2, wp);
     } else {
-      pool_plane<false, true>(zp, oh, ow, af, op, wp);
+      pool_plane<false, true>(zp, oh, ow, af, op, ow / 2, wp);
     }
   };
 
@@ -434,6 +475,15 @@ Tensor ConvStage::backward_impl(const Tensor& grad_output, bool input_grad) {
   }
   grad_conv_ = std::move(grad);
   return grad_input;
+}
+
+void ConvStage::release_caches() {
+  input_ = Tensor();
+  conv_ = Tensor();
+  grad_conv_ = Tensor();
+  window_ = std::vector<std::uint8_t>();
+  mean_ = std::vector<float>();
+  inv_std_ = std::vector<float>();
 }
 
 std::vector<Parameter*> ConvStage::parameters() {

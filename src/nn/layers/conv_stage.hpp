@@ -46,10 +46,13 @@ struct BnAffine {
 
 /// The eval tail of a conv block over one (oh, ow) plane of conv output,
 /// bias included: BatchNorm (none when bn is null), ReLU and the 2x2 max into
-/// (oh/2, ow/2), with the bits of that layer sequence. ConvStage's eval
-/// forward runs it, and so do InferencePlan's fp32 stages.
+/// (oh/2, ow/2), each row `out_stride` floats after the last, with the bits
+/// of that layer sequence. ConvStage's eval forward runs it, and so do
+/// InferencePlan's fp32 stages, which pool into the inside of the next
+/// conv's bordered input.
 void bn_relu_pool_plane(const float* conv, std::int64_t oh, std::int64_t ow,
-                        const BnAffine* bn, float* out);
+                        const BnAffine* bn, float* out,
+                        std::int64_t out_stride);
 
 struct ConvStageOptions {
   std::int64_t in_channels = 0;
@@ -69,6 +72,7 @@ class ConvStage final : public Module {
   std::vector<Parameter*> parameters() override;
   std::vector<Tensor*> buffers() override;
   std::string name() const override;
+  void release_caches() override;
 
  private:
   ConvGeometry geometry(std::int64_t h, std::int64_t w) const;

@@ -32,6 +32,7 @@ class ConvTranspose2d final : public Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override;
+  void release_caches() override { input_ = Tensor(); }
 
   /// Output spatial size for a given input size.
   std::int64_t out_size(std::int64_t in_size) const;

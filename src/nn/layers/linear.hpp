@@ -18,6 +18,7 @@ class Linear final : public Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override;
+  void release_caches() override { input_ = Tensor(); }
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }

@@ -15,6 +15,7 @@ class MaxPool2d final : public Module {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override;
+  void release_caches() override { argmax_ = std::vector<std::int64_t>(); }
 
  private:
   std::int64_t window_;

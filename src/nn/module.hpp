@@ -58,6 +58,12 @@ class Module {
   /// Human-readable layer name for checkpoints and error messages.
   virtual std::string name() const = 0;
 
+  /// Frees what the last training forward and backward kept for the next
+  /// backward (inputs, outputs, indices, reused scratch). A trainer calls it
+  /// when it returns, so a trained net holds its weights and little else;
+  /// the next training forward keeps them again.
+  virtual void release_caches() {}
+
   /// Zeroes all parameter gradients.
   void zero_grad() {
     for (Parameter* p : parameters()) p->grad.fill(0.0f);

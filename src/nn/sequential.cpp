@@ -68,4 +68,8 @@ std::string Sequential::name() const {
   return os.str();
 }
 
+void Sequential::release_caches() {
+  for (auto& l : layers_) l->release_caches();
+}
+
 }  // namespace wm::nn

@@ -22,6 +22,7 @@ class Sequential final : public Module {
   std::vector<Parameter*> parameters() override;
   std::vector<Tensor*> buffers() override;
   std::string name() const override;
+  void release_caches() override;
 
   std::size_t size() const { return layers_.size(); }
   Module& layer(std::size_t i);

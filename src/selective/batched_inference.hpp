@@ -1,8 +1,9 @@
 // The predict_batch loop behind wm::load_classifier, for either
 // precision: chops the request into fixed-size eval batches, fans the
 // batches across the global pool and maps each (logits, g) pair to
-// SelectivePredictions. The benchmark's per-layer ledger calls it too, with
-// the forward pass swapped for a timed one.
+// SelectivePredictions. calibrate_threshold scores through it, and the
+// benchmark's per-layer ledger calls it too, with the forward pass swapped
+// for a timed one.
 //
 // Correctness contract inherited by every caller: eval batches must be
 // independent (the infer callable mutates no state and per-sample outputs

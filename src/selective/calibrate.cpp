@@ -5,7 +5,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "selective/load_classifier.hpp"
+#include "selective/batched_inference.hpp"
+#include "selective/inference_plan.hpp"
 
 namespace wm::selective {
 
@@ -39,10 +40,19 @@ double coverage_at(std::span<const float> g_scores, float tau) {
 float calibrate_threshold(const SelectiveNet& net, const Dataset& validation,
                           double target_coverage, int eval_batch) {
   WM_CHECK(!validation.empty(), "empty calibration set");
+  WM_CHECK(eval_batch > 0, "bad eval batch size");
 
-  const auto preds = predict_dataset(
-      *load_classifier(net, {.threshold = 0.0f, .eval_batch = eval_batch}),
-      validation);
+  // Scored through a plan compiled from the net, as a classifier loaded
+  // from it would score, without a copy of the net.
+  const InferencePlan plan(net);
+  std::vector<WaferMap> maps;
+  maps.reserve(validation.size());
+  for (std::size_t i = 0; i < validation.size(); ++i) {
+    maps.push_back(validation[i].map);
+  }
+  const auto preds = detail::predict_batched(
+      [&plan](const Tensor& images) { return plan.infer(images); },
+      plan.options().map_size, 0.0f, eval_batch, maps);
   std::vector<float> gs(preds.size());
   for (std::size_t i = 0; i < preds.size(); ++i) gs[i] = preds[i].g;
   return refit_threshold(gs, target_coverage);

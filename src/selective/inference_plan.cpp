@@ -90,12 +90,15 @@ InferencePlan::InferencePlan(const SelectiveNet& net) : opts_(net.options()) {
   const std::int64_t s = opts_.map_size;
   const std::int64_t filters[] = {1, opts_.conv1_filters, opts_.conv2_filters,
                                   opts_.conv3_filters};
+  const std::int64_t kernels[] = {5, 3, 3};
   for (std::size_t i = 0; i < convs_.size(); ++i) {
     Fp32Conv& st = convs_[i].emplace<Fp32Conv>();
-    const std::int64_t kernel = i == 0 ? 5 : 3;
+    const std::int64_t kernel = kernels[i];
     st.geom = {.channels = filters[i], .height = s >> i, .width = s >> i,
                .kernel_h = kernel, .kernel_w = kernel, .stride = 1,
                .pad = kernel / 2};
+    st.border_input = i == 0;
+    st.out_pad = i + 1 < convs_.size() ? kernels[i + 1] / 2 : 0;
     const Tensor& w = take("conv.weight");
     WM_CHECK_SHAPE(w.numel() == filters[i + 1] * st.geom.col_rows(),
                    "conv weight shape ", w.shape().to_string());
@@ -171,14 +174,17 @@ void InferencePlan::size_scratch() {
     std::visit(
         [&](const auto& st) {
           const ConvGeometry& g = st.geom;
-          inputs[i] = g.channels * g.height * g.width;
+          const std::int64_t bordered =
+              (g.height + 2 * g.pad) * (g.width + 2 * g.pad) * g.channels;
           conv_scratch_ =
               std::max(conv_scratch_, st.weights.rows * g.col_cols());
           if constexpr (std::is_same_v<std::decay_t<decltype(st)>, Int8Conv>) {
-            bordered_scratch_ = std::max(
-                bordered_scratch_,
-                (g.height + 2 * g.pad) * (g.width + 2 * g.pad) * g.channels +
-                    kI8ConvImageSlack);
+            inputs[i] = g.channels * g.height * g.width;
+            bordered_scratch_ =
+                std::max(bordered_scratch_, bordered + kI8ConvImageSlack);
+          } else {
+            inputs[i] = bordered;
+            if (st.border_input) frame_ = bordered;
           }
         },
         convs_[i]);
@@ -189,12 +195,20 @@ void InferencePlan::size_scratch() {
 
 void InferencePlan::Fp32Conv::run(const float* image, const Scratch& s,
                                   float* pooled) const {
+  if (border_input) {
+    border_image(geom, image, s.frame);
+    image = s.frame;
+  }
   sgemm_conv(geom, weights, image, s.conv, bias.data());
-  const std::int64_t plane = geom.out_h() * geom.out_w();
+  const std::int64_t oh = geom.out_h();
+  const std::int64_t ow = geom.out_w();
+  const std::int64_t hb = oh / 2 + 2 * out_pad;
+  const std::int64_t wb = ow / 2 + 2 * out_pad;
+  zero_border(weights.rows, oh / 2, ow / 2, out_pad, pooled);
   for (std::int64_t ch = 0; ch < weights.rows; ++ch) {
-    nn::bn_relu_pool_plane(s.conv + ch * plane, geom.out_h(), geom.out_w(),
+    nn::bn_relu_pool_plane(s.conv + ch * oh * ow, oh, ow,
                            bn.empty() ? nullptr : &bn[ch],
-                           pooled + ch * plane / 4);
+                           pooled + (ch * hb + out_pad) * wb + out_pad, wb);
   }
 }
 
@@ -289,10 +303,12 @@ SelectiveOutput InferencePlan::infer(const Tensor& images) const {
       [&](std::size_t lo, std::size_t hi) {
         thread_local std::vector<float> floats;
         thread_local std::vector<std::uint8_t> bytes;
-        floats.resize(static_cast<std::size_t>(conv_scratch_ + in2_ + in3_));
+        floats.resize(
+            static_cast<std::size_t>(conv_scratch_ + frame_ + in2_ + in3_));
         bytes.resize(static_cast<std::size_t>(bordered_scratch_));
-        const Scratch s{floats.data(), bytes.data()};
-        float* x2 = s.conv + conv_scratch_;
+        const Scratch s{floats.data(), floats.data() + conv_scratch_,
+                        bytes.data()};
+        float* x2 = s.frame + frame_;
         float* x3 = x2 + in2_;
         const auto run = [&](const ConvStage& st, const float* in, float* out) {
           std::visit([&](const auto& c) { c.run(in, s, out); }, st);

@@ -14,13 +14,16 @@
 //
 // infer() runs each image through three conv stages with per-thread scratch,
 // fanning images over ThreadPool::global() as Conv2d::forward does. An fp32
-// stage is
+// stage reads its input zero-bordered by its pad, (C, H + 2p, W + 2p) — the
+// first stage borders the wafer itself — and is
 //
-//   sgemm_conv + bias (the kernel reads im2col's rows in place from
-//   shifted copies of the image)
+//   sgemm_conv + bias (the kernel reads im2col's rows in place from the
+//   bordered input, or from shifted copies of it where OW is no multiple of
+//   the vector width)
 //     -> one pass per plane, ConvStage's eval pass (bn_relu_pool_plane):
 //        (x - mean) * inv_std -> gamma * norm + beta -> ReLU -> 2x2 max
-//        into the next stage's input
+//        into the inside of the next stage's bordered input, whose ring
+//        the stage zeroes
 //
 // and an int8 stage runs channels-last from end to end:
 //
@@ -30,10 +33,10 @@
 //   dequantize + bias [+ ReLU] in its epilogue) into (OH·OW, OC) -> 2x2 max
 //   across channels into the next stage's channels-last input
 //
-// An fp32 stage reads and writes (C, H, W) planes, an int8 stage (H, W, C)
-// pixels; conv1's input (C = 1) is both. conv3's pooled output is the
-// image's row of the FC input, so conv3's int8 stage pools into (C, H, W)
-// planes, the order the layer path flattens in. FC (+ ReLU), both heads and
+// An fp32 stage reads and writes (C, H, W) planes (bordered), an int8
+// stage (H, W, C) pixels; conv1's input (C = 1) is both. conv3's pooled
+// output is the image's row of the FC input, so conv3's int8 stage pools
+// into (C, H, W) planes, the order the layer path flattens in. FC (+ ReLU), both heads and
 // the sigmoid then run once over the batch, fp32 or int8 with per-row
 // activation parameters. Every float operation runs on the values of the
 // layer path it replaces, in its order wherever order could change a bit
@@ -78,23 +81,31 @@ class InferencePlan {
   bool is_quantized() const { return quantized_; }
 
  private:
-  /// Per-thread scratch of one image's pass: conv output floats and the
-  /// bordered u8 image of an int8 stage, kI8ConvImageSlack bytes longer
-  /// than the largest.
+  /// Per-thread scratch of one image's pass: conv output floats, the
+  /// bordered wafer of an fp32 first stage, and the bordered u8 image of an
+  /// int8 stage, kI8ConvImageSlack bytes longer than the largest.
   struct Scratch {
     float* conv;
+    float* frame;
     std::uint8_t* bordered;
   };
 
-  /// One conv -> [BatchNorm] -> ReLU -> 2x2 max-pool block in fp32.
+  /// One conv -> [BatchNorm] -> ReLU -> 2x2 max-pool block in fp32, reading
+  /// its input zero-bordered by geom.pad, (C, H + 2p, W + 2p).
   struct Fp32Conv {
     ConvGeometry geom;
     PackedPanels weights;
     std::vector<float> bias;
     // Per-channel BatchNorm constants; empty when the net has no BatchNorm.
     std::vector<nn::BnAffine> bn;
+    /// The first stage: its input is the wafer, which it borders itself.
+    bool border_input;
+    /// The ring the next stage reads around each pooled plane; 0 for the
+    /// last stage, whose output is the image's row of the FC input.
+    std::int64_t out_pad;
 
-    /// Writes the image's pooled activations to `pooled`.
+    /// Writes the image's pooled activations to `pooled`, bordered by
+    /// out_pad with zeros.
     void run(const float* image, const Scratch& s, float* pooled) const;
   };
   /// An int8 layer's weights, packed at load as B panels, and epilogue
@@ -144,10 +155,11 @@ class InferencePlan {
   DenseStage fc_;
   DenseStage head_f_;
   DenseStage head_g_;
-  // Per-thread scratch: the largest conv output and the pooled inputs of
-  // conv2 and conv3, in floats; the largest bordered int8 input and its
-  // slack, in bytes.
+  // Per-thread scratch: the largest conv output, an fp32 plan's bordered
+  // wafer and the pooled inputs of conv2 and conv3 (bordered in fp32), in
+  // floats; the largest bordered int8 input and its slack, in bytes.
   std::int64_t conv_scratch_ = 0;
+  std::int64_t frame_ = 0;
   std::int64_t in2_ = 0;
   std::int64_t in3_ = 0;
   std::int64_t bordered_scratch_ = 0;

@@ -54,7 +54,8 @@ class PlanClassifier final : public LoadedClassifier {
 };
 
 /// Compiles the fp32 net into a plan; the classifier keeps both. `net` must
-/// hold no forward caches: a freshly loaded net or a clone.
+/// hold no training caches: a freshly loaded net, a clone or a net whose
+/// caches were released.
 std::unique_ptr<LoadedClassifier> compiled(
     std::shared_ptr<const selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts) {
@@ -82,7 +83,8 @@ std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts) {
   WM_CHECK(net != nullptr, "load_classifier: null net");
-  return load_classifier(*net, opts);
+  net->release_caches();
+  return compiled(std::move(net), opts);
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(

@@ -83,11 +83,11 @@ std::unique_ptr<LoadedClassifier> load_classifier(
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::SelectiveNet& net, const ClassifierLoadOptions& opts = {});
 
-/// Compiles an in-memory fp32 net, keeps a clone of its weights and drops
-/// the net, with the forward caches a trained net still holds (tens of MiB
-/// at a fine-tune's batch size). The drift-adaptation path builds hot-swap
-/// candidates this way: a fine-tuned clone goes in, a self-contained
-/// shared_ptr<const Classifier> comes out of swap_to's hands.
+/// Compiles an in-memory fp32 net and keeps it, with its training caches
+/// freed (SelectiveTrainer already frees them when it returns). The
+/// drift-adaptation path builds hot-swap candidates this way: a fine-tuned
+/// clone goes in, a self-contained shared_ptr<const Classifier> comes out
+/// of swap_to's hands.
 std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts = {});

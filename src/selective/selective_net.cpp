@@ -67,6 +67,12 @@ void SelectiveNet::zero_grad() {
   head_g_.zero_grad();
 }
 
+void SelectiveNet::release_caches() {
+  trunk_.release_caches();
+  head_f_.release_caches();
+  head_g_.release_caches();
+}
+
 std::vector<nn::Parameter*> SelectiveNet::parameters() {
   return nn::collect_parameters({&trunk_, &head_f_, &head_g_});
 }

@@ -57,6 +57,9 @@ class SelectiveNet {
   /// Zeroes all gradients.
   void zero_grad();
 
+  /// Frees every layer's training caches (nn::Module::release_caches).
+  void release_caches();
+
   std::vector<nn::Parameter*> parameters();
 
   /// Persistent non-parameter state (BatchNorm running statistics).

@@ -170,6 +170,7 @@ TrainingLog SelectiveTrainer::train(SelectiveNet& net, const Dataset& training,
     log_info("restored best-validation parameters (val_acc=", best_val_acc, ")");
     run_log.write("restore_best", {{"val_accuracy", best_val_acc}});
   }
+  net.release_caches();
   log.wall_seconds = watch.seconds();
   run_log.write("train_end",
                 {{"epochs_run", static_cast<int>(log.epochs.size())},

@@ -67,7 +67,9 @@ class SelectiveTrainer {
   explicit SelectiveTrainer(const TrainerOptions& opts);
 
   /// Trains the net in place. `validation` (optional) is evaluated with
-  /// full-coverage argmax accuracy after each epoch.
+  /// full-coverage argmax accuracy after each epoch. Returns with the net's
+  /// training caches freed (SelectiveNet::release_caches), so the trained
+  /// net holds its weights and little else.
   TrainingLog train(SelectiveNet& net, const Dataset& training,
                     const Dataset* validation, Rng& rng) const;
 

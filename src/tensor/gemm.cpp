@@ -68,46 +68,66 @@ vf splat(float x, std::index_sequence<I...>) {
   return vf{(static_cast<void>(I), x)...};
 }
 
-/// Rows of a packed B micro-panel, kNR floats apart.
-struct PackedRows {
+// A micro-panel is kc lines, one per step of K: a line of an A panel holds
+// (up to) kMR values, one per row; a line of a B panel holds kNV vectors.
+// Line p starts at line(p), and entry e of it (a value of A, a vector of B)
+// at line(p) + at(e).
+
+/// Lines packed W floats apart, entries kStep floats apart.
+template <std::int64_t W, std::int64_t kStep>
+struct PackedLines {
   const float* base;
-  const float* row(std::int64_t p) const { return base + p * kNR; }
+  const float* line(std::int64_t p) const { return base + p * W; }
+  static constexpr std::int64_t at(std::int64_t e) { return e * kStep; }
+};
+using PackedA = PackedLines<kMR, 1>;
+using PackedB = PackedLines<kNR, kVL>;
+
+/// Lines read in place: line p starts at lines[p], and entry e lies off[e]
+/// floats from there on every line.
+template <std::int64_t E>
+struct TableLines {
+  const float* const* lines;
+  std::int64_t off[E];
+  const float* line(std::int64_t p) const { return lines[p]; }
+  std::int64_t at(std::int64_t e) const { return off[e]; }
 };
 
-/// Rows of a B micro-panel read in place: row p starts at rows[p] + j, and
-/// kNR floats from there are in bounds.
-struct TableRows {
-  const float* const* rows;
-  std::int64_t j;
-  const float* row(std::int64_t p) const { return rows[p] + j; }
-};
-
-/// C(i, j) of the kMR x kNR tile = sum over p of A-panel column * B row.
-/// ap is kc steps of kMR alpha-scaled A values (packed); b.row(p) holds kNR
-/// B values. Each output is one FMA chain from +0 in p order (s + a * b
-/// without FMA). The accumulators live in registers for the whole loop; the
-/// finished tile is spilled to `tile`.
-template <typename BRows>
-void micro_kernel(std::int64_t kc, const float* __restrict__ ap, BRows b,
+/// C(i, j) of the first R rows of the kMR x kNR tile = sum over p of A-panel
+/// column * B row, for the alpha-scaled A values of an A panel and the kNR
+/// B values of a B panel. Each output is one FMA chain from +0 in p order
+/// (s + a * b without FMA), whatever R is. The accumulators live in
+/// registers for the whole loop; the finished rows are spilled to `tile`.
+template <std::int64_t R, typename ALines, typename BLines>
+void micro_kernel(std::int64_t kc, ALines a, BLines b,
                   float* __restrict__ tile) {
-  vf acc[kMR][kNV];
-  for (std::int64_t i = 0; i < kMR; ++i)
+  vf acc[R][kNV];
+  for (std::int64_t i = 0; i < R; ++i)
     for (std::int64_t v = 0; v < kNV; ++v) acc[i][v] = vf{};
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict__ brow = b.row(p);
-    const float* __restrict__ acol = ap + p * kMR;
+    const float* __restrict__ brow = b.line(p);
+    const float* __restrict__ acol = a.line(p);
     vf bv[kNV];
     for (std::int64_t v = 0; v < kNV; ++v)
-      bv[v] = *reinterpret_cast<const vf*>(brow + v * kVL);
+      bv[v] = *reinterpret_cast<const vf*>(brow + b.at(v));
 #pragma GCC unroll 8
-    for (std::int64_t i = 0; i < kMR; ++i) {
-      const vf av = splat(acol[i], std::make_index_sequence<kVL>{});
+    for (std::int64_t i = 0; i < R; ++i) {
+      const vf av = splat(acol[a.at(i)], std::make_index_sequence<kVL>{});
       for (std::int64_t v = 0; v < kNV; ++v) acc[i][v] += av * bv[v];
     }
   }
-  for (std::int64_t i = 0; i < kMR; ++i)
+  for (std::int64_t i = 0; i < R; ++i)
     for (std::int64_t v = 0; v < kNV; ++v)
       *reinterpret_cast<vf*>(tile + i * kNR + v * kVL) = acc[i][v];
+}
+
+/// micro_kernel over the first `rows` (1 to kMR) rows of the A panel: a
+/// panel of one row (a batch-1 dense layer) costs one row, not kMR.
+template <typename ALines, typename BLines, std::size_t... R>
+void micro_kernel_rows(std::int64_t rows, std::int64_t kc, ALines a, BLines b,
+                       float* tile, std::index_sequence<R...>) {
+  static_cast<void>(
+      ((rows == R + 1 && (micro_kernel<R + 1>(kc, a, b, tile), true)) || ...));
 }
 
 /// Packs `rows` x kc of a strided operand into W-wide micro-panels, scaled
@@ -134,17 +154,19 @@ void pack_strided(std::int64_t rows, std::int64_t kc, float alpha,
   }
 }
 
-// Panel sources. Each hands the macro-kernel the W-wide micro-panels of
-// rows [r0, r0 + rows) x depth [p0, p0 + kc) of its operand — r along M for
-// A, along N for B — as a base pointer and the stride between panels.
-// r0 is always a multiple of W. A B source's block also names the rows of
-// the micro-panel at column offset jr (a multiple of kNR) of the block.
+// Panel sources. Each hands the macro-kernel a block of its operand: rows
+// [r0, r0 + rows) x depth [p0, p0 + kc) — r along M for A, along N for B,
+// r0 always a multiple of the panel width. An A block names the lines of
+// the micro-panel at row offset ir (a multiple of kMR) of the block
+// (a_panel), a B block those at column offset jr, a multiple of kNR
+// (b_panel).
+
+/// Packed W-wide micro-panels, `stride` floats apart.
 struct Panels {
   const float* base;
   std::int64_t stride;
-  PackedRows b_panel(std::int64_t jr) const {
-    return {base + jr / kNR * stride};
-  }
+  PackedA a_panel(std::int64_t ir) const { return {base + ir / kMR * stride}; }
+  PackedB b_panel(std::int64_t jr) const { return {base + jr / kNR * stride}; }
 };
 
 /// A strided matrix, packed into per-thread scratch on every call.
@@ -173,18 +195,35 @@ struct PrepackedSource {
   }
 };
 
-/// A B operand read in place: row p starts at rows[p], and kNR floats past
-/// the end of every row are in bounds. Nothing is packed.
+/// A B operand (K x n) read in place: row p starts at rows[p], and column j
+/// lies (j / run) * stride + j % run floats from there, so a row is runs of
+/// `run` contiguous columns `stride` floats apart (run = stride: one run).
+/// kVL must divide `run` unless there is one run: each vector of a panel is
+/// then one load. A vector wholly past column n reads its panel's first
+/// instead; the one that straddles n reads up to kVL - 1 floats past the
+/// row's end. Nothing is packed.
 struct RowTableSource {
   const float* const* rows;
+  std::int64_t n;
+  std::int64_t run;
+  std::int64_t stride;
   struct Block {
+    const RowTableSource& src;
     const float* const* rows;
     std::int64_t j0;
-    TableRows b_panel(std::int64_t jr) const { return {rows, j0 + jr}; }
+    TableLines<kNV> b_panel(std::int64_t jr) const {
+      TableLines<kNV> t{rows, {}};
+      for (std::int64_t v = 0; v < kNV; ++v) {
+        const std::int64_t j = j0 + jr + v * kVL;
+        t.off[v] =
+            j < src.n ? j / src.run * src.stride + j % src.run : t.off[0];
+      }
+      return t;
+    }
   };
   Block panels(std::int64_t j0, std::int64_t /*cols*/, std::int64_t p0,
                std::int64_t /*kc*/, std::vector<float>& /*scratch*/) const {
-    return {rows + p0, j0};
+    return {*this, rows + p0, j0};
   }
 };
 
@@ -247,33 +286,26 @@ void pack_columns(const ConvGeometry& g, const float* images, std::int64_t j0,
   }
 }
 
-/// A batch of (rows_total x per) row-major blocks side by side along K:
-/// A(r, p) = data[((p / per) * rows_total + r) * per + p % per]. A conv's
-/// output gradient (N, M, OH*OW) read as one M x N*OH*OW matrix, packed per
-/// call into kMR-row panels.
+/// A batch of (M x per) row-major blocks side by side along K, read in
+/// place: A(r, p) = cols[p][r * per], where cols[p] points at row 0 of block
+/// p / per, column p % per. A conv's output gradient (N, M, OH*OW) read as
+/// one M x N*OH*OW matrix: the kernel broadcasts each value from its plane.
 struct BatchRowsSource {
-  const float* data;
-  std::int64_t rows_total;
+  const float* const* cols;
   std::int64_t per;
-  Panels panels(std::int64_t r0, std::int64_t rows, std::int64_t p0,
-                std::int64_t kc, std::vector<float>& scratch) const {
-    scratch.resize(static_cast<std::size_t>((rows + kMR - 1) / kMR * kMR * kc));
-    for (std::int64_t i0 = 0; i0 < rows; i0 += kMR) {
-      const std::int64_t n = std::min(kMR, rows - i0);
-      float* d = scratch.data() + (i0 / kMR) * kMR * kc;
-      std::int64_t img = p0 / per;
-      std::int64_t s = p0 % per;
-      for (std::int64_t p = 0; p < kc; ++p, d += kMR) {
-        const float* src = data + (img * rows_total + r0 + i0) * per + s;
-        for (std::int64_t i = 0; i < n; ++i) d[i] = src[i * per];
-        for (std::int64_t i = n; i < kMR; ++i) d[i] = 0.0f;
-        if (++s == per) {
-          s = 0;
-          ++img;
-        }
-      }
+  struct Block {
+    const float* const* cols;
+    std::int64_t r0;
+    std::int64_t per;
+    TableLines<kMR> a_panel(std::int64_t ir) const {
+      TableLines<kMR> t{cols, {}};
+      for (std::int64_t i = 0; i < kMR; ++i) t.off[i] = (r0 + ir + i) * per;
+      return t;
     }
-    return {scratch.data(), kMR * kc};
+  };
+  Block panels(std::int64_t r0, std::int64_t /*rows*/, std::int64_t p0,
+               std::int64_t /*kc*/, std::vector<float>& /*scratch*/) const {
+    return {cols + p0, r0, per};
   }
 };
 
@@ -318,13 +350,14 @@ void gemm_block(std::int64_t m0, std::int64_t m1, std::int64_t n0,
       const auto bp = b.panels(jc, nc, pc, kc, tb);
       for (std::int64_t ic = m0; ic < m1; ic += kMC) {
         const std::int64_t mc = std::min(kMC, m1 - ic);
-        const Panels ap = a.panels(ic, mc, pc, kc, ta);
+        const auto ap = a.panels(ic, mc, pc, kc, ta);
         for (std::int64_t jr = 0; jr < nc; jr += kNR) {
           const auto brows = bp.b_panel(jr);
           const std::int64_t cols = std::min(kNR, nc - jr);
           for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-            micro_kernel(kc, ap.base + (ir / kMR) * ap.stride, brows, tile);
             const std::int64_t rows = std::min(kMR, mc - ir);
+            micro_kernel_rows(rows, kc, ap.a_panel(ir), brows, tile,
+                              std::make_index_sequence<kMR>{});
             float* cblk = c + (ic + ir) * ldc + jc + jr;
             for (std::int64_t i = 0; i < rows; ++i) {
               float* crow = cblk + i * ldc;
@@ -475,77 +508,70 @@ PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k, const float* w) {
 }
 
 void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
-                const float* image, float* c, const float* bias) {
+                const float* bordered, float* c, const float* bias) {
   WM_CHECK_SHAPE(w.panel == kMR && w.depth == g.col_rows(),
                  "sgemm_conv: weights packed as ", w.rows, "x", w.depth,
                  " (panel ", w.panel, ") for a conv of depth ", g.col_rows());
-  // B is read in place from per-thread buffers that pool workers splitting
-  // the product only read; each buffer ends with kNR spare floats, so the
-  // kernel's N tail stays in bounds.
+  // Tap (ch, kh, kw) of output pixel (y, x) is element
+  // (ch * Hb + y * stride + kh) * Wb + x * stride + kw of `bordered`. B's
+  // rows are read through a table of row pointers; the buffers that pool
+  // workers splitting the product read are per-thread and end with kNR
+  // spare floats for the N tail.
   const std::int64_t k = g.col_rows();
   const std::int64_t n = g.col_cols();
+  const std::int64_t ow = g.out_w();
+  const std::int64_t hb = g.height + 2 * g.pad;
+  const std::int64_t wb = g.width + 2 * g.pad;
   thread_local std::vector<float> buffer;
   thread_local std::vector<const float*> rows;
   rows.resize(static_cast<std::size_t>(k));
+  RowTableSource b{rows.data(), n, n, n};
+  // In place where a vector of kVL output pixels stays in one output row:
+  // row (ch, kh, kw) starts at the tap of pixel (0, 0), and each output row
+  // is a run of OW pixels, Wb floats after the last.
+  const bool in_place = g.stride == 1 && ow % kVL == 0;
   if (g.stride == 1) {
-    // kernel_w shifted copies of the image, rows of OW floats, each with
-    // pad zero rows above and below every channel: column x of copy kw
-    // holds image column x + kw - pad, or 0 outside the image. Tap
-    // (ch, kh, kw) of output pixel j is then element j of the row starting
-    // at row ch * Hb + kh of copy kw, whatever OW is.
-    const std::int64_t ow = g.out_w();
-    const std::int64_t hb = g.height + 2 * g.pad;
-    const std::int64_t plane = hb * ow;
-    const std::int64_t copy = g.channels * plane;
-    buffer.resize(static_cast<std::size_t>(g.kernel_w * copy + kNR));
-    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-      const std::int64_t shift = kw - g.pad;
-      // Columns [lo, hi) of a copy's row come from the image.
-      const std::int64_t lo = std::clamp<std::int64_t>(-shift, 0, ow);
-      const std::int64_t hi = std::clamp<std::int64_t>(g.width - shift, lo, ow);
-      for (std::int64_t ch = 0; ch < g.channels; ++ch) {
-        float* dst = buffer.data() + kw * copy + ch * plane;
-        float* in = dst + g.pad * ow;
-        const float* src = image + ch * g.height * g.width;
-        std::fill(dst, in, 0.0f);
-        if (lo < hi) {
-          if (ow == g.width) {
-            // A "same" conv, as every conv of Table I is: all rows are one
-            // shifted copy of the plane. Copied row by row instead, conv2
-            // took 100 us instead of 89 and conv3 17.3 instead of 13.7 (one
-            // core of an AVX-512 Xeon, 16- and 8-float rows).
-            std::copy(src + lo + shift,
-                      src + (g.height - 1) * ow + hi + shift, in + lo);
-          } else {
-            for (std::int64_t y = 0; y < g.height; ++y) {
-              std::copy(src + y * g.width + lo + shift,
-                        src + y * g.width + hi + shift, in + y * ow + lo);
-            }
-          }
+    const float* base = bordered;
+    std::int64_t kw_step = 1;
+    std::int64_t row = wb;
+    if (in_place) {
+      b.run = ow;
+      b.stride = wb;
+    } else {
+      // kernel_w shifted copies instead, rows of OW floats, copy kw holding
+      // columns [kw, kw + OW) of each bordered row: tap (ch, kh, kw) of
+      // output pixel j is element j of row ch * Hb + kh of copy kw.
+      kw_step = g.channels * hb * ow;
+      row = ow;
+      buffer.resize(static_cast<std::size_t>(g.kernel_w * kw_step + kNR));
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        for (std::int64_t r = 0; r < g.channels * hb; ++r) {
+          const float* src = bordered + r * wb + kw;
+          float* dst = buffer.data() + kw * kw_step + r * ow;
+          for (std::int64_t x = 0; x < ow; ++x) dst[x] = src[x];
         }
-        for (std::int64_t y = 0; y < g.height; ++y) {
-          float* row = in + y * ow;
-          for (std::int64_t x = 0; x < lo; ++x) row[x] = 0.0f;
-          for (std::int64_t x = hi; x < ow; ++x) row[x] = 0.0f;
-        }
-        std::fill(in + g.height * ow, dst + plane, 0.0f);
       }
+      base = buffer.data();
     }
     std::int64_t p = 0;
     for (std::int64_t ch = 0; ch < g.channels; ++ch)
       for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
         for (std::int64_t kw = 0; kw < g.kernel_w; ++kw)
           rows[static_cast<std::size_t>(p++)] =
-              buffer.data() + kw * copy + (ch * hb + kh) * ow;
+              base + kw * kw_step + (ch * hb + kh) * row;
   } else {
+    // im2col of the bordered image, which needs no padding of its own.
+    ConvGeometry padless = g;
+    padless.height = hb;
+    padless.width = wb;
+    padless.pad = 0;
     buffer.resize(static_cast<std::size_t>(k * n + kNR));
-    im2col(g, image, buffer.data());
+    im2col(padless, bordered, buffer.data());
     for (std::int64_t p = 0; p < k; ++p)
       rows[static_cast<std::size_t>(p)] = buffer.data() + p * n;
   }
-  std::fill(buffer.end() - kNR, buffer.end(), 0.0f);
-  gemm_driver(w.rows, n, k, PrepackedSource{w}, RowTableSource{rows.data()},
-              0.0f, c, bias, nullptr);
+  if (!in_place) std::fill(buffer.end() - kNR, buffer.end(), 0.0f);
+  gemm_driver(w.rows, n, k, PrepackedSource{w}, b, 0.0f, c, bias, nullptr);
 }
 
 void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,
@@ -553,27 +579,51 @@ void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,
   WM_CHECK_SHAPE(batch > 0 && m > 0, "sgemm_conv_dw: bad batch ", batch,
                  " or rows ", m);
   // A channels-last copy of the batch, zero-bordered so that padding taps
-  // read zeros: each panel row is then a few contiguous runs (see
-  // pack_columns). Pool workers that split the product only read it.
+  // read zeros: for each kh, the KW*C taps of a pixel are one contiguous
+  // run. Pool workers that split the product only read it.
   ConvGeometry bordered = g;
   bordered.height += 2 * g.pad;
   bordered.width += 2 * g.pad;
   bordered.pad = 0;
   const std::int64_t c = g.channels;
   const std::int64_t plane = g.height * g.width;
+  const std::int64_t image = c * bordered.height * bordered.width;
   thread_local std::vector<float> copy;
-  copy.assign(static_cast<std::size_t>(batch * c * bordered.height *
-                                       bordered.width),
-              0.0f);
+  copy.assign(static_cast<std::size_t>(batch * image), 0.0f);
   for (std::int64_t n = 0; n < batch; ++n) {
     const float* src = images + n * c * plane;
     for (std::int64_t y = 0; y < g.height; ++y) {
-      float* row = copy.data() +
-                   ((n * bordered.height + y + g.pad) * bordered.width + g.pad) * c;
+      float* row = copy.data() + n * image +
+                   ((y + g.pad) * bordered.width + g.pad) * c;
       for (std::int64_t x = 0; x < g.width; ++x) {
         for (std::int64_t ch = 0; ch < c; ++ch) {
           row[x * c + ch] = src[ch * plane + y * g.width + x];
         }
+      }
+    }
+  }
+  // K runs image by image, pixel by pixel. A (dy) is read in place from its
+  // planes; so is B where a kh run of taps holds whole vectors, from the
+  // copy at the pixel's top-left tap. Otherwise (conv1's one channel) B is
+  // packed from the copy on every call (see pack_columns).
+  const std::int64_t ow = g.out_w();
+  const std::int64_t per = g.col_cols();
+  const std::int64_t k = batch * per;
+  const std::int64_t run = g.kernel_w * c;
+  const bool in_place = run % kVL == 0;
+  thread_local std::vector<const float*> a_cols;
+  thread_local std::vector<const float*> b_rows;
+  a_cols.resize(static_cast<std::size_t>(k));
+  if (in_place) b_rows.resize(static_cast<std::size_t>(k));
+  std::size_t p = 0;
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t y = 0; y < g.out_h(); ++y) {
+      const float* a = dy + n * m * per + y * ow;
+      const float* b =
+          copy.data() + n * image + y * g.stride * bordered.width * c;
+      for (std::int64_t x = 0; x < ow; ++x, ++p) {
+        a_cols[p] = a + x;
+        if (in_place) b_rows[p] = b + x * g.stride * c;
       }
     }
   }
@@ -582,10 +632,15 @@ void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,
   const std::int64_t cols = g.col_rows();
   thread_local std::vector<float> product;
   product.resize(static_cast<std::size_t>(m * cols));
-  gemm_driver(m, cols, batch * g.col_cols(),
-              BatchRowsSource{dy, m, g.col_cols()},
-              BatchColumnsSource{bordered, copy.data()}, 0.0f, product.data(),
-              nullptr, nullptr);
+  const BatchRowsSource a{a_cols.data(), per};
+  if (in_place) {
+    gemm_driver(m, cols, k, a,
+                RowTableSource{b_rows.data(), cols, run, bordered.width * c},
+                0.0f, product.data(), nullptr, nullptr);
+  } else {
+    gemm_driver(m, cols, k, a, BatchColumnsSource{bordered, copy.data()},
+                0.0f, product.data(), nullptr, nullptr);
+  }
   for (std::int64_t i = 0; i < m; ++i) {
     const float* prow = product.data() + i * cols;
     float* drow = dw + i * cols;

@@ -9,14 +9,18 @@
 //
 // Every entry point runs one macro-kernel whose A and B micro-panels come
 // packed from strided memory (the plain sgemm_* calls), pre-packed once
-// (PackedPanels: weights that stay fixed across calls), packed straight
-// from a batch of images (sgemm_conv_dw: the transposed im2col of the
-// batch), or, for sgemm_conv's B, read in place from per-thread shifted
-// copies of the image through a table of row pointers (no column buffer,
-// no packing). The micro-kernel broadcasts each A value from memory. The
-// source of a panel never changes its values, and C is always accumulated
-// in the order kGemmKBlock states, so every entry that computes the same
-// product returns the same bits.
+// (PackedPanels: weights that stay fixed across calls), or read where they
+// already are through a table of line pointers and per-panel offsets:
+// sgemm_conv's B from the caller's zero-bordered image (or, where a vector
+// of output pixels would straddle two output rows, from per-thread shifted
+// copies of it), and sgemm_conv_dw's A from the output gradient's planes
+// and its B from a channels-last copy of the batch (packed only where a kh
+// run of taps holds no whole vectors). The micro-kernel broadcasts each A
+// value from memory and computes only the rows its A panel holds, so a
+// one-row product (a batch-1 dense layer) costs one row. The source of a
+// panel never changes its values, and C is always accumulated in the order
+// kGemmKBlock states, so every entry that computes the same product
+// returns the same bits.
 //
 // Large products are split across ThreadPool::global() by row- or
 // column-panels. The split never changes the per-element accumulation order
@@ -90,16 +94,20 @@ PackedPanels pack_weights_bt(std::int64_t n, std::int64_t k, const float* w);
 
 /// One image's convolution with implicit im2col:
 ///   C (OC x OH*OW) = W (OC x C*KH*KW) * im2col(image) [+ bias[row]]
-/// with W from pack_weights_a(OC, g.col_rows(), ...). The kernel reads each
-/// row of im2col(image) in place: at stride 1 from KW per-thread shifted
-/// copies of the image (KW x C x (H+2p) x OW floats), where tap
-/// (c, kh, kw) of every output pixel lies in one contiguous row; at
-/// stride > 1 from a per-thread im2col buffer. Nothing is packed.
-/// Bit-identical to im2col followed by
+/// with W from pack_weights_a(OC, g.col_rows(), ...). `bordered` is the
+/// image zero-bordered by g.pad, (C, H + 2p, W + 2p), as border_image
+/// writes it (im2col.hpp); nothing past it is read. The kernel reads each
+/// row of im2col(image) in place: at stride 1, where the vector width
+/// divides OW, straight from `bordered`, one output row of a tap at a time;
+/// at stride 1 otherwise from KW per-thread shifted copies of it
+/// (KW x C x (H+2p) x OW floats), where tap (c, kh, kw) of every output
+/// pixel lies in one contiguous row; at stride > 1 from a per-thread im2col
+/// buffer. Nothing is packed. Bit-identical to im2col of the unbordered
+/// image followed by
 /// sgemm_bias_rows(OC, g.col_cols(), g.col_rows(), 1, W, col, 0, c, bias);
 /// bias may be null.
 void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
-                const float* image, float* c, const float* bias);
+                const float* bordered, float* c, const float* bias);
 
 /// A convolution's weight gradient over a whole batch, with implicit im2col:
 ///   dw (m x g.col_rows()) += sum over images i of
@@ -107,10 +115,12 @@ void sgemm_conv(const ConvGeometry& g, const PackedPanels& w,
 /// as one GEMM with K = batch * g.col_cols(), into scratch, then added to
 /// dw. dy holds the batch's (m x OH*OW) blocks back to back, as a conv's
 /// (N, OC, OH, OW) output gradient does; `images` holds `batch` images of g.
-/// The transposed im2col panels are packed straight from a zero-bordered,
-/// channels-last copy of the batch, so no column buffer is built. The
-/// product splits across the pool by M/N panels only, so dw gets the same
-/// bits at every pool size.
+/// The kernel broadcasts dy straight from its planes. The transposed im2col
+/// rows come from a zero-bordered, channels-last copy of the batch, where
+/// the KW*C taps of one kh are contiguous: read in place where the vector
+/// width divides KW*C, packed per call otherwise (conv1's one channel). No
+/// column buffer is built. The product splits across the pool by M/N panels
+/// only, so dw gets the same bits at every pool size.
 void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,
                    const float* dy, const float* images, float* dw);
 

@@ -1,5 +1,7 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace wm {
@@ -49,6 +51,35 @@ void im2col_impl(const ConvGeometry& g, const T* image, T* col, T pad) {
 }
 
 }  // namespace
+
+void zero_border(std::int64_t channels, std::int64_t h, std::int64_t w,
+                 std::int64_t pad, float* bordered) {
+  const std::int64_t wb = w + 2 * pad;
+  for (std::int64_t ch = 0; ch < channels; ++ch) {
+    float* plane = bordered + ch * (h + 2 * pad) * wb;
+    // The top rows and the first row's left side; then each row's right
+    // side with the next row's left; then the bottom rows.
+    std::fill(plane, plane + pad * wb + pad, 0.0f);
+    for (std::int64_t y = 0; y < h; ++y) {
+      float* end = plane + (pad + y) * wb + pad + w;
+      std::fill(end, end + 2 * pad, 0.0f);
+    }
+    std::fill(plane + (pad + h) * wb + pad, plane + (h + 2 * pad) * wb, 0.0f);
+  }
+}
+
+void border_image(const ConvGeometry& g, const float* image, float* bordered) {
+  const std::int64_t hb = g.height + 2 * g.pad;
+  const std::int64_t wb = g.width + 2 * g.pad;
+  zero_border(g.channels, g.height, g.width, g.pad, bordered);
+  for (std::int64_t ch = 0; ch < g.channels; ++ch) {
+    for (std::int64_t y = 0; y < g.height; ++y) {
+      const float* src = image + (ch * g.height + y) * g.width;
+      float* dst = bordered + (ch * hb + g.pad + y) * wb + g.pad;
+      std::copy(src, src + g.width, dst);
+    }
+  }
+}
 
 void im2col(const ConvGeometry& g, const float* image, float* col) {
   im2col_impl(g, image, col, 0.0f);

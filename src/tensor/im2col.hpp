@@ -34,6 +34,15 @@ struct ConvGeometry {
 /// (from padding) are written as 0.
 void im2col(const ConvGeometry& g, const float* image, float* col);
 
+/// Zeroes the ring of width `pad` around each of `channels` (h, w) planes
+/// stored bordered, as (channels, h + 2 pad, w + 2 pad), and nothing else.
+void zero_border(std::int64_t channels, std::int64_t h, std::int64_t w,
+                 std::int64_t pad, float* bordered);
+
+/// Copies image g (C, H, W) into `bordered`, (C, H + 2 pad, W + 2 pad) with a
+/// zero ring: the layout sgemm_conv reads.
+void border_image(const ConvGeometry& g, const float* image, float* bordered);
+
 /// im2col over a quantized u8 image (same layout). Out-of-image taps are
 /// written as `pad` — the activation zero point, which represents real 0.0
 /// exactly because the quantizer's range always includes zero (DESIGN.md

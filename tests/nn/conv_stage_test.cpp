@@ -164,6 +164,10 @@ TEST(ConvStageTest, BitMatchesTheLayerSequence) {
         check_stage({batch, 2, 5, 10, 14, 5, 2, bn}, threads);
         // Rows of 18 windows: two eight-window vector steps, then the tail.
         check_stage({batch, 2, 3, 6, 36, 3, 1, bn}, threads);
+        // Rows of 4 windows (conv3 of Table I) and of 13: the half-vector
+        // step alone, and after an eight-window step, before the tail.
+        check_stage({batch, 4, 3, 8, 8, 3, 1, bn}, threads);
+        check_stage({batch, 2, 3, 4, 26, 3, 1, bn}, threads);
       }
     }
   }
@@ -205,6 +209,10 @@ TEST(ConvStageTest, RejectsAnOddConvOutputAndBackwardBeforeForward) {
   EXPECT_THROW(stage.backward(Tensor(Shape{1, 2, 2, 2})), Error);
   EXPECT_THROW(stage.forward(Tensor(Shape{1, 1, 5, 6}), true), ShapeError);
   EXPECT_THROW(stage.forward(Tensor(Shape{1, 2, 6, 6}), true), ShapeError);
+  // Released caches are gone: backward needs a training forward again.
+  const Tensor y = stage.forward(Tensor(Shape{1, 1, 4, 4}), true);
+  stage.release_caches();
+  EXPECT_THROW(stage.backward(y), Error);
 }
 
 }  // namespace

@@ -277,6 +277,16 @@ std::vector<float> normal_vector(std::int64_t n, Rng& rng) {
   return std::vector<float>(t.data(), t.data() + n);
 }
 
+/// The image zero-bordered as sgemm_conv reads it, ending where its
+/// allocation does, so that a read past it leaves the buffer.
+std::vector<float> bordered_image(const ConvGeometry& g,
+                                  const std::vector<float>& image) {
+  std::vector<float> out(static_cast<std::size_t>(
+      g.channels * (g.height + 2 * g.pad) * (g.width + 2 * g.pad)));
+  border_image(g, image.data(), out.data());
+  return out;
+}
+
 // The implicit-im2col entry against the path it replaces: im2col into a
 // column buffer, then sgemm_bias_rows. Geometries cover every kernel size
 // the nets use and more, strides 1 and 2, pads 0-2, non-square images,
@@ -311,13 +321,14 @@ TEST(GemmTest, ImplicitConvBitMatchesIm2colThenGemm) {
       const auto bias = normal_vector(t.filters, rng);
       std::vector<float> col(static_cast<std::size_t>(k * n));
       im2col(g, image.data(), col.data());
+      const auto bordered = bordered_image(g, image);
       const PackedPanels packed = pack_weights_a(t.filters, k, weights.data());
       for (const float* b : {bias.data(), static_cast<const float*>(nullptr)}) {
         std::vector<float> want(static_cast<std::size_t>(t.filters * n), 7.0f);
         std::vector<float> got(want.size(), -3.0f);
         sgemm_bias_rows(t.filters, n, k, 1.0f, weights.data(), col.data(),
                         0.0f, want.data(), b);
-        sgemm_conv(g, packed, image.data(), got.data(), b);
+        sgemm_conv(g, packed, bordered.data(), got.data(), b);
         EXPECT_TRUE(bits_equal(got, want))
             << "C=" << t.channels << " H=" << t.height << " W=" << t.width
             << " k=" << t.kernel << " s=" << t.stride << " p=" << t.pad
@@ -379,14 +390,18 @@ float ordered_sum(std::int64_t k, A a, B b, float bias) {
 }
 
 // Pins the summation order itself, not just agreement between entries that
-// share the kernel: sgemm, sgemm_conv and sgemm_packed_bt_bias_cols against
-// a scalar loop, at pool sizes 1 and 4. Depths straddle kGemmKBlock; the
-// convs cover strides 1 and 2, output widths off every vector width and
-// N tails; the largest products split across the pool.
+// share the kernel: sgemm, sgemm_conv, sgemm_packed_bt_bias_cols and
+// sgemm_conv_dw against a scalar loop, at pool sizes 1 and 4. Depths
+// straddle kGemmKBlock; the convs cover strides 1 and 2, output widths off
+// every vector width and N tails; the dense layers every row count up to
+// past a tile; the largest products split across the pool.
 TEST(GemmTest, SumsInTheStatedOrder) {
   Rng rng(23);
   struct Conv {
     std::int64_t channels, height, width, kernel, stride, pad, filters;
+  };
+  struct DwConv {
+    std::int64_t batch, channels, height, width, kernel, stride, pad, filters;
   };
   for (const std::size_t threads : {1, 4}) {
     ThreadPool::configure_global(threads);
@@ -424,8 +439,8 @@ TEST(GemmTest, SumsInTheStatedOrder) {
       std::vector<float> col(static_cast<std::size_t>(k * n));
       im2col(g, image.data(), col.data());
       std::vector<float> got(static_cast<std::size_t>(t.filters * n), -3.0f);
-      sgemm_conv(g, pack_weights_a(t.filters, k, w.data()), image.data(),
-                 got.data(), bias.data());
+      sgemm_conv(g, pack_weights_a(t.filters, k, w.data()),
+                 bordered_image(g, image).data(), got.data(), bias.data());
       std::vector<float> want(got.size());
       for (std::int64_t i = 0; i < t.filters; ++i) {
         for (std::int64_t j = 0; j < n; ++j) {
@@ -439,8 +454,10 @@ TEST(GemmTest, SumsInTheStatedOrder) {
           << " W=" << t.width << " k=" << t.kernel << " s=" << t.stride
           << " p=" << t.pad << " OC=" << t.filters << " threads=" << threads;
     }
-    for (const auto& [m, n, k] : std::vector<std::tuple<int, int, int>>{
-             {1, 256, 512}, {7, 9, 193}, {300, 256, 512}}) {
+    std::vector<std::tuple<int, int, int>> dense = {
+        {1, 256, 512}, {7, 9, 193}, {300, 256, 512}};
+    for (int m = 1; m <= 9; ++m) dense.emplace_back(m, 37, 400);
+    for (const auto& [m, n, k] : dense) {
       const auto x = normal_vector(m * k, rng);
       const auto w = normal_vector(n * k, rng);
       const auto bias = normal_vector(n, rng);
@@ -457,6 +474,53 @@ TEST(GemmTest, SumsInTheStatedOrder) {
       }
       EXPECT_TRUE(bits_equal(got, want))
           << "sgemm_packed_bt_bias_cols " << m << "x" << n << "x" << k
+          << " threads=" << threads;
+    }
+    // dW over a batch: K = batch * OH*OW runs image by image, so K blocks
+    // straddle images. Table I's conv1 and conv2, a stride-2 conv, and
+    // filter counts off every tile height; dw starts non-zero.
+    for (const DwConv& t : std::vector<DwConv>{{2, 1, 32, 32, 5, 1, 2, 64},
+                                               {2, 64, 16, 16, 3, 1, 1, 32},
+                                               {3, 32, 8, 8, 3, 1, 1, 9},
+                                               {3, 16, 6, 6, 3, 1, 1, 13},
+                                               {2, 5, 11, 9, 3, 2, 1, 7}}) {
+      const ConvGeometry g{.channels = t.channels, .height = t.height,
+                           .width = t.width, .kernel_h = t.kernel,
+                           .kernel_w = t.kernel, .stride = t.stride,
+                           .pad = t.pad};
+      const std::int64_t per = g.col_cols();
+      const std::int64_t cols = g.col_rows();
+      const std::int64_t image = t.channels * t.height * t.width;
+      const auto images = normal_vector(t.batch * image, rng);
+      const auto dy = normal_vector(t.batch * t.filters * per, rng);
+      std::vector<float> col(static_cast<std::size_t>(t.batch * cols * per));
+      for (std::int64_t b = 0; b < t.batch; ++b) {
+        im2col(g, images.data() + b * image, col.data() + b * cols * per);
+      }
+      const auto dw = normal_vector(t.filters * cols, rng);
+      std::vector<float> got = dw;
+      sgemm_conv_dw(g, t.batch, t.filters, dy.data(), images.data(),
+                    got.data());
+      std::vector<float> want(got.size());
+      for (std::int64_t i = 0; i < t.filters; ++i) {
+        for (std::int64_t j = 0; j < cols; ++j) {
+          want[static_cast<std::size_t>(i * cols + j)] =
+              dw[i * cols + j] +
+              ordered_sum(
+                  t.batch * per,
+                  [&](std::int64_t p) {
+                    return dy[(p / per * t.filters + i) * per + p % per];
+                  },
+                  [&](std::int64_t p) {
+                    return col[(p / per * cols + j) * per + p % per];
+                  },
+                  0.0f);
+        }
+      }
+      EXPECT_TRUE(bits_equal(got, want))
+          << "sgemm_conv_dw N=" << t.batch << " C=" << t.channels
+          << " H=" << t.height << " W=" << t.width << " k=" << t.kernel
+          << " s=" << t.stride << " p=" << t.pad << " OC=" << t.filters
           << " threads=" << threads;
     }
   }
