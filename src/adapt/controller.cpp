@@ -414,17 +414,22 @@ bool AdaptationController::do_retrain() {
   // The fine-tune moved the g distribution; re-fit the cut under the NEW
   // net so the candidate comes up at target coverage on the LIVE mix — the
   // buffered wafers, not fine_set, whose synthetics would skew the cut.
-  Dataset live;
-  for (const SampleBuffer::Entry& e : entries) {
-    live.add(Sample{e.map, DefectType::kNone, 1.0f, false});
+  // The net is compiled once: the loaded candidate scores the buffer, and
+  // its re-cut at the fitted tau shares that plan.
+  const std::unique_ptr<LoadedClassifier> loaded =
+      wm::load_classifier(std::move(candidate_net));
+  std::vector<WaferMap> live;
+  live.reserve(entries.size());
+  for (const SampleBuffer::Entry& e : entries) live.push_back(e.map);
+  std::vector<float> gs;
+  for (const SelectivePrediction& p : loaded->predict_batch(live)) {
+    gs.push_back(p.g);
   }
-  const float tau = selective::calibrate_threshold(*candidate_net, live, target);
+  const float tau = selective::refit_threshold(gs, target);
   stats.threshold = tau;
 
   std::shared_ptr<const Classifier> previous = hooks_.swappable->current();
-  std::shared_ptr<const Classifier> candidate =
-      wm::load_classifier(std::move(candidate_net),
-                          {.threshold = tau});
+  std::shared_ptr<const Classifier> candidate = loaded->with_threshold(tau);
   try {
     WM_TRACE_SCOPE("adapt.swap");
     hooks_.swappable->swap_to(candidate, hooks_.canaries, "adapt:retrain");

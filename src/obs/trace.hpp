@@ -12,10 +12,11 @@
 //
 // Tracing is off unless the WM_TRACE env var is set truthy at first use or
 // set_trace_enabled(true) is called. When off, a span costs one relaxed
-// atomic load and two branches (~1 ns, no allocation, no clock read); the
+// atomic load and two branches (no allocation, no clock read): 0.64 ns per
+// span in one timing run on one thread of a 4-vCPU AVX-512 Xeon. The
 // instrumented hot paths can therefore stay instrumented in production
 // builds. When on, a span costs two clock reads plus a short uncontended
-// mutex on its own thread's buffer.
+// mutex on its own thread's buffer (75 ns in the same run).
 //
 // Span names must be string literals (or otherwise outlive the export):
 // the ring stores the pointer, not a copy.

@@ -8,7 +8,6 @@
 #include "common/threadpool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/tensor.hpp"
 
 namespace wm {
 
@@ -41,9 +40,9 @@ constexpr std::int64_t kNR = kNV * kVL;
 // stays L1-resident across the ir loop; the packed kMC x kKC A block
 // (192 KiB) and the kKC x kNC B block (384 KiB) share L2. On one core of a
 // 4-vCPU AVX-512 Xeon (48 KiB L1d, 2 MiB L2), whose FMA peak an asm loop of
-// independent zmm FMAs measures at 136-145 GFLOP/s: 64-75 GFLOP/s at 512^3
-// (BM_Gemm, WM_THREADS=1) against 14 for the seed kernel, and 97, 106 and
-// 85 GFLOP/s for the three Table-I convs through sgemm_conv, bias included.
+// independent zmm FMAs measures at 136-145 GFLOP/s: 134 GFLOP/s for sgemm
+// at 512^3 (one run, WM_THREADS=1), and 97, 106 and 85 GFLOP/s for the
+// three Table-I convs through sgemm_conv, bias included.
 constexpr std::int64_t kKC = kGemmKBlock;
 constexpr std::int64_t kMC = kMR * 32;
 constexpr std::int64_t kNC = kNR * 16;
@@ -480,13 +479,6 @@ void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                /*b_k_stride=*/n, /*b_col_stride=*/1, beta, c, nullptr, nullptr);
 }
 
-void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c) {
-  // B is stored (N x K) row-major: B(p, j) = b[j * k + p].
-  gemm_strided(m, n, k, alpha, a, /*a_row_stride=*/k, /*a_k_stride=*/1, b,
-               /*b_k_stride=*/1, /*b_col_stride=*/k, beta, c, nullptr, nullptr);
-}
-
 void sgemm_bias_rows(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const float* b, float beta,
                      float* c, const float* bias) {
@@ -658,60 +650,6 @@ void sgemm_packed_bt_bias_cols(std::int64_t m, const float* x,
   gemm_driver(m, w.rows, w.depth,
               StridedSource<kMR>{x, w.depth, 1, 1.0f}, PrepackedSource{w},
               0.0f, y, nullptr, bias);
-}
-
-namespace detail {
-
-void sgemm_seed(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                const float* a, const float* b, float beta, float* c) {
-  constexpr std::int64_t kBlockM = 64;
-  constexpr std::int64_t kBlockK = 256;
-  scale_c(m, n, beta, c);
-  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
-  for (std::int64_t i0 = 0; i0 < m; i0 += kBlockM) {
-    const std::int64_t i1 = std::min(m, i0 + kBlockM);
-    for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const std::int64_t k1 = std::min(k, k0 + kBlockK);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* crow = c + i * n;
-        const float* arow = a + i * k;
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          const float av = alpha * arow[kk];
-          const float* brow = b + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  WM_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2, "matmul needs rank-2 operands");
-  WM_CHECK_SHAPE(a.dim(1) == b.dim(0), "matmul inner mismatch: ",
-                 a.shape().to_string(), " x ", b.shape().to_string());
-  Tensor c(Shape{a.dim(0), b.dim(1)});
-  sgemm(a.dim(0), b.dim(1), a.dim(1), 1.0f, a.data(), b.data(), 0.0f, c.data());
-  return c;
-}
-
-Tensor matmul_at(const Tensor& a, const Tensor& b) {
-  WM_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2, "matmul_at needs rank-2 operands");
-  WM_CHECK_SHAPE(a.dim(0) == b.dim(0), "matmul_at inner mismatch: ",
-                 a.shape().to_string(), " x ", b.shape().to_string());
-  Tensor c(Shape{a.dim(1), b.dim(1)});
-  sgemm_at(a.dim(1), b.dim(1), a.dim(0), 1.0f, a.data(), b.data(), 0.0f, c.data());
-  return c;
-}
-
-Tensor matmul_bt(const Tensor& a, const Tensor& b) {
-  WM_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2, "matmul_bt needs rank-2 operands");
-  WM_CHECK_SHAPE(a.dim(1) == b.dim(1), "matmul_bt inner mismatch: ",
-                 a.shape().to_string(), " x ", b.shape().to_string());
-  Tensor c(Shape{a.dim(0), b.dim(0)});
-  sgemm_bt(a.dim(0), b.dim(0), a.dim(1), 1.0f, a.data(), b.data(), 0.0f, c.data());
-  return c;
 }
 
 }  // namespace wm

@@ -1,4 +1,4 @@
-// Single-precision GEMM kernels for the NN and SVM substrates.
+// Single-precision GEMM kernels for the NN substrate.
 //
 // All matrices are dense row-major. The implementation is a packed,
 // register-tiled kernel in the BLIS style: operand panels are packed into
@@ -36,8 +36,6 @@
 
 namespace wm {
 
-class Tensor;
-
 /// Every fp32 entry point sums C(i, j) over K in one order, the one a
 /// scalar loop gives: K splits into kGemmKBlock-deep blocks (the last may
 /// be shorter); each block is one chain from +0 in p order, s = fma(a, b, s)
@@ -58,20 +56,19 @@ void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c);
 
-/// C = alpha * A * B^T + beta * C(MxN). A is (M x K) row-major; B is stored
-/// (N x K) row-major, so B^T(p, j) = b[j * k + p].
-/// Concretely: C(i, j) += alpha * sum_p a[i * k + p] * b[j * k + p].
-void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c);
-
-/// sgemm with a fused epilogue adding bias[i] to every element of row i
-/// (conv forward: rows are output channels, bias is per-channel).
+/// sgemm with a fused epilogue adding bias[i] to every element of row i:
+/// the explicit-im2col conv entry (rows are output channels, B an im2col
+/// buffer) that GemmTest's conv references and the benchmark ledger's
+/// kernel rows call. The layers and plans convolve through sgemm_conv.
 void sgemm_bias_rows(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const float* b, float beta,
                      float* c, const float* bias);
 
-/// sgemm_bt with a fused epilogue adding bias[j] to every element of column j
-/// (linear forward: columns are output features).
+/// C = alpha * A * B^T + beta * C(MxN), then bias[j] added to every element
+/// of column j (linear forward: columns are output features); bias may be
+/// null. A is (M x K) row-major; B is stored (N x K) row-major, so
+/// B^T(p, j) = b[j * k + p].
+/// Concretely: C(i, j) += alpha * sum_p a[i * k + p] * b[j * k + p].
 void sgemm_bt_bias_cols(std::int64_t m, std::int64_t n, std::int64_t k,
                         float alpha, const float* a, const float* b, float beta,
                         float* c, const float* bias);
@@ -130,25 +127,5 @@ void sgemm_conv_dw(const ConvGeometry& g, std::int64_t batch, std::int64_t m,
 void sgemm_packed_bt_bias_cols(std::int64_t m, const float* x,
                                const PackedPanels& w, float* y,
                                const float* bias);
-
-namespace detail {
-
-/// The pre-microkernel cache-blocked i-k-j kernel this repo shipped with.
-/// Kept (unthreaded, scalar) as the baseline for old-vs-new benchmark
-/// comparisons in bench_micro_tensor; not used by any layer.
-void sgemm_seed(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                const float* a, const float* b, float beta, float* c);
-
-}  // namespace detail
-
-/// Tensor convenience wrappers; shapes are validated.
-/// Returns A(MxK) x B(KxN).
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// Returns A^T x B where A is (KxM) and B is (KxN).
-Tensor matmul_at(const Tensor& a, const Tensor& b);
-
-/// Returns A x B^T where A is (MxK) and B is (NxK).
-Tensor matmul_bt(const Tensor& a, const Tensor& b);
 
 }  // namespace wm

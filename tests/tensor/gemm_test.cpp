@@ -20,107 +20,6 @@
 namespace wm {
 namespace {
 
-/// Naive reference O(mnk) multiply used to validate the blocked kernels.
-Tensor reference_matmul(const Tensor& a, const Tensor& b) {
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = b.dim(1);
-  Tensor c(Shape{m, n});
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<double>(a.at(i, kk)) * b.at(kk, j);
-      }
-      c.at(i, j) = static_cast<float>(acc);
-    }
-  }
-  return c;
-}
-
-TEST(GemmTest, SmallKnownProduct) {
-  const Tensor a(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
-  const Tensor b(Shape{3, 2}, {7, 8, 9, 10, 11, 12});
-  const Tensor c = matmul(a, b);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
-}
-
-TEST(GemmTest, IdentityIsNeutral) {
-  Rng rng(1);
-  const Tensor a = Tensor::normal(Shape{5, 5}, rng);
-  Tensor eye(Shape{5, 5});
-  for (std::int64_t i = 0; i < 5; ++i) eye.at(i, i) = 1.0f;
-  EXPECT_LT(max_abs_diff(matmul(a, eye), a), 1e-6f);
-  EXPECT_LT(max_abs_diff(matmul(eye, a), a), 1e-6f);
-}
-
-TEST(GemmTest, MatchesReferenceOnRandomSizes) {
-  Rng rng(2);
-  for (const auto& [m, k, n] : std::vector<std::tuple<int, int, int>>{
-           {1, 1, 1}, {3, 7, 5}, {64, 65, 63}, {100, 257, 33}, {17, 300, 2}}) {
-    const Tensor a = Tensor::normal(Shape{m, k}, rng);
-    const Tensor b = Tensor::normal(Shape{k, n}, rng);
-    const Tensor got = matmul(a, b);
-    const Tensor want = reference_matmul(a, b);
-    EXPECT_LT(max_abs_diff(got, want), 1e-3f) << m << "x" << k << "x" << n;
-  }
-}
-
-TEST(GemmTest, TransposedAVariantMatches) {
-  Rng rng(3);
-  const Tensor a = Tensor::normal(Shape{40, 30}, rng);  // (K x M)
-  const Tensor b = Tensor::normal(Shape{40, 20}, rng);  // (K x N)
-  const Tensor got = matmul_at(a, b);                   // (M x N)
-  const Tensor want = reference_matmul(transpose(a), b);
-  EXPECT_LT(max_abs_diff(got, want), 1e-3f);
-}
-
-TEST(GemmTest, TransposedBVariantMatches) {
-  Rng rng(4);
-  const Tensor a = Tensor::normal(Shape{25, 30}, rng);  // (M x K)
-  const Tensor b = Tensor::normal(Shape{35, 30}, rng);  // (N x K)
-  const Tensor got = matmul_bt(a, b);                   // (M x N)
-  const Tensor want = reference_matmul(a, transpose(b));
-  EXPECT_LT(max_abs_diff(got, want), 1e-3f);
-}
-
-TEST(GemmTest, AlphaBetaSemantics) {
-  const std::vector<float> a = {1, 2, 3, 4};  // 2x2
-  const std::vector<float> b = {1, 0, 0, 1};  // identity
-  std::vector<float> c = {10, 10, 10, 10};
-  sgemm(2, 2, 2, 2.0f, a.data(), b.data(), 0.5f, c.data());
-  // C = 2*A + 0.5*C0
-  EXPECT_FLOAT_EQ(c[0], 7.0f);
-  EXPECT_FLOAT_EQ(c[3], 13.0f);
-}
-
-TEST(GemmTest, BetaZeroOverwritesGarbage) {
-  const std::vector<float> a = {1.0f};
-  const std::vector<float> b = {2.0f};
-  std::vector<float> c = {std::numeric_limits<float>::quiet_NaN()};
-  sgemm(1, 1, 1, 1.0f, a.data(), b.data(), 0.0f, c.data());
-  EXPECT_FLOAT_EQ(c[0], 2.0f);
-}
-
-TEST(GemmTest, ShapeMismatchThrows) {
-  const Tensor a(Shape{2, 3});
-  const Tensor b(Shape{2, 2});
-  EXPECT_THROW(matmul(a, b), ShapeError);
-  EXPECT_THROW(matmul_at(a, Tensor(Shape{3, 2})), ShapeError);
-  EXPECT_THROW(matmul_bt(a, Tensor(Shape{2, 4})), ShapeError);
-}
-
-TEST(GemmTest, AccumulateWithBetaOne) {
-  const std::vector<float> a = {1, 1};  // 1x2
-  const std::vector<float> b = {3, 4};  // 2x1
-  std::vector<float> c = {1};
-  sgemm(1, 1, 2, 1.0f, a.data(), b.data(), 1.0f, c.data());
-  EXPECT_FLOAT_EQ(c[0], 8.0f);
-}
-
 /// Naive C = alpha * op(A) * op(B) + beta * C reference with double
 /// accumulation; row-major strides express the transposed variants.
 void reference_sgemm(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -142,14 +41,104 @@ void reference_sgemm(std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
+TEST(GemmTest, SmallKnownProduct) {
+  const Tensor a(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
+  const Tensor b(Shape{3, 2}, {7, 8, 9, 10, 11, 12});
+  Tensor c(Shape{2, 2});
+  sgemm(2, 2, 3, 1.0f, a.data(), b.data(), 0.0f, c.data());
+  EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
+  EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
+  EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
+  EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
+}
+
+TEST(GemmTest, IdentityIsNeutral) {
+  Rng rng(1);
+  const Tensor a = Tensor::normal(Shape{5, 5}, rng);
+  Tensor eye(Shape{5, 5});
+  for (std::int64_t i = 0; i < 5; ++i) eye.at(i, i) = 1.0f;
+  Tensor c(Shape{5, 5});
+  sgemm(5, 5, 5, 1.0f, a.data(), eye.data(), 0.0f, c.data());
+  EXPECT_LT(max_abs_diff(c, a), 1e-6f);
+  sgemm(5, 5, 5, 1.0f, eye.data(), a.data(), 0.0f, c.data());
+  EXPECT_LT(max_abs_diff(c, a), 1e-6f);
+}
+
+TEST(GemmTest, MatchesReferenceOnRandomSizes) {
+  Rng rng(2);
+  for (const auto& [m, k, n] : std::vector<std::tuple<int, int, int>>{
+           {1, 1, 1}, {3, 7, 5}, {64, 65, 63}, {100, 257, 33}, {17, 300, 2}}) {
+    const Tensor a = Tensor::normal(Shape{m, k}, rng);
+    const Tensor b = Tensor::normal(Shape{k, n}, rng);
+    Tensor got(Shape{m, n});
+    sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
+    Tensor want(Shape{m, n});
+    reference_sgemm(m, n, k, 1.0f, a.data(), k, 1, b.data(), n, 1, 0.0f,
+                    want.data());
+    EXPECT_LT(max_abs_diff(got, want), 1e-3f) << m << "x" << k << "x" << n;
+  }
+}
+
+TEST(GemmTest, TransposedAVariantMatches) {
+  Rng rng(3);
+  const Tensor a = Tensor::normal(Shape{40, 30}, rng);  // (K x M)
+  const Tensor b = Tensor::normal(Shape{40, 20}, rng);  // (K x N)
+  Tensor got(Shape{30, 20});                            // (M x N)
+  sgemm_at(30, 20, 40, 1.0f, a.data(), b.data(), 0.0f, got.data());
+  Tensor want(Shape{30, 20});
+  reference_sgemm(30, 20, 40, 1.0f, a.data(), 1, 30, b.data(), 20, 1, 0.0f,
+                  want.data());
+  EXPECT_LT(max_abs_diff(got, want), 1e-3f);
+}
+
+TEST(GemmTest, TransposedBVariantMatches) {
+  Rng rng(4);
+  const Tensor a = Tensor::normal(Shape{25, 30}, rng);  // (M x K)
+  const Tensor b = Tensor::normal(Shape{35, 30}, rng);  // (N x K)
+  Tensor got(Shape{25, 35});                            // (M x N)
+  sgemm_bt_bias_cols(25, 35, 30, 1.0f, a.data(), b.data(), 0.0f, got.data(),
+                     nullptr);
+  Tensor want(Shape{25, 35});
+  reference_sgemm(25, 35, 30, 1.0f, a.data(), 30, 1, b.data(), 1, 30, 0.0f,
+                  want.data());
+  EXPECT_LT(max_abs_diff(got, want), 1e-3f);
+}
+
+TEST(GemmTest, AlphaBetaSemantics) {
+  const std::vector<float> a = {1, 2, 3, 4};  // 2x2
+  const std::vector<float> b = {1, 0, 0, 1};  // identity
+  std::vector<float> c = {10, 10, 10, 10};
+  sgemm(2, 2, 2, 2.0f, a.data(), b.data(), 0.5f, c.data());
+  // C = 2*A + 0.5*C0
+  EXPECT_FLOAT_EQ(c[0], 7.0f);
+  EXPECT_FLOAT_EQ(c[3], 13.0f);
+}
+
+TEST(GemmTest, BetaZeroOverwritesGarbage) {
+  const std::vector<float> a = {1.0f};
+  const std::vector<float> b = {2.0f};
+  std::vector<float> c = {std::numeric_limits<float>::quiet_NaN()};
+  sgemm(1, 1, 1, 1.0f, a.data(), b.data(), 0.0f, c.data());
+  EXPECT_FLOAT_EQ(c[0], 2.0f);
+}
+
+TEST(GemmTest, AccumulateWithBetaOne) {
+  const std::vector<float> a = {1, 1};  // 1x2
+  const std::vector<float> b = {3, 4};  // 2x1
+  std::vector<float> c = {1};
+  sgemm(1, 1, 2, 1.0f, a.data(), b.data(), 1.0f, c.data());
+  EXPECT_FLOAT_EQ(c[0], 8.0f);
+}
+
 // Randomized equivalence sweep: odd/prime sizes straddling the register tile
 // and cache-block boundaries, with alpha/beta edge cases, for all three
-// packing variants of the tiled kernel.
+// packing variants of the tiled kernel (B^T through sgemm_bt_bias_cols with
+// no bias: the strided path Linear::forward runs).
 TEST(GemmTest, RandomizedVariantsMatchNaive) {
   Rng rng(7);
   const std::vector<std::tuple<int, int, int>> sizes = {
-      {1, 1, 1}, {2, 3, 1},  {5, 9, 13},   {8, 32, 16},
-      {9, 33, 17}, {31, 7, 65}, {47, 61, 193}, {129, 50, 37}};
+      {1, 1, 1},   {2, 3, 1},    {5, 9, 13},    {8, 32, 16},  {9, 33, 17},
+      {31, 7, 65}, {47, 61, 193}, {129, 50, 37}, {65, 77, 129}};
   const std::vector<std::pair<float, float>> coeffs = {
       {1.0f, 0.0f}, {1.0f, 1.0f}, {2.0f, 0.5f}, {0.0f, 0.75f}};
   for (const auto& [m, k, n] : sizes) {
@@ -179,10 +168,12 @@ TEST(GemmTest, RandomizedVariantsMatchNaive) {
 
       got = c0;
       want = c0;
-      sgemm_bt(m, n, k, alpha, a.data(), bt.data(), beta, got.data());
+      sgemm_bt_bias_cols(m, n, k, alpha, a.data(), bt.data(), beta,
+                         got.data(), nullptr);
       reference_sgemm(m, n, k, alpha, a.data(), k, 1, bt.data(), 1, k, beta,
                       want.data());
-      EXPECT_LT(max_abs_diff(got, want), 2e-3f) << "sgemm_bt " << what;
+      EXPECT_LT(max_abs_diff(got, want), 2e-3f)
+          << "sgemm_bt_bias_cols " << what;
     }
   }
 }
@@ -252,19 +243,6 @@ TEST(GemmTest, ThreadedMatchesSerialBitExact) {
   for (std::int64_t i = 0; i < serial.numel(); ++i) {
     ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
   }
-}
-
-// The packed kernel must agree with the retired seed kernel it replaced.
-TEST(GemmTest, MatchesSeedKernel) {
-  Rng rng(11);
-  const std::int64_t m = 65, n = 129, k = 77;
-  const Tensor a = Tensor::normal(Shape{m, k}, rng);
-  const Tensor b = Tensor::normal(Shape{k, n}, rng);
-  Tensor got(Shape{m, n});
-  Tensor want(Shape{m, n});
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
-  detail::sgemm_seed(m, n, k, 1.0f, a.data(), b.data(), 0.0f, want.data());
-  EXPECT_LT(max_abs_diff(got, want), 2e-3f);
 }
 
 bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the wm_tool CLI: generate -> train -> evaluate ->
 # classify -> quantize -> quantized evaluate/classify -> render -> serve ->
-# trace-merge on a throwaway dataset, plus loadgen's flag ranges.
+# trace-merge on a throwaway dataset, a --model-watch reload, the integer
+# flags' ranges, plus loadgen's.
 #
 #   wm_tool_smoke.sh WM_TOOL LOADGEN
 set -euo pipefail
@@ -55,19 +56,41 @@ grep -q "adapt: state OBSERVE" "$WORK/serve.txt"
 grep -q "threshold re-fit only" "$WORK/serve_int8.txt"
 grep -q "adapt: state OBSERVE" "$WORK/serve_int8.txt"
 
+# --model-watch reloads the served file when it changes. Replace it by a
+# rename with the int8 artifact more than a second after it was written
+# (the watch compares mtimes in whole seconds): the int8 model serves as
+# version 2.
+cp "$WORK/m.wsn" "$WORK/served.wsn"
+"$WM_TOOL" serve --model "$WORK/served.wsn" --port 0 --model-watch 100 \
+  --seconds 3 > "$WORK/watch.txt" &
+watch_pid=$!
+sleep 1.5
+cp "$WORK/m_int8.wsn" "$WORK/served.tmp"
+mv "$WORK/served.tmp" "$WORK/served.wsn"
+wait "$watch_pid"
+grep -q "hot-swapped $WORK/served.wsn \[int8\] -> version 2" "$WORK/watch.txt"
+
 # trace-merge takes its input files as positional arguments.
 "$WM_TOOL" render --wafer "$WORK/data/wafer_0.pgm" --trace "$WORK/t.json" \
   >/dev/null
 "$WM_TOOL" trace-merge --out "$WORK/merged.json" "$WORK/t.json" \
   | grep -q "merged 1 trace file"
 
-# A serve or adapt setting outside its range is refused before serving.
-for bad in "--adapt-min-samples 0" "--adapt-epochs 0" "--adapt-buffer 4" \
-  "--max-batch 5000" "--queue-capacity 2000000"; do
-  # shellcheck disable=SC2086  # $bad is a flag and its value
-  if "$WM_TOOL" serve --model "$WORK/m.wsn" --port 0 --seconds 1 --adapt \
-    $bad >/dev/null 2>&1; then
-    echo "serve accepted $bad" >&2
+# An integer flag outside its range is refused before the command trains,
+# evaluates or serves anything. The timeout ends a serve that accepted its
+# flags and would run until a signal.
+serve="serve --model $WORK/m.wsn --port 0 --seconds 1"
+evaluate="evaluate --data $WORK/data --model $WORK/m.wsn"
+for bad in "$serve --adapt --adapt-min-samples 0" \
+  "$serve --adapt --adapt-epochs 0" "$serve --adapt --adapt-buffer 4" \
+  "$serve --max-batch 5000" "$serve --queue-capacity 2000000" \
+  "$serve --model-watch 5" "serve --model $WORK/m.wsn --port 0 --seconds -1" \
+  "$evaluate --monitor-window -1" "$evaluate --refit-window -3" \
+  "generate --out $WORK/bad --per-class -2"; do
+  # shellcheck disable=SC2086  # $bad is a command and its flags
+  err=$(timeout 60 "$WM_TOOL" $bad 2>&1 >/dev/null || true)
+  if [[ $err != *"must be in ["* ]]; then
+    echo "wm_tool did not refuse $bad: $err" >&2
     exit 1
   fi
 done

@@ -39,16 +39,13 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  int get_int(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : parse_int(it->second, "--" + key);
-  }
   /// An integer flag that must lie in [lo, hi]; `fallback` when absent.
   template <typename T>
   T get_int(const std::string& key, T fallback, std::int64_t lo,
             std::int64_t hi) const {
-    if (!has(key)) return fallback;
-    const int v = get_int(key, 0);
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const int v = parse_int(it->second, "--" + key);
     WM_CHECK(v >= lo && v <= hi, "--", key, " must be in [", lo, ", ", hi,
              "], got ", v);
     return static_cast<T>(v);

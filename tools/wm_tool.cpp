@@ -1,14 +1,24 @@
 // wm_tool — command-line front end for the wafer selective-learning library.
 //
+// Every integer flag has a range, given below with its default. A value
+// outside it is an error, reported before the command trains, evaluates or
+// serves anything.
+//
 //   wm_tool generate --out DIR [--per-class N] [--size S] [--seed K]
 //       Synthesise a labelled wafer dataset in the interchange layout
 //       (index.csv + PGMs). Use it to smoke-test the pipeline, or convert
 //       real WM-811K data into the same layout with your own script.
+//       --per-class 1..10^5 (default 50), --size 8..1024 (24), --seed
+//       0..2^31-1 (1).
 //
-//   wm_tool train --data DIR --model FILE [--c0 C] [--epochs N]
-//                 [--size S] [--no-augment] [--seed K]
+//   wm_tool train --data DIR --model FILE [--c0 C] [--epochs N] [--batch B]
+//                 [--lr LR] [--size S] [--no-augment] [--augment-target T]
+//                 [--seed K]
 //       Train a selective classifier on a dataset directory and write a
-//       self-describing model file.
+//       self-describing model file. --epochs 1..1000 (default 12), --batch
+//       1..4096 (32), --size 8..1024 (24; the net also needs a multiple of
+//       8), --augment-target 1..10^5 (a quarter of the training split),
+//       --seed 0..2^31-1 (1).
 //
 //   wm_tool evaluate --data DIR --model FILE [--threshold T]
 //                    [--monitor-window N] [--refit-window N] [--c0 C]
@@ -21,6 +31,8 @@
 //       dry-run offline on the newest N g-scores: the report shows the
 //       pre/post-fit threshold and the coverage each achieves, i.e. what
 //       `serve --adapt` would do to this traffic without touching a model.
+//       --monitor-window 1..10^6 (default 512), --refit-window 1..10^6
+//       (256).
 //
 //   wm_tool classify --model FILE --wafer FILE.pgm [--threshold T]
 //       Classify one wafer; prints the label or an abstention.
@@ -49,12 +61,15 @@
 //       (DESIGN.md §15). Serves the merged view on its own exporter
 //       (--port, 0 = ephemeral): /fleet (JSON), /dashboard (plain text),
 //       /metrics (wm_collector_* + wm_slo_*). Runs until SIGINT/SIGTERM or
-//       --seconds, then prints a final dashboard.
+//       --seconds, then prints a final dashboard. --port 0..65535 (default
+//       0), --interval-ms 1..10^7 (1000), --seconds 0..10^7 (0, until a
+//       signal).
 //
 //   wm_tool scrape HOST:PORT [--delta-ms MS]
-//       One-shot debugging scrape: fetch /metrics twice, MS apart (default
-//       1000), parse both expositions, and pretty-print typed values with
-//       per-second rate deltas for the counters and histogram counts.
+//       One-shot debugging scrape: fetch /metrics twice, MS apart, parse
+//       both expositions, and pretty-print typed values with per-second
+//       rate deltas for the counters and histogram counts. --delta-ms
+//       1..10^7 (default 1000).
 //
 //   wm_tool serve --model FILE [--port P] [--threshold T] [--max-batch N]
 //                 [--queue-capacity Q] [--workers W] [--seconds S]
@@ -66,16 +81,16 @@
 //       --workers 1..256 (2), --max-batch 1..4096 (32), --queue-capacity
 //       1..10^6 (256). A batch is whatever queued during the previous
 //       forward, up to --max-batch. Runs until SIGINT/SIGTERM, or exits on
-//       its own after --seconds S.
+//       its own after --seconds S (0..10^7; default 0, until a signal).
 //
 //       --model-watch polls the model file's mtime (every MS milliseconds,
-//       default 2000) and hot-swaps new weights in with zero downtime: the
-//       candidate is loaded beside the incumbent, canary-verified
-//       (bit-match, serve::SwappableClassifier), and promoted atomically on
-//       a batch boundary. The wm_serve_model_version gauge tracks the
-//       active version; each promotion writes a "model_swap" run-log event.
-//       A failed reload (torn write, bad magic) logs a warning and keeps
-//       the incumbent serving.
+//       100..10^7, default 2000) and hot-swaps new weights in with zero
+//       downtime: the candidate is loaded beside the incumbent,
+//       canary-verified (bit-match, serve::SwappableClassifier), and
+//       promoted atomically on a batch boundary. The wm_serve_model_version
+//       gauge tracks the active version; each promotion writes a
+//       "model_swap" run-log event. A failed reload (torn write, bad magic)
+//       logs a warning and keeps the incumbent serving.
 //
 //       --adapt attaches the closed-loop drift-adaptation controller
 //       (DESIGN.md §16): SelectiveMonitor alarms trigger a staged response —
@@ -110,6 +125,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -149,11 +165,13 @@ using namespace wm;
 
 namespace {
 
+constexpr std::int64_t kMaxSeed = std::numeric_limits<int>::max();
+
 int cmd_generate(const Args& args) {
   const std::string out = args.get("out");
-  const int per_class = args.get_int("per-class", 50);
-  const int size = args.get_int("size", 24);
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  const int per_class = args.get_int("per-class", 50, 1, 100'000);
+  const int size = args.get_int("size", 24, 8, 1024);
+  Rng rng(args.get_int<std::uint64_t>("seed", 1, 0, kMaxSeed));
   synth::DatasetSpec spec;
   spec.map_size = size;
   spec.class_counts.fill(per_class);
@@ -166,9 +184,11 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  const int size = args.get_int("size", 24);
+  const int size = args.get_int("size", 24, 8, 1024);
+  const int epochs = args.get_int("epochs", 12, 1, 1000);
+  const int batch = args.get_int("batch", 32, 1, 4096);
+  Rng rng(args.get_int<std::uint64_t>("seed", 1, 0, kMaxSeed));
   Dataset data = load_wafer_directory(args.get("data"), {.target_size = size});
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   data.shuffle(rng);
   const auto [train, val] = data.stratified_split(0.9, rng);
   std::printf("loaded %zu wafers (%zu train / %zu val)\n", data.size(),
@@ -177,8 +197,8 @@ int cmd_train(const Args& args) {
   Dataset train_aug = train;
   if (!args.has("no-augment")) {
     augment::AugmentOptions aopts;
-    aopts.target_per_class =
-        args.get_int("augment-target", static_cast<int>(train.size()) / 4);
+    aopts.target_per_class = args.get_int(
+        "augment-target", static_cast<int>(train.size()) / 4, 1, 100'000);
     aopts.cae.map_size = size;
     augment::Augmentor augmentor(aopts);
     train_aug = augmentor.augment_dataset(train, rng);
@@ -189,8 +209,8 @@ int cmd_train(const Args& args) {
                                .use_batchnorm = true},
                               rng);
   selective::SelectiveTrainer trainer(
-      {.epochs = args.get_int("epochs", 12),
-       .batch_size = args.get_int("batch", 32),
+      {.epochs = epochs,
+       .batch_size = batch,
        .learning_rate = args.get_double("lr", 2e-3),
        .target_coverage = args.get_double("c0", 0.5),
        .final_lr_fraction = 0.15,
@@ -205,6 +225,10 @@ int cmd_train(const Args& args) {
 }
 
 int cmd_evaluate(const Args& args) {
+  const std::size_t monitor_window =
+      args.get_int<std::size_t>("monitor-window", 512, 1, 1'000'000);
+  const std::size_t refit_window =
+      args.get_int<std::size_t>("refit-window", 256, 1, 1'000'000);
   const auto model = load_classifier(
       args.get("model"),
       {.threshold = static_cast<float>(args.get_double("threshold", 0.5))});
@@ -231,11 +255,10 @@ int cmd_evaluate(const Args& args) {
     // abstention threshold on the newest N g-scores — exactly what
     // adapt::AdaptationController does against its live sample buffer — and
     // report the pre/post operating point without touching any model.
-    const std::size_t window = static_cast<std::size_t>(
-        std::max(1, args.get_int("refit-window", 256)));
     const double c0 = args.get_double("c0", 0.5);
     std::vector<float> gs;
-    const std::size_t first = preds.size() > window ? preds.size() - window : 0;
+    const std::size_t first =
+        preds.size() > refit_window ? preds.size() - refit_window : 0;
     for (std::size_t i = first; i < preds.size(); ++i) gs.push_back(preds[i].g);
     const float old_tau = static_cast<float>(args.get_double("threshold", 0.5));
     const float new_tau = selective::refit_threshold(gs, c0);
@@ -252,7 +275,7 @@ int cmd_evaluate(const Args& args) {
     // dataset had arrived as live traffic; its windowed view of the tail
     // should agree with the offline report when the data is stationary.
     serve::MonitorOptions mopts;
-    mopts.window = static_cast<std::size_t>(args.get_int("monitor-window", 512));
+    mopts.window = monitor_window;
     mopts.target_coverage = args.get_double("c0", 0.5);
     mopts.registry = &obs::Registry::global();
     serve::SelectiveMonitor monitor(mopts);
@@ -324,16 +347,24 @@ int cmd_serve(const Args& args) {
   const std::string model_path = args.get("model");
   const float threshold =
       static_cast<float>(args.get_double("threshold", 0.5));
-  std::shared_ptr<const LoadedClassifier> model =
-      load_classifier(model_path, {.threshold = threshold});
-  const int map_size = model->map_size();
-
   serve::ServerConfig cfg;
   cfg.port = args.get_int("port", cfg.port, 0, 65535);
   cfg.workers = args.get_int("workers", cfg.workers, 1, 256);
   cfg.max_batch = args.get_int("max-batch", cfg.max_batch, 1, 4096);
   cfg.queue_capacity =
       args.get_int("queue-capacity", cfg.queue_capacity, 1, 1'000'000);
+  const int seconds = args.get_int("seconds", 0, 0, 10'000'000);
+  // A bare --model-watch polls every 2 s.
+  const bool watch = args.has("model-watch");
+  const int watch_ms =
+      args.get("model-watch", "true") == "true"
+          ? 2000
+          : args.get_int("model-watch", 2000, 100, 10'000'000);
+
+  std::shared_ptr<const LoadedClassifier> model =
+      load_classifier(model_path, {.threshold = threshold});
+  const int map_size = model->map_size();
+  const std::vector<WaferMap> canaries = swap_canaries(map_size);
 
   serve::MonitorOptions mopts;
   mopts.target_coverage = args.get_double("c0", 0.5);
@@ -373,7 +404,7 @@ int cmd_serve(const Args& args) {
         acfg,
         adapt::AdaptHooks{.monitor = &monitor,
                           .swappable = &swappable,
-                          .canaries = swap_canaries(map_size),
+                          .canaries = canaries,
                           .registry = &obs::Registry::global()});
   }
 
@@ -388,19 +419,12 @@ int cmd_serve(const Args& args) {
               server.port(), map_size, threshold, cfg.workers,
               static_cast<unsigned long long>(swappable.version()));
 
-  const bool watch = args.has("model-watch");
-  const int watch_ms =
-      args.get("model-watch", "true") == "true"
-          ? 2000
-          : std::max(100, args.get_int("model-watch", 2000));
   std::int64_t last_mtime = model_mtime(model_path);
-  const std::vector<WaferMap> canaries = swap_canaries(map_size);
   auto last_check = std::chrono::steady_clock::now();
 
   g_serve_stop.store(false);
   std::signal(SIGINT, serve_signal_handler);
   std::signal(SIGTERM, serve_signal_handler);
-  const int seconds = args.get_int("seconds", 0);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(seconds > 0 ? seconds : 1);
   while (!g_serve_stop.load()) {
@@ -493,9 +517,10 @@ int cmd_trace_merge(const Args& args) {
 int cmd_collect(const Args& args) {
   obs::CollectorOptions opts;
   opts.exporter_port = args.get_int("port", 0, 0, 65535);
-  opts.interval_ms = args.get_int("interval-ms", opts.interval_ms);
+  opts.interval_ms =
+      args.get_int("interval-ms", opts.interval_ms, 1, 10'000'000);
   opts.targets = args.positional();
-  const int seconds = args.get_int("seconds", 0);
+  const int seconds = args.get_int("seconds", 0, 0, 10'000'000);
   WM_CHECK(!opts.targets.empty(),
            "collect: at least one host:port target needed");
   obs::Collector collector(opts);
@@ -539,7 +564,7 @@ int cmd_scrape(const Args& args) {
   WM_CHECK(args.positional().size() == 1,
            "scrape: exactly one host:port target");
   const std::string& target = args.positional()[0];
-  const int delta_ms = args.get_int("delta-ms", 1000);
+  const int delta_ms = args.get_int("delta-ms", 1000, 1, 10'000'000);
   const auto [host, port] = obs::parse_scrape_target(target);
 
   const obs::PromDump first = scrape_target_once(host, port);
